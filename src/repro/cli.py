@@ -160,8 +160,6 @@ def _cmd_experiment(args) -> int:
         forwarded.append(f"--sim-cache={args.sim_cache}")
     if args.checkpoint:
         forwarded.append(f"--checkpoint={args.checkpoint}")
-    if args.job_timeout is not None:
-        forwarded.extend(["--job-timeout", str(args.job_timeout)])
     if args.trace:
         forwarded.extend(["--trace", args.trace])
     if args.metrics:
@@ -635,17 +633,6 @@ def build_parser() -> argparse.ArgumentParser:
             "persist each job's result as it completes so an "
             "interrupted run resumes from completed work "
             "(default DIR: .sim-cache)"
-        ),
-    )
-    p.add_argument(
-        "--job-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        dest="job_timeout",
-        help=(
-            "per-chunk deadline under --jobs N; late chunks are "
-            "treated as lost and re-dispatched"
         ),
     )
     p.add_argument(

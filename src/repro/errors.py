@@ -39,29 +39,6 @@ class JobFailedError(SimulationError):
         self.label = label
 
 
-class PoolRecoveryError(SimulationError):
-    """Worker-loss recovery exhausted its retry budget.
-
-    The persistent pool (:mod:`repro.perf.pool`) survives worker death
-    by rebuilding itself and re-dispatching only the jobs whose results
-    were lost. When the same jobs keep dying past the recovery policy's
-    per-job attempt bound, this is raised carrying the still-lost job
-    indices and their labels, so a campaign of hundreds of sweeps
-    reports *which* jobs could not be completed rather than hanging or
-    silently dropping results.
-    """
-
-    def __init__(
-        self,
-        message: str,
-        indices: tuple[int, ...] = (),
-        labels: tuple[str, ...] = (),
-    ) -> None:
-        super().__init__(message)
-        self.indices = indices
-        self.labels = labels
-
-
 class WorkloadError(ReproError):
     """A workload definition is malformed or references an unknown kernel."""
 

@@ -163,18 +163,6 @@ def main(argv=None) -> int:
         ),
     )
     parser.add_argument(
-        "--job-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        dest="job_timeout",
-        help=(
-            "per-chunk deadline for --jobs workers: a chunk past it is "
-            "treated as lost (its worker is killed, the pool rebuilt) and "
-            "its jobs are re-dispatched under the recovery policy"
-        ),
-    )
-    parser.add_argument(
         "--trace",
         metavar="FILE",
         help=(
@@ -201,8 +189,6 @@ def main(argv=None) -> int:
         return 0
     if args.jobs < 1:
         parser.error("--jobs must be >= 1")
-    if args.job_timeout is not None and args.job_timeout <= 0:
-        parser.error("--job-timeout must be > 0 seconds")
     cache_dir = args.sim_cache
     if args.checkpoint:
         if cache_dir is not None and Path(cache_dir) != Path(args.checkpoint):
@@ -221,8 +207,6 @@ def main(argv=None) -> int:
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
 
-    import dataclasses
-
     from repro.perf import (
         ExperimentJob,
         Stopwatch,
@@ -230,9 +214,7 @@ def main(argv=None) -> int:
         default_max_workers,
         parallel_map,
         recovery_counters,
-        recovery_policy,
         set_default_max_workers,
-        set_recovery_policy,
         set_sim_cache,
     )
     from repro.perf.simcache import active_sim_cache
@@ -243,11 +225,6 @@ def main(argv=None) -> int:
     previous_cache = active_sim_cache()
     if cache_dir:
         activate_sim_cache(cache_dir)
-    previous_policy = recovery_policy()
-    if args.job_timeout is not None:
-        set_recovery_policy(
-            dataclasses.replace(previous_policy, job_timeout=args.job_timeout)
-        )
     recovery_before = recovery_counters()
     try:
         if args.jobs > 1 and len(names) > 1:
@@ -333,7 +310,6 @@ def main(argv=None) -> int:
         return 0
     finally:
         set_default_max_workers(previous_default)
-        set_recovery_policy(previous_policy)
         recovery_after = recovery_counters()
         recovered = {
             key: value - recovery_before.get(key, 0)

@@ -21,8 +21,7 @@ records are *relative* to their session's start, and every process
 starts its session at a different moment. Each process therefore
 records an absolute monotonic **anchor**
 (:func:`repro.perf.timing.monotonic_anchor`) when its session begins:
-the pool initializer records the worker's spawn anchor once per worker,
-each chunk session records its own activation anchor, and the
+each chunk (or job) session records its own activation anchor, and the
 coordinator's :class:`~repro.obs.runtime.ObsSession` records one at
 construction. The stitcher shifts every worker harness record by
 ``chunk_anchor - coordinator_anchor``, which is exactly the offset
@@ -54,9 +53,6 @@ class WorkerTrace:
         OS pid of the emitting worker — groups chunks from the same
         warm worker under one stitched process row. Never used for
         ordering (pids are not deterministic across runs).
-    spawn_anchor:
-        Monotonic anchor recorded once per worker by the pool
-        initializer (the "offset recorded at pool spawn").
     anchor:
         Monotonic anchor of the chunk/job session that produced these
         records; harness times are relative to it.
@@ -68,7 +64,6 @@ class WorkerTrace:
     """
 
     worker_pid: int
-    spawn_anchor: float
     anchor: float
     first_index: int
     events: Tuple[Event, ...]

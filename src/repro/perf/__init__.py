@@ -9,9 +9,8 @@ Public surface:
   process-global ``--jobs`` default experiments consult;
 - :mod:`repro.perf.pool` — the persistent warm worker pool
   (:func:`shutdown_pool`, :func:`pool_size`, :func:`pool_generation`)
-  and its worker-loss recovery policy (:class:`RecoveryPolicy`,
-  :func:`set_recovery_policy`, :func:`recovery_policy`,
-  :func:`recovery_counters`);
+  and its worker-loss counters (:func:`recovery_counters`: pools
+  discarded after a worker died, undelivered jobs re-run in-process);
 - :mod:`repro.perf.simcache` — the content-addressed simulation result
   cache behind ``--sim-cache`` (:class:`SimCache`,
   :func:`activate_sim_cache`, :func:`active_sim_cache`,
@@ -32,13 +31,9 @@ from repro.perf.executor import (
 )
 from repro.perf.jobs import ExperimentJob, ExperimentOutcome, PressureSweepJob
 from repro.perf.pool import (
-    RecoveryPolicy,
-    configure_warm_socs,
     pool_generation,
     pool_size,
     recovery_counters,
-    recovery_policy,
-    set_recovery_policy,
     shutdown_pool,
 )
 from repro.perf.simcache import (
@@ -51,21 +46,17 @@ from repro.perf.timing import Stopwatch, wall_clock_seconds
 
 __all__ = [
     "Job",
-    "RecoveryPolicy",
     "SimCache",
     "Stopwatch",
     "activate_sim_cache",
     "active_sim_cache",
-    "configure_warm_socs",
     "default_max_workers",
     "job_label",
     "parallel_map",
     "pool_generation",
     "pool_size",
     "recovery_counters",
-    "recovery_policy",
     "set_default_max_workers",
-    "set_recovery_policy",
     "set_sim_cache",
     "shutdown_pool",
     "wall_clock_seconds",

@@ -14,10 +14,10 @@ Two subsystems cooperate underneath (both invisible in the results):
 
 - the **persistent warm worker pool** (:mod:`repro.perf.pool`): one
   process-global pool reused across every ``parallel_map`` call, with
-  chunked order-preserving submission, per-job failure attribution,
-  and worker-loss recovery under the active
-  :class:`~repro.perf.pool.RecoveryPolicy` (lost jobs re-dispatched,
-  completed ones kept);
+  chunked order-preserving submission and per-job failure attribution.
+  When a worker dies the pool hands back the results that completed,
+  and every job not yet delivered when the pool broke runs in-process
+  through the same serial loop ``max_workers <= 1`` uses;
 - the **content-addressed simulation cache**
   (:mod:`repro.perf.simcache`): when a cache is active, jobs that
   declare a ``signature()`` are looked up before dispatch and each
@@ -101,10 +101,11 @@ def parallel_map(
     ``max_workers <= 1`` (or a single job to compute) executes in this
     process — the fallback used by default and under nested
     parallelism. Otherwise the jobs are distributed over the persistent
-    warm pool (:mod:`repro.perf.pool`). When a simulation cache is
-    active (:func:`repro.perf.simcache.active_sim_cache`), cacheable
-    jobs are served from disk and only the misses are executed; results
-    are bit-identical on every path. A failing job raises
+    warm pool (:mod:`repro.perf.pool`); if a worker dies, every job
+    not yet delivered when the pool broke is re-run in-process. When a simulation cache is active
+    (:func:`repro.perf.simcache.active_sim_cache`), cacheable jobs are
+    served from disk and only the misses are executed; results are
+    bit-identical on every path. A failing job raises
     :class:`~repro.errors.JobFailedError` naming its index and label.
     """
     from repro.perf.simcache import active_sim_cache
@@ -135,51 +136,55 @@ def parallel_map(
                 results[i] = value
 
     pending = [i for i in range(len(job_list)) if i not in results]
-    if pending:
-        # Stores are eager — each result is persisted as it arrives, not
-        # batched after the sweep — so an interrupted run (Ctrl-C, OOM
-        # kill) keeps every completed job and a later run with the same
-        # cache directory resumes from them (``runner --checkpoint``).
-        def _store_result(i: int, value: object) -> None:
-            key = keys.get(i)
-            if cache is not None and key is not None:
-                cache.store(key, value)
 
-        if max_workers <= 1 or len(pending) == 1:
-            for i in pending:
-                results[i] = _run_serial(job_list[i], i, label_of[i])
-                _store_result(i, results[i])
-        else:
-            from repro.obs import runtime as obs_runtime
-            from repro.obs.events import HARNESS_CLOCK
-            from repro.perf.pool import map_on_pool
+    # Stores are eager — each result is persisted as it arrives, not
+    # batched after the sweep — so an interrupted run (Ctrl-C, OOM kill)
+    # keeps every completed job and a later run with the same cache
+    # directory resumes from them (``runner --checkpoint``).
+    def _store_result(i: int, value: object) -> None:
+        key = keys.get(i)
+        if cache is not None and key is not None:
+            cache.store(key, value)
 
-            session = obs_runtime.active()
-            span = None
-            if session.tracer.enabled:
-                # Harness-clock span bracketing the whole fan-out, so a
-                # stitched timeline shows the coordinator waiting while
-                # the worker rows do the simulating.
-                span = session.tracer.span(
-                    "parallel.dispatch",
-                    start=session.harness_time(),
-                    track="perf.pool",
-                    category="harness",
-                    clock=HARNESS_CLOCK,
-                    jobs=len(pending),
-                    workers=max_workers,
+    if max_workers > 1 and len(pending) > 1:
+        from repro.obs import runtime as obs_runtime
+        from repro.obs.events import HARNESS_CLOCK
+        from repro.perf.pool import map_on_pool
+
+        session = obs_runtime.active()
+        span = None
+        if session.tracer.enabled:
+            # Harness-clock span bracketing the whole fan-out, so a
+            # stitched timeline shows the coordinator waiting while the
+            # worker rows do the simulating.
+            span = session.tracer.span(
+                "parallel.dispatch",
+                start=session.harness_time(),
+                track="perf.pool",
+                category="harness",
+                clock=HARNESS_CLOCK,
+                jobs=len(pending),
+                workers=max_workers,
+            )
+        try:
+            results.update(
+                map_on_pool(
+                    [(i, job_list[i]) for i in pending],
+                    label_of,
+                    max_workers,
+                    on_result=_store_result,
                 )
-            try:
-                results.update(
-                    map_on_pool(
-                        [(i, job_list[i]) for i in pending],
-                        label_of,
-                        max_workers,
-                        on_result=_store_result,
-                    )
-                )
-            finally:
-                if span is not None:
-                    span.finish(session.harness_time())
-                    span.close()
+            )
+        finally:
+            if span is not None:
+                span.finish(session.harness_time())
+                span.close()
+    # The one serial loop: ``max_workers <= 1``, a single miss, and
+    # every job not yet delivered when the pool broke. An undelivered
+    # chunk shipped nothing, so this run is the only copy of its results
+    # and metrics.
+    for i in pending:
+        if i not in results:
+            results[i] = _run_serial(job_list[i], i, label_of[i])
+            _store_result(i, results[i])
     return [results[i] for i in range(len(job_list))]

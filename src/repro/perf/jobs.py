@@ -119,11 +119,12 @@ class ExperimentJob:
     and the experiment's internal sweeps are cached at the
     :class:`PressureSweepJob` granularity (shared across experiments).
     That same granularity carries retry and checkpoint semantics: if
-    this job is re-dispatched after a worker loss, or the whole run is
-    interrupted and restarted under ``runner --checkpoint``, the sweeps
-    already stored under ``sim_cache_dir`` are served from disk and
-    only the unfinished ones are recomputed — re-running the experiment
-    body itself is cheap, idempotent rendering on top of those results.
+    this job is re-run in-process after a worker loss, or the whole
+    run is interrupted and restarted under ``runner --checkpoint``, the
+    sweeps already stored under ``sim_cache_dir`` are served from disk
+    and only the unfinished ones are recomputed — re-running the
+    experiment body itself is cheap, idempotent rendering on top of
+    those results.
 
     With ``metrics=True`` the worker activates its own observability
     session and returns the registry snapshot in the outcome; with
@@ -164,7 +165,6 @@ class ExperimentJob:
             from repro.obs import runtime as obs_runtime
             from repro.obs.runtime import ObsSession
             from repro.obs.stitch import buffer_from_session
-            from repro.perf.pool import worker_spawn_anchor
 
             session = ObsSession(trace=self.trace, metrics=self.metrics)
             obs_runtime.activate(session)
@@ -178,7 +178,6 @@ class ExperimentJob:
                 events, spans = buffer_from_session(session.tracer.buffer)
                 trace = WorkerTrace(
                     worker_pid=os.getpid(),
-                    spawn_anchor=worker_spawn_anchor(),
                     anchor=session.anchor,
                     first_index=0,
                     events=events,

@@ -11,10 +11,10 @@ process-global pool alive for the whole run:
   workers;
 - **warm workers** — the pool initializer pins the worker's own
   ``--jobs`` default to 1 (no nested pools) and seeds the shared engine
-  registry (:func:`repro.experiments.common.engine_for`) for the
-  built-in SoCs, so standalone profiles and steady-state resolve caches
-  accumulate across every job a worker ever runs instead of being
-  rebuilt from zero per call;
+  registry (:func:`repro.experiments.common.engine_for`) for
+  :data:`DEFAULT_WARM_SOCS`, so standalone profiles and steady-state
+  resolve caches accumulate across every job a worker ever runs instead
+  of being rebuilt from zero per call;
 - **chunked, order-preserving submission** — jobs are grouped into
   adaptively sized chunks (fewer pickles and IPC round trips than one
   future per job) and results are reassembled in input order;
@@ -22,18 +22,14 @@ process-global pool alive for the whole run:
   and ships back the failing job's index, label, and traceback text;
   the coordinator cancels outstanding chunks and raises
   :class:`repro.errors.JobFailedError` without orphaning the pool;
-- **worker-loss recovery** — a SIGKILLed/OOM-killed worker
-  (``BrokenProcessPool``) or a chunk that blows its deadline does not
-  abort the sweep: the pool is rebuilt and only the jobs whose results
-  were lost are re-dispatched, under a :class:`RecoveryPolicy`
-  (bounded per-job attempts, optional per-chunk ``job_timeout``,
-  graceful degradation to in-process serial execution after N
-  consecutive rebuilds that made no progress). Completed results —
-  and their metrics/trace snapshots — are kept and absorbed exactly
-  once; a lost chunk ships nothing, so its retry is the only copy.
-  Exhausted retries raise :class:`repro.errors.PoolRecoveryError`;
-  recovery activity is mirrored into ``repro.obs`` counters
-  (``pool.rebuilds``, ``jobs.retried``, ``jobs.recovered``);
+- **worker loss** — a SIGKILLed/OOM-killed worker
+  (``BrokenProcessPool``) does not abort the sweep: the broken pool is
+  discarded, the loss is counted (:func:`recovery_counters`, mirrored
+  into ``repro.obs`` as ``pool.rebuilds`` and ``jobs.retried``), and
+  :func:`map_on_pool` returns the results of the chunks that did
+  complete. A dead worker fails every undelivered chunk, not only its
+  own, and :func:`repro.perf.parallel_map` runs all the missing jobs
+  in-process with its serial loop; the next call builds a fresh pool;
 - **exact metrics** — when the coordinator has an active metrics
   session, each chunk runs under a worker-side session and returns a
   :class:`repro.obs.metrics.MetricsSnapshot` that the coordinator
@@ -47,7 +43,9 @@ process-global pool alive for the whole run:
 
 Results are bit-identical to the serial path by contract: jobs are
 pure, deterministic float math and do not depend on which process (or
-how warm a process) computed them.
+how warm a process) computed them. A lost chunk ships nothing — its
+results, snapshot and trace die with the worker — so the in-process
+re-run of its jobs is the only copy ever delivered or absorbed.
 """
 
 from __future__ import annotations
@@ -74,16 +72,9 @@ from typing import (
     Tuple,
 )
 
-from repro.errors import (
-    ConfigurationError,
-    JobFailedError,
-    PoolRecoveryError,
-    SimulationError,
-)
+from repro.errors import JobFailedError, SimulationError
 from repro.obs.metrics import MetricsSnapshot
 from repro.obs.stitch import WorkerTrace, buffer_from_session
-from repro.perf.timing import wall_clock_seconds
-from repro.robust import faults
 
 if TYPE_CHECKING:
     from repro.obs.runtime import ObsSession
@@ -102,76 +93,21 @@ _POOL: Optional[ProcessPoolExecutor] = None
 _POOL_WORKERS = 0
 _POOL_PID = -1
 _POOL_GENERATION = 0
-_WARM_SOCS: Tuple[str, ...] = DEFAULT_WARM_SOCS
 
-
-@dataclass(frozen=True)
-class RecoveryPolicy:
-    """How :func:`map_on_pool` reacts to worker loss and stragglers.
-
-    ``max_attempts`` bounds how many times one job may be *dispatched*
-    (first try included) before the sweep gives up with
-    :class:`~repro.errors.PoolRecoveryError` — the backstop against a
-    poison job that kills its worker every time. A chunk cancelled
-    before it ever started does not burn an attempt.
-
-    ``max_consecutive_rebuilds`` bounds pool rebuilds that completed
-    *nothing* in between; past it the remaining jobs run serially
-    in-process (graceful degradation — an environment where workers
-    keep dying still produces the full, bit-identical result set).
-
-    ``job_timeout`` is an optional per-chunk deadline in seconds,
-    measured from dispatch. A chunk past it is treated exactly like a
-    lost worker: the pool (whose wedged workers cannot be cancelled any
-    other way) is killed and rebuilt, and the unfinished jobs are
-    re-dispatched.
-    """
-
-    max_attempts: int = 3
-    max_consecutive_rebuilds: int = 3
-    job_timeout: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ConfigurationError(
-                f"max_attempts must be >= 1, got {self.max_attempts}"
-            )
-        if self.max_consecutive_rebuilds < 1:
-            raise ConfigurationError(
-                "max_consecutive_rebuilds must be >= 1, got "
-                f"{self.max_consecutive_rebuilds}"
-            )
-        if self.job_timeout is not None and self.job_timeout <= 0:
-            raise ConfigurationError(
-                f"job_timeout must be > 0 seconds, got {self.job_timeout}"
-            )
-
-
-_POLICY = RecoveryPolicy()
-
-#: Cumulative recovery activity in this process, for the runner's
+#: Cumulative worker-loss activity in this process, for the runner's
 #: stderr note and for tests that run without a metrics session. The
 #: same events are mirrored into the active ``repro.obs`` registry.
 _RECOVERY_COUNTERS: Dict[str, int] = {}
 
-#: Monotonic anchor recorded once per worker by the pool initializer —
-#: the "clock offset recorded at pool spawn" that worker traces carry
-#: back for stitching. 0.0 only before the initializer has run.
-_WORKER_SPAWN_ANCHOR = 0.0
-
 #: Fork-safety declaration (LINT016): each of these is deliberately
 #: per-process. The pool handle never survives a fork (``get_pool``
-#: drops inherited handles) and the spawn anchor is *about* the worker
-#: process that recorded it — coordinator-side visibility would be
-#: meaningless.
+#: drops inherited handles), and the recovery counters describe the
+#: pools *this* process dispatched to.
 _PROCESS_LOCAL_STATE = (
     "_POOL",
     "_POOL_WORKERS",
     "_POOL_PID",
     "_POOL_GENERATION",
-    "_WARM_SOCS",
-    "_WORKER_SPAWN_ANCHOR",
-    "_POLICY",
     "_RECOVERY_COUNTERS",
 )
 
@@ -197,19 +133,15 @@ class _ChunkOutcome:
     trace: Optional[WorkerTrace]
 
 
-def _warm_worker(warm_socs: Tuple[str, ...]) -> None:
+def _warm_worker() -> None:
     """Pool initializer: run once in every worker process."""
-    global _WORKER_SPAWN_ANCHOR
-
     from repro.perf.executor import set_default_max_workers
-    from repro.perf.timing import monotonic_anchor
 
     # This worker is the unit of parallelism — never fork a nested pool.
     set_default_max_workers(1)
-    _WORKER_SPAWN_ANCHOR = monotonic_anchor()
     from repro.experiments.common import engine_for
 
-    for name in warm_socs:
+    for name in DEFAULT_WARM_SOCS:
         engine_for(name)
 
 
@@ -236,11 +168,8 @@ def _run_chunk(
         obs_runtime.activate(session)
     results: List[Tuple[int, object]] = []
     failure: Optional[_JobFailure] = None
-    fault_plan = faults.active_plan()
     try:
         for (index, job), label in zip(indexed_jobs, labels):
-            if fault_plan is not None:
-                faults.on_job_start(index)
             try:
                 results.append((index, job.run()))
             except Exception as exc:  # noqa: BLE001 - shipped as data
@@ -252,8 +181,6 @@ def _run_chunk(
                     traceback_text=tb.format_exc(),
                 )
                 break
-            if fault_plan is not None:
-                faults.on_job_finish()
     finally:
         if session is not None:
             from repro.obs import runtime as obs_runtime
@@ -269,7 +196,6 @@ def _run_chunk(
         events, spans = buffer_from_session(session.tracer.buffer)
         trace = WorkerTrace(
             worker_pid=os.getpid(),
-            spawn_anchor=_WORKER_SPAWN_ANCHOR,
             anchor=session.anchor,
             first_index=min(index for index, _ in indexed_jobs),
             events=events,
@@ -286,21 +212,6 @@ def _run_chunk(
 # ----------------------------------------------------------------------
 # Pool lifecycle
 # ----------------------------------------------------------------------
-def configure_warm_socs(names: Sequence[str]) -> None:
-    """Set the SoCs the *next* created pool warms its workers with.
-
-    Takes effect lazily: an already-running pool keeps its warm set
-    (its workers have long absorbed the cost either way).
-    """
-    global _WARM_SOCS
-    _WARM_SOCS = tuple(names)
-
-
-def warm_socs() -> Tuple[str, ...]:
-    """The SoC names the pool initializer currently seeds."""
-    return _WARM_SOCS
-
-
 def get_pool(max_workers: int) -> ProcessPoolExecutor:
     """The persistent pool, created (or grown) to ``max_workers``.
 
@@ -319,9 +230,7 @@ def get_pool(max_workers: int) -> ProcessPoolExecutor:
         shutdown_pool()
     if _POOL is None:
         _POOL = ProcessPoolExecutor(
-            max_workers=max_workers,
-            initializer=_warm_worker,
-            initargs=(_WARM_SOCS,),
+            max_workers=max_workers, initializer=_warm_worker
         )
         _POOL_WORKERS = max_workers
         _POOL_PID = os.getpid()
@@ -334,9 +243,9 @@ def shutdown_pool(wait: bool = True) -> None:
 
     Explicit callers get the blocking shutdown (workers have fully
     exited when this returns — what tests rely on between pool
-    generations). The atexit path passes ``wait=False``: a worker
-    wedged in C code or killed mid-syscall must not be able to hang
-    interpreter exit forever.
+    generations). The atexit path, Ctrl-C and worker loss pass
+    ``wait=False``: a worker wedged in C code or killed mid-syscall
+    must not be able to hang the coordinator or interpreter exit.
     """
     global _POOL, _POOL_WORKERS
     if _POOL is not None and _POOL_PID == os.getpid():
@@ -348,25 +257,6 @@ def shutdown_pool(wait: bool = True) -> None:
 def _shutdown_pool_atexit() -> None:
     """Interpreter-exit hook: never block on a possibly-wedged worker."""
     shutdown_pool(wait=False)
-
-
-def _discard_pool(kill: bool) -> None:
-    """Drop a broken or stalled pool so the next round builds afresh.
-
-    ``kill=True`` SIGKILLs the worker processes first — the only way to
-    reclaim a worker wedged past its deadline, since a running future
-    cannot be cancelled. A pool that is merely *broken* (a worker
-    already died) needs no killing; its survivors exit on shutdown.
-    """
-    global _POOL, _POOL_WORKERS
-    if _POOL is not None and _POOL_PID == os.getpid():
-        if kill:
-            processes = getattr(_POOL, "_processes", None) or {}
-            for proc in list(processes.values()):
-                proc.kill()
-        _POOL.shutdown(wait=False, cancel_futures=True)
-    _POOL = None
-    _POOL_WORKERS = 0
 
 
 def pool_size() -> int:
@@ -381,32 +271,13 @@ def pool_generation() -> int:
     return _POOL_GENERATION
 
 
-def worker_spawn_anchor() -> float:
-    """This process's spawn anchor (0.0 outside a pool worker).
-
-    Jobs that ship their own :class:`~repro.obs.stitch.WorkerTrace`
-    (rather than riding the chunk session) read it here.
-    """
-    return _WORKER_SPAWN_ANCHOR
-
-
-def set_recovery_policy(policy: RecoveryPolicy) -> None:
-    """Install the process-global recovery policy (the CLI's flags)."""
-    global _POLICY
-    _POLICY = policy
-
-
-def recovery_policy() -> RecoveryPolicy:
-    """The recovery policy the next :func:`map_on_pool` call runs under."""
-    return _POLICY
-
-
 def recovery_counters() -> Dict[str, int]:
-    """Copy of this process's cumulative recovery counters.
+    """Copy of this process's cumulative worker-loss counters.
 
-    Keys are the same names mirrored into ``repro.obs``
-    (``pool.rebuilds``, ``jobs.retried``, ``jobs.recovered``); the dict
-    is empty until recovery has actually happened. Callers wanting a
+    ``pool.rebuilds`` counts pools discarded after a worker died;
+    ``jobs.retried`` counts the undelivered jobs handed back for an
+    in-process re-run. The same names are mirrored into ``repro.obs``; the dict is
+    empty until a worker has actually been lost. Callers wanting a
     per-sweep figure diff two copies.
     """
     return dict(_RECOVERY_COUNTERS)
@@ -433,42 +304,11 @@ def _raise_failure(failure: _JobFailure) -> None:
     )
 
 
-def _count(name: str, session: "ObsSession") -> None:
-    """Record one recovery event: process counter + obs mirror."""
-    _RECOVERY_COUNTERS[name] = _RECOVERY_COUNTERS.get(name, 0) + 1
+def _count(name: str, amount: int, session: "ObsSession") -> None:
+    """Record worker-loss activity: process counter + obs mirror."""
+    _RECOVERY_COUNTERS[name] = _RECOVERY_COUNTERS.get(name, 0) + amount
     if session.metrics.enabled:
-        session.metrics.counter(name).inc()
-
-
-def _run_degraded(
-    todo: Sequence[int],
-    jobs_by_index: Dict[int, object],
-    labels: Dict[int, str],
-) -> Dict[int, object]:
-    """Graceful degradation: run the leftover jobs in this process.
-
-    Reached when consecutive pool rebuilds made no progress — an
-    environment where workers keep dying should still produce the full,
-    bit-identical result set, just without parallelism. Jobs run under
-    the coordinator's own obs session (no snapshot shipping needed) and
-    without the worker-side fault hooks: injected faults model worker
-    and storage failures, not coordinator suicide.
-    """
-    results: Dict[int, object] = {}
-    for index in todo:
-        job = jobs_by_index[index]
-        try:
-            results[index] = job.run()  # type: ignore[attr-defined]
-        except JobFailedError:
-            raise
-        except Exception as exc:
-            raise JobFailedError(
-                f"job {index} ({labels[index]}) failed with "
-                f"{type(exc).__name__}: {exc}",
-                index=index,
-                label=labels[index],
-            ) from exc
-    return results
+        session.metrics.counter(name).inc(amount)
 
 
 def map_on_pool(
@@ -479,48 +319,41 @@ def map_on_pool(
 ) -> Dict[int, object]:
     """Run (index, job) pairs on the persistent pool; results by index.
 
-    Worker loss (``BrokenProcessPool``) and blown deadlines do not
-    abort the call: under the active :class:`RecoveryPolicy` the pool
-    is rebuilt and only the jobs whose results were lost are
-    re-dispatched — a lost chunk ships nothing (results, metrics
-    snapshot, and trace ride the same outcome payload), so its retry is
-    the only copy and nothing is double-counted. ``on_result`` fires
-    exactly once per job as its result first arrives (the checkpoint
-    hook: results persisted eagerly survive a later interrupt).
+    Dispatches once. ``on_result`` fires exactly once per job as its
+    result arrives (the checkpoint hook: results persisted eagerly
+    survive a later interrupt).
 
     Raises :class:`~repro.errors.JobFailedError` on the first *failed*
     job (the job itself raised), after cancelling chunks that have not
-    started; the pool stays alive for the next call. Raises
-    :class:`~repro.errors.PoolRecoveryError` when a job is lost more
-    than ``max_attempts`` times.
+    started; the pool stays alive for the next call. A lost worker
+    (``BrokenProcessPool``) raises nothing: the pool is discarded, the
+    loss counted, and the results of the chunks that completed are
+    returned — the caller runs the missing indices itself
+    (:func:`repro.perf.parallel_map` does so in-process).
     """
     from repro.obs import runtime as obs_runtime
 
     session = obs_runtime.active()
     collect_metrics = session.metrics.enabled
     collect_trace = session.tracer.enabled
-    policy = _POLICY
-    jobs_by_index: Dict[int, object] = dict(indexed_jobs)
     results: Dict[int, object] = {}
-    attempts: Dict[int, int] = {index: 0 for index, _ in indexed_jobs}
-    lost_ever: Set[int] = set()
-    todo: List[int] = [index for index, _ in indexed_jobs]
     failure: Optional[_JobFailure] = None
-    consecutive_rebuilds = 0
     pending: Set["Future[_ChunkOutcome]"] = set()
+    broken = False
 
-    def _deliver(index: int, value: object) -> None:
-        results[index] = value
-        if index in lost_ever:
-            _count("jobs.recovered", session)
-        if on_result is not None:
-            on_result(index, value)
-
-    def _absorb(outcome: _ChunkOutcome) -> None:
-        nonlocal failure
+    def _absorb(future: "Future[_ChunkOutcome]") -> None:
+        nonlocal failure, broken
+        try:
+            outcome = future.result()
+        except BrokenProcessPool:
+            broken = True
+            return
+        except CancelledError:
+            return
         for index, value in outcome.results:
-            if index not in results:  # exactly-once delivery
-                _deliver(index, value)
+            results[index] = value
+            if on_result is not None:
+                on_result(index, value)
         if outcome.snapshot is not None:
             session.metrics.absorb(outcome.snapshot)
         if outcome.trace is not None:
@@ -529,139 +362,41 @@ def map_on_pool(
             failure = outcome.failure
 
     try:
-        while todo and failure is None:
-            exhausted = tuple(
-                index
-                for index in todo
-                if attempts[index] >= policy.max_attempts
-            )
-            if exhausted:
-                shown = ", ".join(
-                    f"{index} ({labels[index]})" for index in exhausted[:5]
-                ) + (", ..." if len(exhausted) > 5 else "")
-                raise PoolRecoveryError(
-                    f"{len(exhausted)} job(s) lost in every one of "
-                    f"{policy.max_attempts} dispatch attempt(s): {shown}",
-                    indices=exhausted,
-                    labels=tuple(labels[index] for index in exhausted),
-                )
-            if consecutive_rebuilds >= policy.max_consecutive_rebuilds:
-                _count("pool.degraded", session)
-                for index, value in _run_degraded(
-                    todo, jobs_by_index, labels
-                ).items():
-                    _deliver(index, value)
-                todo = []
-                break
-
-            workers = min(max_workers, len(todo))
-            pool = get_pool(workers)
-            size = _chunk_size(len(todo), workers)
-            chunk_of: Dict["Future[_ChunkOutcome]", Tuple[int, ...]] = {}
-            deadlines: Dict["Future[_ChunkOutcome]", float] = {}
-            dispatched: Set[int] = set()
-            broken = False
-            timed_out = False
-            completed_before = len(results)
-            for start in range(0, len(todo), size):
-                chunk_indices = tuple(todo[start : start + size])
-                chunk = [
-                    (index, jobs_by_index[index]) for index in chunk_indices
-                ]
-                chunk_labels = [labels[index] for index in chunk_indices]
-                for index in chunk_indices:
-                    attempts[index] += 1
-                dispatched.update(chunk_indices)
-                try:
-                    future = pool.submit(
-                        _run_chunk, chunk, chunk_labels, collect_metrics,
+        workers = min(max_workers, len(indexed_jobs))
+        pool = get_pool(workers)
+        size = _chunk_size(len(indexed_jobs), workers)
+        for start in range(0, len(indexed_jobs), size):
+            chunk = indexed_jobs[start : start + size]
+            try:
+                pending.add(
+                    pool.submit(
+                        _run_chunk,
+                        chunk,
+                        [labels[index] for index, _ in chunk],
+                        collect_metrics,
                         collect_trace,
                     )
-                except BrokenProcessPool:
-                    for index in chunk_indices:
-                        attempts[index] -= 1
-                    dispatched.difference_update(chunk_indices)
-                    broken = True
-                    break
-                chunk_of[future] = chunk_indices
-                if policy.job_timeout is not None:
-                    deadlines[future] = (
-                        wall_clock_seconds() + policy.job_timeout
-                    )
-            pending = set(chunk_of)
-
-            while (
-                pending
-                and failure is None
-                and not broken
-                and not timed_out
-            ):
-                timeout: Optional[float] = None
-                if deadlines:
-                    next_deadline = min(
-                        deadlines[future] for future in pending
-                    )
-                    # Small grace so a chunk finishing right at its
-                    # deadline is collected rather than declared late.
-                    timeout = max(
-                        0.0, next_deadline - wall_clock_seconds()
-                    ) + 0.05
-                done, pending = wait(
-                    pending, timeout=timeout, return_when=FIRST_COMPLETED
                 )
-                for future in done:
-                    deadlines.pop(future, None)
-                    try:
-                        _absorb(future.result())
-                    except BrokenProcessPool:
-                        broken = True
-                    except CancelledError:
-                        pass
-                if not done and not broken and deadlines:
-                    now = wall_clock_seconds()
-                    if any(
-                        deadlines[future] <= now for future in pending
-                    ):
-                        timed_out = True
-
-            if broken or timed_out:
-                # Salvage chunks that completed while the round was
-                # collapsing — their results are real and count.
-                done, pending = wait(pending, timeout=0)
-                for future in done:
-                    try:
-                        _absorb(future.result())
-                    except (BrokenProcessPool, CancelledError):
-                        pass
-                for future in pending:
-                    if future.cancel():
-                        # Never started: the jobs were not lost, so the
-                        # attempt is refunded.
-                        for index in chunk_of[future]:
-                            attempts[index] -= 1
-                        dispatched.difference_update(chunk_of[future])
-                pending = set()
-                _discard_pool(kill=timed_out)
-                _count("pool.rebuilds", session)
-                if failure is not None:
-                    break
-                for index in dispatched:
-                    if index not in results:
-                        lost_ever.add(index)
-                        _count("jobs.retried", session)
-                if len(results) > completed_before:
-                    consecutive_rebuilds = 0
-                else:
-                    consecutive_rebuilds += 1
-            else:
-                if failure is not None:
-                    for future in pending:
-                        future.cancel()
-                    break
-                consecutive_rebuilds = 0
-            todo = [index for index in todo if index not in results]
-    except (JobFailedError, PoolRecoveryError):
-        raise
+            except BrokenProcessPool:
+                broken = True
+                break
+        while pending and failure is None and not broken:
+            done, pending = wait(pending, return_when=FIRST_COMPLETED)
+            for future in done:
+                _absorb(future)
+        if broken:
+            # Keep chunks that completed while the pool was collapsing:
+            # their results are real and count. The rest ship nothing.
+            for future in pending:
+                if future.done():
+                    _absorb(future)
+            shutdown_pool(wait=False)
+            _count("pool.rebuilds", 1, session)
+            lost = len(indexed_jobs) - len(results)
+            if failure is None and lost:
+                _count("jobs.retried", lost, session)
+        for future in pending:
+            future.cancel()
     except BaseException:  # pool machinery broke, or Ctrl-C
         for future in pending:
             future.cancel()
@@ -677,16 +412,10 @@ def map_on_pool(
 
 __all__ = [
     "DEFAULT_WARM_SOCS",
-    "RecoveryPolicy",
-    "configure_warm_socs",
     "get_pool",
     "map_on_pool",
     "pool_generation",
     "pool_size",
     "recovery_counters",
-    "recovery_policy",
-    "set_recovery_policy",
     "shutdown_pool",
-    "warm_socs",
-    "worker_spawn_anchor",
 ]

@@ -40,15 +40,12 @@ experiment artifacts.
 
 from __future__ import annotations
 
-import errno
 import hashlib
 import itertools
 import os
 import pickle
 from pathlib import Path
 from typing import Any, Optional, Tuple, Union
-
-from repro.robust import faults
 
 CACHE_DIR_NAME = ".sim-cache"
 CACHE_SCHEMA_VERSION = 1
@@ -231,12 +228,8 @@ class SimCache:
             blob = pickle.dumps(payload)
         except Exception:  # noqa: BLE001 - uncacheable result, not an error
             return False
-        if faults.claim_store_corruption():
-            blob = faults.truncate_blob(blob)
         tmp: Optional[Path] = None
         try:
-            if faults.claim_store_failure():
-                raise OSError(errno.ENOSPC, "injected store failure")
             entry.parent.mkdir(parents=True, exist_ok=True)
             # pid + per-process counter: unique across every concurrent
             # writer in the pool (id(self) was not — see tests).

@@ -75,16 +75,16 @@ def _harness_span(start, end):
                 category="c", args=(), clock=HARNESS_CLOCK, depth=0)
 
 
-def _trace(pid, spawn, anchor, first_index, events=(), spans=()):
-    return WorkerTrace(worker_pid=pid, spawn_anchor=spawn, anchor=anchor,
+def _trace(pid, anchor, first_index, events=(), spans=()):
+    return WorkerTrace(worker_pid=pid, anchor=anchor,
                        first_index=first_index, events=tuple(events),
                        spans=tuple(spans))
 
 
 class TestAlignWorkers:
     def test_orders_by_first_index_not_pid(self):
-        high_pid_first_job = _trace(99999, 1.0, 1.0, 0)
-        low_pid_later_job = _trace(11, 1.0, 1.0, 1)
+        high_pid_first_job = _trace(99999, 1.0, 0)
+        low_pid_later_job = _trace(11, 1.0, 1)
         stitched = align_workers(
             [low_pid_later_job, high_pid_first_job], coordinator_anchor=1.0
         )
@@ -92,14 +92,14 @@ class TestAlignWorkers:
         assert [w.ordinal for w in stitched] == [1, 2]
 
     def test_chunks_from_one_pid_merge_in_index_order(self):
-        second = _trace(7, 1.0, 1.0, 3, events=[_sim_event("b", 0.0)])
-        first = _trace(7, 1.0, 1.0, 0, events=[_sim_event("a", 0.0)])
+        second = _trace(7, 1.0, 3, events=[_sim_event("b", 0.0)])
+        first = _trace(7, 1.0, 0, events=[_sim_event("a", 0.0)])
         (worker,) = align_workers([second, first], coordinator_anchor=1.0)
         assert [e.name for e in worker.events] == ["a", "b"]
 
     def test_harness_records_shift_by_anchor_delta(self):
         trace = _trace(
-            7, spawn=10.0, anchor=10.0, first_index=0,
+            7, anchor=10.0, first_index=0,
             events=[_harness_event(1.0)], spans=[_harness_span(0.5, 2.5)],
         )
         (worker,) = align_workers([trace], coordinator_anchor=4.0)
@@ -109,18 +109,18 @@ class TestAlignWorkers:
         assert worker.spans[0].end == 8.5
 
     def test_sim_records_are_never_shifted(self):
-        trace = _trace(7, 10.0, 10.0, 0, events=[_sim_event("e", 1.25)])
+        trace = _trace(7, 10.0, 0, events=[_sim_event("e", 1.25)])
         (worker,) = align_workers([trace], coordinator_anchor=4.0)
         assert worker.events[0].time == 1.25
 
     def test_with_first_index_stamps_a_copy(self):
-        trace = _trace(7, 1.0, 1.0, 0)
+        trace = _trace(7, 1.0, 0)
         stamped = trace.with_first_index(5)
         assert stamped.first_index == 5
         assert trace.first_index == 0
 
     def test_worker_traces_are_picklable(self):
-        trace = _trace(7, 1.0, 2.0, 0, events=[_sim_event("e", 0.0, k=1)],
+        trace = _trace(7, 2.0, 0, events=[_sim_event("e", 0.0, k=1)],
                        spans=[_harness_span(0.0, 1.0)])
         assert pickle.loads(pickle.dumps(trace)) == trace
 

@@ -122,34 +122,6 @@ class TestShutdownSemantics:
         assert pool_size() == 0
 
 
-class TestRecoveryPolicyValidation:
-    def test_rejects_nonpositive_bounds(self):
-        from repro.errors import ConfigurationError
-        from repro.perf import RecoveryPolicy
-
-        with pytest.raises(ConfigurationError, match="max_attempts"):
-            RecoveryPolicy(max_attempts=0)
-        with pytest.raises(ConfigurationError, match="max_consecutive"):
-            RecoveryPolicy(max_consecutive_rebuilds=0)
-        with pytest.raises(ConfigurationError, match="job_timeout"):
-            RecoveryPolicy(job_timeout=0.0)
-
-    def test_policy_roundtrip(self):
-        from repro.perf import (
-            RecoveryPolicy,
-            recovery_policy,
-            set_recovery_policy,
-        )
-
-        previous = recovery_policy()
-        try:
-            policy = RecoveryPolicy(max_attempts=5, job_timeout=2.5)
-            set_recovery_policy(policy)
-            assert recovery_policy() == policy
-        finally:
-            set_recovery_policy(previous)
-
-
 def _sleep_forever_ish():
     import time
 

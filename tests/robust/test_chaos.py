@@ -1,55 +1,52 @@
-"""Chaos suite: real faults against the real pool and real cache.
+"""Worker loss and torn cache entries against the real pool and cache.
 
-Every test here injects a failure into live processes — a worker
-SIGKILLs itself mid-sweep, cache entries are torn, chunks blow their
-deadline — and asserts the two contracts that make the failures
-invisible: the sweep still completes (recovery), and its results are
-identical to a clean serial run (bit-identity, metrics included).
+A worker SIGKILLs itself mid-sweep (the ``kill_one_worker`` fixture),
+every worker dies, or cache entries are torn on disk — and the sweep
+must still complete, with results identical to a clean serial run
+(bit-identity, metrics included).
 """
 
-import time
+import os
+import signal
 from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
 
-from repro.errors import PoolRecoveryError
+from repro.errors import JobFailedError
 from repro.experiments import common
+from repro.experiments.fig8_11 import run_validation
 from repro.obs import runtime as obs_runtime
 from repro.obs.runtime import ObsSession
-from repro.perf import (
-    RecoveryPolicy,
-    parallel_map,
-    recovery_counters,
-    recovery_policy,
-    set_recovery_policy,
-    shutdown_pool,
-)
-from repro.perf.pool import map_on_pool
-from repro.robust import faults
+from repro.perf import activate_sim_cache, parallel_map, recovery_counters
 
-#: Counter namespaces written by the recovery machinery itself; only
-#: these may differ between a clean serial run and a chaos-pooled run.
+BENCHMARKS = ("cfd", "bfs")
+
+#: Counter namespaces written by the worker-loss path itself; only
+#: these may differ between a clean serial run and a pooled run that
+#: lost a worker.
 RECOVERY_PREFIXES = ("pool.", "jobs.")
 
 
 @dataclass(frozen=True)
-class Echo:
+class KillsAnyWorker:
+    """Cacheable job that SIGKILLs any pool worker that runs it.
+
+    In the coordinator it returns, or raises for a negative value.
+    """
+
     value: int
+    coordinator: int
+
+    def signature(self) -> str:
+        return f"kills-any-worker:{self.value}"
 
     def run(self) -> int:
-        return self.value
-
-
-@pytest.fixture(autouse=True)
-def _clean_slate():
-    """Fresh pool, no fault plan, default policy — before and after."""
-    faults.clear_plan()
-    shutdown_pool()
-    previous = recovery_policy()
-    yield
-    faults.clear_plan()
-    set_recovery_policy(previous)
-    shutdown_pool()
+        if os.getpid() != self.coordinator:
+            os.kill(os.getpid(), signal.SIGKILL)
+        if self.value < 0:
+            raise RuntimeError("sweep dies here")
+        return self.value * 7
 
 
 def _delta(before, after):
@@ -60,202 +57,130 @@ def _delta(before, after):
     }
 
 
+def _fig8(jobs):
+    common.clear_caches()
+    return run_validation("fig8", steps=3, benchmarks=BENCHMARKS, jobs=jobs)
+
+
 class TestWorkerKillRecovery:
-    def test_sigkilled_worker_recovered_bit_identical(self, tmp_path):
+    def test_sigkilled_worker_recovered_bit_identical(self, kill_one_worker):
         """A worker OOM-kill mid-fig8 must not change a single number."""
-        from repro.experiments.fig8_11 import run_validation
-
-        benchmarks = ("cfd", "bfs")
-        common.clear_caches()
-        serial = run_validation(
-            "fig8", steps=3, benchmarks=benchmarks, jobs=1
-        )
-
-        common.clear_caches()
-        faults.install_plan(
-            faults.FaultPlan(
-                kill_after_jobs=1,
-                kill_limit=1,
-                token_dir=str(tmp_path / "tokens"),
-            )
-        )
+        serial = _fig8(jobs=1)
         before = recovery_counters()
-        chaotic = run_validation(
-            "fig8", steps=3, benchmarks=benchmarks, jobs=2
-        )
+        chaotic = _fig8(jobs=2)
         delta = _delta(before, recovery_counters())
 
         assert chaotic == serial
-        assert (tmp_path / "tokens" / "kill.0").exists()  # a worker died
-        assert delta.get("pool.rebuilds", 0) >= 1
-        assert delta.get("jobs.recovered", 0) >= 1
+        assert kill_one_worker.exists()  # a worker died
+        assert delta.get("pool.rebuilds") == 1
+        assert delta.get("jobs.retried", 0) >= 1
 
-    def test_metrics_not_double_absorbed_across_retry(self, tmp_path):
-        """Simulator counters stay exact through a kill-and-retry.
+    def test_metrics_not_double_absorbed_across_retry(self, kill_one_worker):
+        """Simulator counters stay exact through a worker loss.
 
-        A killed worker has already run part of its chunk, so its
-        registry held real increments — the chunk outcome (results +
-        snapshot) dying with it, and the retry being the only shipped
-        copy, is exactly what keeps the counters from double-counting.
+        The killed worker had already run a sweep, so its registry held
+        real increments — the chunk outcome (results + snapshot) dying
+        with it, and the in-process re-run being the only copy, is
+        exactly what keeps the counters from double-counting.
         """
-        from repro.experiments.fig8_11 import run_validation
 
-        benchmarks = ("cfd", "bfs")
-
-        def sim_counters(kill, token_dir):
-            common.clear_caches()
-            shutdown_pool()
-            faults.clear_plan()
-            if kill:
-                faults.install_plan(
-                    faults.FaultPlan(
-                        kill_after_jobs=1,
-                        kill_limit=1,
-                        token_dir=token_dir,
-                    )
-                )
+        def sim_counters(jobs):
             session = ObsSession(metrics=True)
             obs_runtime.activate(session)
             try:
-                run_validation(
-                    "fig8", steps=3, benchmarks=benchmarks, jobs=2
-                )
+                _fig8(jobs)
             finally:
                 obs_runtime.deactivate()
-            snap = session.metrics.snapshot()
             return tuple(
                 (name, value)
-                for name, value in snap.counters
+                for name, value in session.metrics.snapshot().counters
                 if not name.startswith(RECOVERY_PREFIXES)
             )
 
-        clean = sim_counters(False, "")
-        chaotic = sim_counters(True, str(tmp_path / "tokens"))
-        assert ("soc.coruns" in dict(clean)) or clean  # sanity: non-empty
+        clean = sim_counters(jobs=1)
+        chaotic = sim_counters(jobs=2)
+        assert kill_one_worker.exists()
+        assert "soc.coruns" in dict(clean)
         assert chaotic == clean
 
-    def test_recovery_counters_mirrored_into_obs(self, tmp_path):
-        faults.install_plan(
-            faults.FaultPlan(
-                kill_after_jobs=2,
-                kill_limit=1,
-                token_dir=str(tmp_path / "tokens"),
-            )
-        )
+    def test_recovery_counters_mirrored_into_obs(self, kill_one_worker):
         session = ObsSession(metrics=True)
         obs_runtime.activate(session)
         try:
-            results = parallel_map(
-                [Echo(i) for i in range(12)], max_workers=2
-            )
+            _fig8(jobs=2)
         finally:
             obs_runtime.deactivate()
         snap = session.metrics.snapshot()
-        assert results == list(range(12))
-        assert snap.counter_value("pool.rebuilds") >= 1
-        assert snap.counter_value("jobs.recovered") >= 1
+        assert snap.counter_value("pool.rebuilds") == 1
+        assert snap.counter_value("jobs.retried") >= 1
         assert dict(snap.counters_with_prefix("jobs.")) == {
             name: value
             for name, value in snap.counters
             if name.startswith("jobs.")
         }
 
+    def test_runner_output_byte_identical(
+        self, kill_one_worker, tmp_path, capsys
+    ):
+        """The CLI gate: ``runner fig8 --jobs 2`` loses a worker."""
+        from repro.experiments import runner
 
-class TestDeadlineRecovery:
-    def test_delayed_chunk_is_killed_and_retried(self, tmp_path):
-        faults.install_plan(
-            faults.FaultPlan(
-                delay_indices=(1,),
-                delay_seconds=20.0,
-                token_dir=str(tmp_path / "tokens"),
-            )
-        )
-        set_recovery_policy(RecoveryPolicy(job_timeout=1.0))
+        common.clear_caches()
+        assert runner.main(["fig8", "--out", str(tmp_path / "serial")]) == 0
+        common.clear_caches()
+        capsys.readouterr()
+        pooled = tmp_path / "pooled"
+        assert runner.main(["fig8", "--jobs", "2", "--out", str(pooled)]) == 0
+        stderr = capsys.readouterr().err
+        assert kill_one_worker.exists()
+        assert "recovery: " in stderr
+        assert "pool.rebuilds=1" in stderr
+        assert (pooled / "fig8.txt").read_bytes() == (
+            tmp_path / "serial" / "fig8.txt"
+        ).read_bytes()
+
+
+class TestEveryWorkerDies:
+    def test_sweep_finishes_in_process(self, tmp_path):
+        """Workers that all die still leave an eagerly checkpointed sweep.
+
+        Every pool worker dies on its first job, so the whole sweep is
+        re-run in-process: the five good jobs are stored as they
+        finish, then the poison job fails with its own index.
+        """
+        cache = activate_sim_cache(tmp_path / "ckpt")
+        jobs = [KillsAnyWorker(i, os.getpid()) for i in range(5)]
+        poison = KillsAnyWorker(-1, os.getpid())
         before = recovery_counters()
-        start = time.monotonic()
-        results = map_on_pool(
-            [(i, Echo(i * 3)) for i in range(6)],
-            {i: f"echo{i}" for i in range(6)},
-            2,
-        )
-        elapsed = time.monotonic() - start
-        delta = _delta(before, recovery_counters())
-        assert results == {i: i * 3 for i in range(6)}
-        assert elapsed < 15.0  # did not sit out the 20s delay
-        assert delta.get("pool.rebuilds", 0) >= 1
-        assert delta.get("jobs.retried", 0) >= 1
+        with pytest.raises(JobFailedError) as excinfo:
+            parallel_map(jobs + [poison], max_workers=2)
+        assert excinfo.value.index == 5
+        assert cache.stores == 5
+        assert _delta(before, recovery_counters()) == {
+            "pool.rebuilds": 1,
+            "jobs.retried": 6,
+        }
+        assert parallel_map(jobs, max_workers=2) == [i * 7 for i in range(5)]
+        assert cache.hits == 5
 
 
-class TestRecoveryBounds:
-    def test_exhausted_attempts_raise_pool_recovery_error(self, tmp_path):
-        """A poison environment that kills every worker must not hang."""
-        faults.install_plan(
-            faults.FaultPlan(
-                kill_after_jobs=1,
-                kill_limit=10_000,
-                token_dir=str(tmp_path / "tokens"),
-            )
-        )
-        set_recovery_policy(
-            RecoveryPolicy(max_attempts=2, max_consecutive_rebuilds=10_000)
-        )
-        with pytest.raises(PoolRecoveryError) as excinfo:
-            map_on_pool(
-                [(i, Echo(i)) for i in range(4)],
-                {i: f"echo{i}" for i in range(4)},
-                2,
-            )
-        assert excinfo.value.indices  # names the still-lost jobs
-        assert len(excinfo.value.labels) == len(excinfo.value.indices)
-        assert "echo" in excinfo.value.labels[0]
-
-    def test_degrades_to_serial_after_consecutive_rebuilds(self, tmp_path):
-        """When workers keep dying, the sweep still completes in-process."""
-        faults.install_plan(
-            faults.FaultPlan(
-                kill_after_jobs=1,
-                kill_limit=10_000,
-                token_dir=str(tmp_path / "tokens"),
-            )
-        )
-        set_recovery_policy(
-            RecoveryPolicy(max_attempts=10_000, max_consecutive_rebuilds=2)
-        )
-        before = recovery_counters()
-        results = map_on_pool(
-            [(i, Echo(i + 100)) for i in range(6)],
-            {i: f"echo{i}" for i in range(6)},
-            2,
-        )
-        delta = _delta(before, recovery_counters())
-        assert results == {i: i + 100 for i in range(6)}
-        assert delta.get("pool.degraded", 0) == 1
-        assert delta.get("pool.rebuilds", 0) >= 2
+def _tear_entries(directory) -> int:
+    """Truncate every cache entry in place, as a crashed writer would."""
+    entries = sorted(Path(directory).glob("*/*.pkl"))
+    for entry in entries:
+        raw = entry.read_bytes()
+        entry.write_bytes(raw[: len(raw) // 2])
+    return len(entries)
 
 
 class TestCacheCorruptionMidRun:
     def test_torn_entries_invalidated_and_recomputed(self, tmp_path):
-        from repro.experiments.fig8_11 import run_validation
-        from repro.perf import activate_sim_cache, set_sim_cache
-        from repro.perf.simcache import active_sim_cache
-
-        benchmarks = ("cfd", "bfs")
-        previous = active_sim_cache()
         cache = activate_sim_cache(tmp_path / "cache")
-        try:
-            common.clear_caches()
-            first = run_validation(
-                "fig8", steps=3, benchmarks=benchmarks, jobs=1
-            )
-            assert cache.stores > 0
-            torn = faults.corrupt_entries(cache.directory, seed=5)
-            assert torn == cache.stores  # fraction=1.0 tears everything
+        first = _fig8(jobs=1)
+        assert cache.stores > 0
+        torn = _tear_entries(cache.directory)
+        assert torn == cache.stores
 
-            common.clear_caches()
-            second = run_validation(
-                "fig8", steps=3, benchmarks=benchmarks, jobs=1
-            )
-            assert second == first
-            assert cache.invalidations >= torn  # every tear detected
-        finally:
-            set_sim_cache(previous)
+        second = _fig8(jobs=1)
+        assert second == first
+        assert cache.invalidations >= torn  # every tear detected

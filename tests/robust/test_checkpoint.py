@@ -15,11 +15,11 @@ from repro.experiments import common
 from repro.perf import (
     activate_sim_cache,
     parallel_map,
+    pool_generation,
+    pool_size,
     set_sim_cache,
-    shutdown_pool,
 )
-from repro.perf.simcache import active_sim_cache
-from repro.robust import faults
+from repro.perf.simcache import SimCache
 
 
 @dataclass(frozen=True)
@@ -44,18 +44,6 @@ class FailingJob:
         raise RuntimeError("sweep dies here")
 
 
-@pytest.fixture(autouse=True)
-def _clean_slate():
-    faults.clear_plan()
-    shutdown_pool()
-    previous = active_sim_cache()
-    set_sim_cache(None)
-    yield
-    faults.clear_plan()
-    set_sim_cache(previous)
-    shutdown_pool()
-
-
 class TestEagerStores:
     def test_completed_jobs_survive_a_failing_sweep(self, tmp_path):
         """The aborted sweep's finished results are already on disk."""
@@ -68,8 +56,6 @@ class TestEagerStores:
         # The "re-run after the interrupt": all six served from disk.
         # A fresh cache object on the same directory, as a restarted
         # process would build.
-        from repro.perf.simcache import SimCache
-
         resumed = SimCache(tmp_path / "ckpt")
         set_sim_cache(resumed)
         results = parallel_map(
@@ -90,6 +76,39 @@ class TestEagerStores:
         assert again == results
         assert cache.stores == 8
         assert cache.hits == 8
+
+
+class TestCtrlCMidPoolSweep:
+    def test_interrupt_drops_pool_and_keeps_stored_results(
+        self, tmp_path, monkeypatch
+    ):
+        """Ctrl-C mid pooled sweep keeps the results stored before it.
+
+        The interrupt propagates, the pool is dropped without waiting,
+        and every stored result is on disk for the resume.
+        """
+        cache = activate_sim_cache(tmp_path / "ckpt")
+        store = cache.store
+
+        def store_until_interrupt(key, value):
+            if cache.stores == 3:
+                raise KeyboardInterrupt
+            return store(key, value)
+
+        monkeypatch.setattr(cache, "store", store_until_interrupt)
+        jobs = [CacheableJob(i) for i in range(16)]
+        generation = pool_generation()
+        with pytest.raises(KeyboardInterrupt):
+            parallel_map(jobs, max_workers=2)
+        assert pool_generation() == generation + 1  # the pool path ran
+        assert pool_size() == 0
+        assert len(list(cache.directory.glob("*/*.pkl"))) == 3
+
+        resumed = SimCache(tmp_path / "ckpt")
+        set_sim_cache(resumed)
+        results = parallel_map(jobs, max_workers=1)
+        assert results == [i * 7 for i in range(16)]
+        assert resumed.hits == 3
 
 
 class TestResumeFromPartialSweep:
@@ -121,7 +140,9 @@ class TestResumeFromPartialSweep:
         assert cache.hits >= completed
         assert cache.misses > 0  # the genuinely new work
 
-    def test_recovered_and_checkpointed_run_is_identical(self, tmp_path):
+    def test_recovered_and_checkpointed_run_is_identical(
+        self, tmp_path, kill_one_worker
+    ):
         """Worker kill + checkpoint together: the acceptance combination."""
         from repro.experiments.fig8_11 import run_validation
 
@@ -130,16 +151,12 @@ class TestResumeFromPartialSweep:
             "fig8", steps=3, benchmarks=("cfd", "bfs"), jobs=1
         )
 
-        activate_sim_cache(tmp_path / "ckpt")
-        faults.install_plan(
-            faults.FaultPlan(
-                kill_after_jobs=1,
-                kill_limit=1,
-                token_dir=str(tmp_path / "tokens"),
-            )
-        )
+        cache = activate_sim_cache(tmp_path / "ckpt")
         common.clear_caches()
         chaotic = run_validation(
             "fig8", steps=3, benchmarks=("cfd", "bfs"), jobs=2
         )
+        assert kill_one_worker.exists()
         assert chaotic == reference
+        # Each result was checkpointed exactly once, lost ones included.
+        assert cache.stores == len(list(cache.directory.glob("*/*.pkl")))
