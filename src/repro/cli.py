@@ -309,25 +309,10 @@ def _cmd_bench(args) -> int:
 def _cmd_lint(args) -> int:
     from repro.errors import LintError
     from repro.lint import render_json, render_text, rule_table
-    from repro.lint.baseline import (
-        baseline_counts,
-        filter_new,
-        read_baseline,
-        split_unknown_rules,
-        write_baseline,
-    )
     from repro.lint.cache import CACHE_DIR_NAME, LintCache
-    from repro.lint.engine import (
-        iter_python_files,
-        lint_files,
-    )
+    from repro.lint.engine import lint_paths
     from repro.lint.report import render_sarif
-    from repro.lint.rules import ALL_RULE_IDS, explain_rule
-    from repro.lint.scope import (
-        changed_python_files,
-        needs_whole_program,
-        restrict_to_paths,
-    )
+    from repro.lint.rules import explain_rule
 
     if args.list_rules:
         table = TextTable(["rule", "summary"], title="pccs lint rules")
@@ -351,99 +336,12 @@ def _cmd_lint(args) -> int:
             for part in chunk.split(",")
             if part.strip()
         ]
-    if args.write_api_surface:
-        from repro.lint.apisurface import extract_surface, render_surface
-
-        try:
-            sources = [
-                (str(f), f.read_text(encoding="utf-8"))
-                for f in iter_python_files(paths)
-            ]
-        except OSError as exc:
-            print(f"pccs lint: error: {exc}", file=sys.stderr)
-            return 2
-        surface = extract_surface(sources)
-        target = Path(args.write_api_surface)
-        try:
-            target.write_text(render_surface(surface), encoding="utf-8")
-        except OSError as exc:
-            print(
-                f"pccs lint: error: cannot write {target}: {exc} "
-                "(note: --write-api-surface takes an optional FILE — "
-                "put lint paths before the flag)",
-                file=sys.stderr,
-            )
-            return 2
-        recorded = len(surface["modules"])
-        print(
-            f"api-surface: recorded {recorded} module(s) "
-            f"to {args.write_api_surface}"
-        )
-        return 0
     cache = LintCache(Path(CACHE_DIR_NAME)) if args.cache else None
     profile = {} if args.profile else None
     try:
-        if args.changed_only:
-            interprocedural = needs_whole_program(rule_ids)
-            changed = changed_python_files()
-            if interprocedural:
-                # Whole-program rules read effect summaries across the
-                # tree: an edit in a changed file can create (or fix)
-                # findings in files git considers untouched, so a
-                # diff-scoped run would be unsound in both directions.
-                print(
-                    "changed-only: widening to a full lint — "
-                    f"{', '.join(interprocedural)} "
-                    "need(s) whole-program analysis "
-                    "(use --rules to select only per-file rules)",
-                    file=sys.stderr,
-                )
-                files = list(iter_python_files(paths))
-            elif changed is None:
-                # Not a git checkout (or git failed): lint everything
-                # rather than silently lint nothing.
-                files = list(iter_python_files(paths))
-            else:
-                files = restrict_to_paths(changed, paths)
-        else:
-            files = list(iter_python_files(paths))
-        findings = lint_files(
-            files, rule_ids=rule_ids, cache=cache, profile=profile
+        findings = lint_paths(
+            paths, rule_ids=rule_ids, cache=cache, profile=profile
         )
-        if args.write_baseline:
-            target = Path(args.write_baseline)
-            if target.is_file():
-                try:
-                    previous = read_baseline(target)
-                except LintError:
-                    previous = None  # unreadable: overwrite outright
-                if previous:
-                    _, unknown = split_unknown_rules(
-                        previous, set(ALL_RULE_IDS)
-                    )
-                    if unknown:
-                        pruned_rules = sorted(
-                            {rule for (_, rule, _) in unknown}
-                        )
-                        print(
-                            "baseline: pruning "
-                            f"{sum(unknown.values())} entr"
-                            f"{'y' if sum(unknown.values()) == 1 else 'ies'}"
-                            " for unknown rule(s): "
-                            f"{', '.join(pruned_rules)}",
-                            file=sys.stderr,
-                        )
-            write_baseline(findings, target)
-            recorded = sum(baseline_counts(findings).values())
-            print(
-                f"baseline: recorded {recorded} finding(s) "
-                f"to {args.write_baseline}"
-            )
-            return 0
-        if args.baseline:
-            findings = filter_new(
-                findings, read_baseline(Path(args.baseline))
-            )
     except LintError as exc:
         print(f"pccs lint: error: {exc}", file=sys.stderr)
         return 2
@@ -819,40 +717,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "memoize per-file results under .lint-cache/ keyed by "
             "content + rule set + analyzer version"
-        ),
-    )
-    p.add_argument(
-        "--changed-only",
-        action="store_true",
-        help=(
-            "lint only files changed vs git HEAD (plus untracked); "
-            "falls back to a full lint outside a git checkout"
-        ),
-    )
-    p.add_argument(
-        "--baseline",
-        metavar="FILE",
-        help=(
-            "ratchet mode: report only findings not recorded in the "
-            "baseline file"
-        ),
-    )
-    p.add_argument(
-        "--write-baseline",
-        metavar="FILE",
-        help="record current findings as the accepted baseline and exit",
-    )
-    p.add_argument(
-        "--write-api-surface",
-        nargs="?",
-        const="api-surface.json",
-        default=None,
-        metavar="FILE",
-        dest="write_api_surface",
-        help=(
-            "record the public API surface (module/function/method "
-            "signatures) for the LINT020 ratchet and exit "
-            "(default FILE: api-surface.json)"
         ),
     )
     p.add_argument(

@@ -1,28 +1,24 @@
-"""``repro.lint`` — flow-aware simulator-invariant checker.
+"""``repro.lint`` — simulator-invariant checker.
 
 A from-scratch static-analysis engine whose rules encode this repo's
-own bug classes (see ``DESIGN.md`` §2.9–2.10). The per-node pass
-(LINT001–007) catches nondeterministic iteration in scheduler selection
-loops, unseeded randomness, wall-clock leakage into model code, exact
-float comparison in solver code, mutable default arguments, unpicklable
-members on parallel jobs, and raises that bypass the
-:mod:`repro.errors` hierarchy. The flow-aware pass (LINT010–012) builds
-control-flow graphs (:mod:`repro.lint.cfg`), solves forward data-flow
-problems over them (:mod:`repro.lint.dataflow`), and classifies
-module call graphs (:mod:`repro.lint.callgraph`) to find unit-mixing
-arithmetic, wall-clock/RNG values flowing into model state, and
-unpicklable values transitively reaching parallel jobs. The
+own bug classes (see ``DESIGN.md`` §2.9–2.10). The per-file rules
+(LINT001, LINT004, LINT005, LINT007, LINT011–013) catch nondeterministic iteration in
+scheduler selection loops, exact float comparison in solver code,
+mutable default arguments, raises that bypass the :mod:`repro.errors`
+hierarchy, any call that yields a nondeterministic value (wall clock,
+module-level or unseeded RNG, OS entropy), unpicklable members on
+parallel jobs — followed through the module call graph
+(:mod:`repro.lint.callgraph`) — and ``print`` in model code. The
 interprocedural pass (LINT014–016) links per-function effect
 summaries (:mod:`repro.lint.effects`) into a whole-program call graph
 to verify the cache-key completeness, observability-purity, and
 fork-safety contracts (see ``DESIGN.md`` §2.13). The module-graph
-pass (LINT017–020) builds the import graph
+pass (LINT017–019) builds the import graph
 (:mod:`repro.lint.importgraph`) and checks it against the repo's
 declared ``architecture.toml`` layer contract, finds code unreachable
-from the declared roots (:mod:`repro.lint.deadcode`), verifies that
-only :mod:`repro.errors` types escape the public/CLI boundary, and
-ratchets the recorded public API surface in ``api-surface.json``
-(:mod:`repro.lint.apisurface`; see ``DESIGN.md`` §2.14).
+from the declared roots (:mod:`repro.lint.deadcode`), and verifies
+that only :mod:`repro.errors` types escape the public/CLI boundary
+(see ``DESIGN.md`` §2.14).
 
 Public surface:
 
@@ -34,7 +30,6 @@ Public surface:
   the rule registry and its self-documentation;
 - :func:`render_text` / :func:`render_json` / :func:`render_sarif` —
   the ``--format`` renderers;
-- :mod:`repro.lint.baseline` — the ``--baseline`` ratchet format;
 - :mod:`repro.lint.determinism` — the dynamic PYTHONHASHSEED harness.
 """
 

@@ -1,7 +1,7 @@
 """Shared lint datatypes: findings, file context, rule records.
 
-Kept in a leaf module so the analyzer families (``rules``,
-``unitcheck``) and the engine can all import them without cycles.
+Kept in a leaf module so the rule registry and the engine can both
+import them without cycles.
 """
 
 from __future__ import annotations
@@ -48,9 +48,9 @@ class FileContext:
     """Module-graph context (:mod:`repro.lint.arch`).
 
     Populated by the engine whenever a module-graph rule is selected:
-    the import graph over the linted sources plus whatever declarations
-    (``architecture.toml``, ``api-surface.json``) were discovered above
-    them. Module-graph checkers return no findings without it.
+    the import graph over the linted sources plus the
+    ``architecture.toml`` discovered above them, if any. Module-graph
+    checkers return no findings without it.
     """
 
 
@@ -69,18 +69,18 @@ class Rule:
     """Findings may depend on code outside the file being linted.
 
     The engine builds a whole-program :class:`~repro.lint.effects.Program`
-    when any selected rule sets this, and ``--changed-only`` widens a
-    git-scoped run back to the full paths for the same reason: a callee
-    edit in one file can change findings reported in another.
+    when any selected rule sets this, and keys every file's cached
+    result on it: a callee edit in one file can change findings
+    reported in another.
     """
 
     module_graph: bool = False
     """Findings depend on the module/import graph of the whole tree.
 
     The engine builds an :class:`~repro.lint.arch.ArchContext` when any
-    selected rule sets this. Module-graph rules are whole-program for
-    ``--changed-only`` widening purposes too: deleting an import in one
-    file can orphan (or legitimize) a symbol in another.
+    selected rule sets this. These rules are whole-program too:
+    deleting an import in one file can orphan (or legitimize) a symbol
+    in another.
     """
 
 

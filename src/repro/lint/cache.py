@@ -3,9 +3,8 @@
 Linting is pure: findings are a function of (file contents, rule set,
 analyzer code). That makes results safely memoizable — a cache entry is
 keyed by the sha256 of all three, so editing a source file, narrowing
-``--rules``, or changing any module in the lint package itself (or the
-unit-tag declarations in :mod:`repro.units`) all invalidate exactly the
-entries they should, with no mtime heuristics.
+``--rules``, or changing any module in the lint package itself all
+invalidate exactly the entries they should, with no mtime heuristics.
 
 Entries live as small JSON documents under ``.lint-cache/`` (one file
 per key, sharded by the first two hex chars like git objects). The
@@ -25,21 +24,13 @@ from repro.lint.base import Finding
 CACHE_DIR_NAME = ".lint-cache"
 CACHE_SCHEMA_VERSION = 1
 
-_ANALYZER_EXTRA_SOURCES = ("units.py",)
-
 
 def _analyzer_fingerprint() -> str:
-    """sha256 over every source file the analyzers' behavior depends on."""
-    package_dir = Path(__file__).parent
+    """sha256 over every source file of the lint package."""
     digest = hashlib.sha256()
-    for path in sorted(package_dir.rglob("*.py")):
+    for path in sorted(Path(__file__).parent.rglob("*.py")):
         digest.update(path.name.encode("utf-8"))
         digest.update(path.read_bytes())
-    for name in _ANALYZER_EXTRA_SOURCES:
-        extra = package_dir.parent / name
-        if extra.is_file():
-            digest.update(name.encode("utf-8"))
-            digest.update(extra.read_bytes())
     return digest.hexdigest()
 
 

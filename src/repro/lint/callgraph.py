@@ -194,7 +194,7 @@ class ModuleCallGraph:
 
 
 def direct_unpicklable(expr: ast.expr) -> Optional[str]:
-    """Syntactically unpicklable value forms (the LINT006 set)."""
+    """Syntactically unpicklable value forms: lambda, generator, ``open()``."""
     if isinstance(expr, ast.Lambda):
         return "a lambda"
     if isinstance(expr, ast.GeneratorExp):

@@ -1,8 +1,7 @@
 """Interprocedural effect summaries over the whole linted program.
 
-PR 3 made the lint engine flow-aware *within* one module (CFG, data
-flow, a module call graph). Three contracts the repository now rests on
-cannot be proven at that granularity:
+The per-file rules see one module at a time. Three contracts the
+repository rests on cannot be proven at that granularity:
 
 - **cache-key completeness** — every attribute a Job's ``run()``
   transitively reads must be folded into its ``signature()``
@@ -26,8 +25,8 @@ reachability, transitive same-class attribute effects, transitive
 impurity, and obs-returning classification.
 
 Summaries are pure functions of one module's source plus the analyzer
-code, so they are cached per module as JSON alongside the PR 3 lint
-result cache (``.lint-cache/effects/``); a whole-program re-analysis
+code, so they are cached per module as JSON alongside the lint result
+cache (``.lint-cache/effects/``); a whole-program re-analysis
 after editing one file re-parses only that file.
 """
 
@@ -1213,7 +1212,7 @@ class Program:
         if kind == "dyn":
             # Closed-world dynamic dispatch: ``x.run()`` on an unknown
             # receiver reaches every ``*Job`` class's method of that
-            # name — the convention LINT006/LINT012 already rely on.
+            # name — the convention LINT012 already relies on.
             out: List[str] = []
             for mod_name, info in sorted(self.modules.items()):
                 for cls_name, cls in sorted(info.classes.items()):

@@ -115,12 +115,11 @@ def lint_files(
     them (per-module summaries cached beside the lint result cache).
     When any selected rule is module-graph, an
     :class:`~repro.lint.arch.ArchContext` — the import graph plus the
-    discovered ``architecture.toml`` / ``api-surface.json``
-    declarations — is built over the same sources. Per-file result
-    entries are keyed on both fingerprints as well — editing any file,
-    either declaration, or an external root file (a test that was the
-    last reference to a helper) soundly invalidates findings that
-    might have depended on it.
+    discovered ``architecture.toml`` — is built over the same sources.
+    Per-file result entries are keyed on both fingerprints as well —
+    editing any file, the contract, or an external root file (a test
+    that was the last reference to a helper) soundly invalidates
+    findings that might have depended on it.
     """
     rules = resolve_rules(rule_ids)  # fail fast on unknown ids
     sources: List[Tuple[str, str]] = [

@@ -23,24 +23,21 @@ from typing import (
 )
 
 from repro.errors import LintError
-from repro.lint.apisurface import compare_module
 from repro.lint.arch import ArchContext
 from repro.lint.base import Checker, FileContext, Finding, Rule
 from repro.lint.callgraph import (
-    FunctionInfo,
     ModuleCallGraph,
+    direct_unpicklable,
     module_unpicklable_globals,
 )
-from repro.lint.cfg import build_cfg
-from repro.lint.dataflow import State, TaintAnalysis, dotted_name
 from repro.lint.effects import (
     INERT_DECLARATION,
     PROCESS_LOCAL_DECLARATION,
     ModuleEffects,
     Program,
     collect_imports as effects_collect_imports,
+    module_name_for,
 )
-from repro.lint.unitcheck import check_units
 
 
 # ----------------------------------------------------------------------
@@ -55,7 +52,6 @@ _SCHEDULER_SCOPE_FILES: Tuple[str, ...] = (
     "dram/system.py",
     "dram/bank.py",
 )
-_WALLCLOCK_EXEMPT: Tuple[str, ...] = ("repro/perf/", "benchmarks/")
 
 
 def _in_scheduler_scope(ctx: FileContext) -> bool:
@@ -63,10 +59,6 @@ def _in_scheduler_scope(ctx: FileContext) -> bool:
     if any(fragment in path for fragment in _SCHEDULER_SCOPE_DIRS):
         return True
     return any(path.endswith(name) for name in _SCHEDULER_SCOPE_FILES)
-
-
-def _wallclock_exempt(ctx: FileContext) -> bool:
-    return any(fragment in ctx.norm_path for fragment in _WALLCLOCK_EXEMPT)
 
 
 # ----------------------------------------------------------------------
@@ -245,186 +237,6 @@ def _check_unordered_iteration(
 
 
 # ----------------------------------------------------------------------
-# LINT002 — unseeded module-level randomness
-# ----------------------------------------------------------------------
-_RANDOM_SAFE_ATTRS = frozenset({"Random", "SystemRandom"})
-_NUMPY_RANDOM_SAFE_ATTRS = frozenset(
-    {"Generator", "RandomState", "SeedSequence", "default_rng"}
-)
-
-
-def _module_aliases(tree: ast.Module) -> Dict[str, Set[str]]:
-    """Aliases for modules of interest: random, numpy, time, datetime."""
-    aliases: Dict[str, Set[str]] = {
-        "random": set(),
-        "numpy": set(),
-        "numpy.random": set(),
-        "time": set(),
-        "datetime": set(),
-    }
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for name in node.names:
-                if name.name in aliases:
-                    aliases[name.name].add(name.asname or name.name)
-        elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
-            for name in node.names:
-                if name.name == "random":
-                    aliases["numpy.random"].add(name.asname or name.name)
-    return aliases
-
-
-def _from_imports(tree: ast.Module, module: str) -> Dict[str, str]:
-    """``from module import a as b`` -> ``{b: a}`` for one module."""
-    imported: Dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module == module:
-            for name in node.names:
-                imported[name.asname or name.name] = name.name
-    return imported
-
-
-def _check_unseeded_random(
-    tree: ast.Module, ctx: FileContext
-) -> List[Finding]:
-    aliases = _module_aliases(tree)
-    random_aliases = aliases["random"]
-    numpy_aliases = aliases["numpy"]
-    numpy_random_aliases = aliases["numpy.random"]
-    bare_random = {
-        local
-        for local, original in _from_imports(tree, "random").items()
-        if original not in _RANDOM_SAFE_ATTRS
-    }
-    findings: List[Finding] = []
-
-    def flag(node: ast.Call, what: str) -> None:
-        findings.append(
-            Finding(
-                file=ctx.path,
-                line=node.lineno,
-                col=node.col_offset,
-                rule="LINT002",
-                message=(
-                    f"module-level {what} call shares hidden global RNG "
-                    "state; draw from an injected random.Random(seed) "
-                    "instead"
-                ),
-            )
-        )
-
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        if isinstance(func, ast.Name) and func.id in bare_random:
-            flag(node, f"random.{func.id}")
-        elif isinstance(func, ast.Attribute):
-            value = func.value
-            if (
-                isinstance(value, ast.Name)
-                and value.id in random_aliases
-                and func.attr not in _RANDOM_SAFE_ATTRS
-            ):
-                flag(node, f"random.{func.attr}")
-            elif (
-                isinstance(value, ast.Name)
-                and value.id in numpy_random_aliases
-                and func.attr not in _NUMPY_RANDOM_SAFE_ATTRS
-            ):
-                flag(node, f"numpy.random.{func.attr}")
-            elif (
-                isinstance(value, ast.Attribute)
-                and isinstance(value.value, ast.Name)
-                and value.value.id in numpy_aliases
-                and value.attr == "random"
-                and func.attr not in _NUMPY_RANDOM_SAFE_ATTRS
-            ):
-                flag(node, f"numpy.random.{func.attr}")
-    return findings
-
-
-# ----------------------------------------------------------------------
-# LINT003 — wall-clock reads in model code
-# ----------------------------------------------------------------------
-_TIME_WALLCLOCK_ATTRS = frozenset(
-    {
-        "time",
-        "time_ns",
-        "perf_counter",
-        "perf_counter_ns",
-        "monotonic",
-        "monotonic_ns",
-        "process_time",
-        "process_time_ns",
-    }
-)
-_DATETIME_NOW_ATTRS = frozenset({"now", "utcnow", "today"})
-
-
-def _check_wallclock(tree: ast.Module, ctx: FileContext) -> List[Finding]:
-    if _wallclock_exempt(ctx):
-        return []
-    aliases = _module_aliases(tree)
-    time_aliases = aliases["time"]
-    datetime_aliases = aliases["datetime"]
-    bare_time = {
-        local
-        for local, original in _from_imports(tree, "time").items()
-        if original in _TIME_WALLCLOCK_ATTRS
-    }
-    datetime_classes = {
-        local
-        for local, original in _from_imports(tree, "datetime").items()
-        if original in ("datetime", "date")
-    }
-    findings: List[Finding] = []
-
-    def flag(node: ast.Call, what: str) -> None:
-        findings.append(
-            Finding(
-                file=ctx.path,
-                line=node.lineno,
-                col=node.col_offset,
-                rule="LINT003",
-                message=(
-                    f"wall-clock read {what}() in model code; simulated "
-                    "time must come from the engine, and harness timing "
-                    "belongs in repro.perf.timing"
-                ),
-            )
-        )
-
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        if isinstance(func, ast.Name) and func.id in bare_time:
-            flag(node, func.id)
-        elif isinstance(func, ast.Attribute) and isinstance(
-            func.value, ast.Name
-        ):
-            owner = func.value.id
-            if owner in time_aliases and func.attr in _TIME_WALLCLOCK_ATTRS:
-                flag(node, f"time.{func.attr}")
-            elif (
-                owner in datetime_classes
-                and func.attr in _DATETIME_NOW_ATTRS
-            ):
-                flag(node, f"{owner}.{func.attr}")
-        elif (
-            isinstance(func, ast.Attribute)
-            and isinstance(func.value, ast.Attribute)
-            and isinstance(func.value.value, ast.Name)
-            and func.value.value.id in datetime_aliases
-            and func.value.attr in ("datetime", "date")
-            and func.attr in _DATETIME_NOW_ATTRS
-        ):
-            flag(node, f"datetime.{func.value.attr}.{func.attr}")
-    return findings
-
-
-# ----------------------------------------------------------------------
 # LINT004 — exact float comparison
 # ----------------------------------------------------------------------
 def _is_float_literal(node: ast.expr) -> bool:
@@ -518,88 +330,6 @@ def _check_mutable_defaults(
 
 
 # ----------------------------------------------------------------------
-# LINT006 — unpicklable members on parallel jobs
-# ----------------------------------------------------------------------
-def _is_unpicklable_value(node: ast.expr) -> bool:
-    if isinstance(node, (ast.Lambda, ast.GeneratorExp)):
-        return True
-    return (
-        isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Name)
-        and node.func.id == "open"
-    )
-
-
-def _job_scope_classes(
-    tree: ast.Module, ctx: FileContext
-) -> List[ast.ClassDef]:
-    in_perf = "repro/perf/" in ctx.norm_path
-    classes: List[ast.ClassDef] = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ClassDef) and (
-            in_perf or node.name.endswith("Job")
-        ):
-            classes.append(node)
-    return classes
-
-
-def _check_unpicklable_jobs(
-    tree: ast.Module, ctx: FileContext
-) -> List[Finding]:
-    findings: List[Finding] = []
-
-    def flag(node: ast.expr, cls: str, where: str) -> None:
-        findings.append(
-            Finding(
-                file=ctx.path,
-                line=node.lineno,
-                col=node.col_offset,
-                rule="LINT006",
-                message=(
-                    f"job class {cls} holds an unpicklable {where} "
-                    "(lambda/generator/open handle); jobs must cross "
-                    "process boundaries"
-                ),
-            )
-        )
-
-    for cls in _job_scope_classes(tree, ctx):
-        for stmt in cls.body:
-            value: Optional[ast.expr] = None
-            if isinstance(stmt, ast.Assign):
-                value = stmt.value
-            elif isinstance(stmt, ast.AnnAssign):
-                value = stmt.value
-            if value is not None:
-                if _is_unpicklable_value(value):
-                    flag(value, cls.name, "class attribute")
-                elif (
-                    isinstance(value, ast.Call)
-                    and isinstance(value.func, ast.Name)
-                    and value.func.id == "field"
-                ):
-                    for kw in value.keywords:
-                        if kw.arg == "default" and _is_unpicklable_value(
-                            kw.value
-                        ):
-                            flag(kw.value, cls.name, "field default")
-            if isinstance(stmt, ast.FunctionDef):
-                for inner in ast.walk(stmt):
-                    if not isinstance(inner, ast.Assign):
-                        continue
-                    if not _is_unpicklable_value(inner.value):
-                        continue
-                    for target in inner.targets:
-                        if (
-                            isinstance(target, ast.Attribute)
-                            and isinstance(target.value, ast.Name)
-                            and target.value.id == "self"
-                        ):
-                            flag(inner.value, cls.name, "instance member")
-    return findings
-
-
-# ----------------------------------------------------------------------
 # LINT007 — raises outside the repro.errors hierarchy
 # ----------------------------------------------------------------------
 _BANNED_EXCEPTIONS = frozenset(
@@ -636,244 +366,213 @@ def _check_bare_raises(tree: ast.Module, ctx: FileContext) -> List[Finding]:
 
 
 # ----------------------------------------------------------------------
-# LINT011 — determinism taint: clock/RNG-derived values reaching state
+# LINT011 — nondeterministic values: wall clock, global RNG, OS entropy
 # ----------------------------------------------------------------------
-_TAINT_SCOPE_DIRS: Tuple[str, ...] = (
-    "repro/soc/",
-    "repro/dram/",
-    "repro/experiments/",
+_WALLCLOCK_EXEMPT: Tuple[str, ...] = ("repro/perf/", "benchmarks/")
+_SOURCE_ROOTS = frozenset(
+    {"time", "datetime", "random", "numpy", "os", "uuid", "secrets"}
 )
-_SEEDABLE_CONSTRUCTORS = frozenset({"Random", "default_rng", "RandomState"})
-_UUID_NONDET = frozenset({"uuid1", "uuid4"})
-_SERIALIZE_FUNCS = frozenset({"dump", "dumps"})
-_SERIALIZE_MODULES = frozenset({"json", "pickle", "marshal"})
+_WALLCLOCK_CALLS = frozenset(
+    [
+        f"time.{name}"
+        for name in (
+            "time",
+            "time_ns",
+            "perf_counter",
+            "perf_counter_ns",
+            "monotonic",
+            "monotonic_ns",
+            "process_time",
+            "process_time_ns",
+        )
+    ]
+    + [
+        f"datetime.{cls}.{name}"
+        for cls in ("datetime", "date")
+        for name in ("now", "utcnow", "today")
+    ]
+)
+_ENTROPY_CALLS = frozenset(
+    {"os.urandom", "uuid.uuid1", "uuid.uuid4", "random.SystemRandom"}
+)
+_SEEDABLE_CALLS = frozenset(
+    {
+        "random.Random",
+        "numpy.random.default_rng",
+        "numpy.random.RandomState",
+        "numpy.random.SeedSequence",
+    }
+)
+_GLOBAL_RNG_MODULES = frozenset({"random", "numpy.random"})
+_RNG_TYPES = frozenset({"numpy.random.Generator"})
+
+_WALLCLOCK = (
+    "reads the wall clock",
+    "simulated time must come from the engine, and harness timing "
+    "belongs in repro.perf.timing",
+)
+_ENTROPY = (
+    "returns OS entropy",
+    "derive the value from the configuration and seed instead",
+)
+_UNSEEDED = (
+    "without a seed draws its state from OS entropy",
+    "pass an explicit seed",
+)
+_GLOBAL_RNG = (
+    "draws from hidden module-level RNG state",
+    "draw from an injected random.Random(seed) instead",
+)
 
 
-def _in_taint_scope(ctx: FileContext) -> bool:
-    return any(fragment in ctx.norm_path for fragment in _TAINT_SCOPE_DIRS)
+def _import_origins(tree: ast.Module, ctx: FileContext) -> Dict[str, str]:
+    """Local names bound to the clock/RNG/entropy modules -> dotted origin.
+
+    ``import numpy as np`` gives ``np -> numpy``; ``from numpy.random
+    import rand`` gives ``rand -> numpy.random.rand``. Function-local
+    imports count too, and shadowing is ignored (the conservative
+    reading for a determinism lint).
+    """
+    imports = effects_collect_imports(tree, module_name_for(ctx.path))
+    return {
+        local: target.replace(":", ".")
+        for local, target in imports.items()
+        if target.partition(":")[0].partition(".")[0] in _SOURCE_ROOTS
+    }
 
 
-class _TaintSources:
-    """Classify expressions that *generate* nondeterministic values."""
-
-    def __init__(self, tree: ast.Module) -> None:
-        aliases = _module_aliases(tree)
-        self._time = aliases["time"]
-        self._datetime = aliases["datetime"]
-        self._random = aliases["random"]
-        self._numpy = aliases["numpy"]
-        self._numpy_random = aliases["numpy.random"]
-        self._extra: Dict[str, Set[str]] = {
-            "os": set(),
-            "uuid": set(),
-            "secrets": set(),
-        }
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                for name in node.names:
-                    if name.name in self._extra:
-                        self._extra[name.name].add(name.asname or name.name)
-        self._bare_time = {
-            local
-            for local, original in _from_imports(tree, "time").items()
-            if original in _TIME_WALLCLOCK_ATTRS
-        }
-        self._bare_random = {
-            local
-            for local, original in _from_imports(tree, "random").items()
-            if original not in _RANDOM_SAFE_ATTRS
-        }
-        self._bare_ctors = {
-            local
-            for local, original in _from_imports(tree, "random").items()
-            if original == "Random"
-        } | {
-            local
-            for local, original in _from_imports(
-                tree, "numpy.random"
-            ).items()
-            if original in _SEEDABLE_CONSTRUCTORS
-        }
-        self._bare_urandom = {
-            local
-            for local, original in _from_imports(tree, "os").items()
-            if original == "urandom"
-        }
-        self._bare_uuid = {
-            local
-            for local, original in _from_imports(tree, "uuid").items()
-            if original in _UUID_NONDET
-        }
-        self._datetime_classes = {
-            local
-            for local, original in _from_imports(tree, "datetime").items()
-            if original in ("datetime", "date")
-        }
-
-    def label(self, expr: ast.expr) -> Optional[str]:
-        """Taint label for a source call, else ``None``."""
-        if not isinstance(expr, ast.Call):
-            return None
-        func = expr.func
-        if isinstance(func, ast.Name):
-            name = func.id
-            if name in self._bare_time:
-                return f"{name}()@{expr.lineno}"
-            if name in self._bare_random:
-                return f"random.{name}()@{expr.lineno}"
-            if name in self._bare_urandom:
-                return f"os.urandom()@{expr.lineno}"
-            if name in self._bare_uuid:
-                return f"uuid.{name}()@{expr.lineno}"
-            if (
-                name in self._bare_ctors
-                and not expr.args
-                and not expr.keywords
-            ):
-                return f"unseeded {name}()@{expr.lineno}"
-            return None
-        if not isinstance(func, ast.Attribute):
-            return None
-        owner = func.value
-        if isinstance(owner, ast.Name):
-            if owner.id in self._time and func.attr in _TIME_WALLCLOCK_ATTRS:
-                return f"time.{func.attr}()@{expr.lineno}"
-            if (
-                owner.id in self._datetime_classes
-                and func.attr in _DATETIME_NOW_ATTRS
-            ):
-                return f"{owner.id}.{func.attr}()@{expr.lineno}"
-            if owner.id in self._random:
-                if func.attr not in _RANDOM_SAFE_ATTRS:
-                    return f"random.{func.attr}()@{expr.lineno}"
-                if (
-                    func.attr == "Random"
-                    and not expr.args
-                    and not expr.keywords
-                ):
-                    return f"unseeded random.Random()@{expr.lineno}"
-            if owner.id in self._numpy_random:
-                if func.attr not in _NUMPY_RANDOM_SAFE_ATTRS:
-                    return f"numpy.random.{func.attr}()@{expr.lineno}"
-                if (
-                    func.attr in _SEEDABLE_CONSTRUCTORS
-                    and not expr.args
-                    and not expr.keywords
-                ):
-                    return (
-                        f"unseeded numpy.random.{func.attr}()@{expr.lineno}"
-                    )
-            if owner.id in self._extra["os"] and func.attr == "urandom":
-                return f"os.urandom()@{expr.lineno}"
-            if owner.id in self._extra["uuid"] and func.attr in _UUID_NONDET:
-                return f"uuid.{func.attr}()@{expr.lineno}"
-            if owner.id in self._extra["secrets"]:
-                return f"secrets.{func.attr}()@{expr.lineno}"
-        elif (
-            isinstance(owner, ast.Attribute)
-            and isinstance(owner.value, ast.Name)
-            and owner.value.id in self._datetime
-            and owner.attr in ("datetime", "date")
-            and func.attr in _DATETIME_NOW_ATTRS
-        ):
-            return f"datetime.{owner.attr}.{func.attr}()@{expr.lineno}"
+def _resolve_call(func: ast.expr, origins: Dict[str, str]) -> Optional[str]:
+    """Dotted origin of a call target (``numpy.random.rand``)."""
+    attrs: List[str] = []
+    while isinstance(func, ast.Attribute):
+        attrs.append(func.attr)
+        func = func.value
+    if not isinstance(func, ast.Name) or func.id not in origins:
         return None
+    return ".".join([origins[func.id], *reversed(attrs)])
 
 
-def _is_serializing_call(node: ast.Call) -> bool:
-    func = node.func
-    if not isinstance(func, ast.Attribute):
-        return False
-    if func.attr == "write":
-        return True
-    owner = dotted_name(func.value)
-    return owner in _SERIALIZE_MODULES and func.attr in _SERIALIZE_FUNCS
+def _nondeterminism(
+    dotted: str, call: ast.Call, wallclock_exempt: bool
+) -> Optional[Tuple[str, str]]:
+    """(why, fix) when calling ``dotted`` yields a nondeterministic value."""
+    if dotted in _WALLCLOCK_CALLS:
+        return None if wallclock_exempt else _WALLCLOCK
+    if dotted in _ENTROPY_CALLS or dotted.startswith("secrets."):
+        return _ENTROPY
+    if dotted in _SEEDABLE_CALLS:
+        return None if call.args or call.keywords else _UNSEEDED
+    module = dotted.rpartition(".")[0]
+    if module in _GLOBAL_RNG_MODULES and dotted not in _RNG_TYPES:
+        return _GLOBAL_RNG
+    return None
 
 
-def _check_determinism_taint(
+def _check_nondeterminism(
     tree: ast.Module, ctx: FileContext
 ) -> List[Finding]:
-    if not _in_taint_scope(ctx):
-        return []
-    sources = _TaintSources(tree)
-    analysis = TaintAnalysis(sources.label)
-    findings: List[Finding] = []
-    seen: Set[Tuple[int, str]] = set()
+    """Every call that yields a nondeterministic value is a finding.
 
-    def flag(node: ast.AST, taint: FrozenSet[str], sink: str) -> None:
-        origin = ", ".join(sorted(taint))
-        message = (
-            f"nondeterministic value (from {origin}) {sink}; model "
-            "outputs must be functions of the configuration and seed "
-            "only"
-        )
-        line = getattr(node, "lineno", 1)
-        if (line, message) in seen:
-            return
-        seen.add((line, message))
+    **Why.** Every figure and table is a function of the configuration
+    and seed alone; the bit-identity contracts (serial == pooled,
+    traced == untraced, cached == fresh) assume it. A value from the
+    wall clock, the hidden module-level RNG, or OS entropy breaks that
+    wherever it goes, so the finding sits at the call that produces it,
+    in any module. Wall-clock reads are exempt in ``repro/perf/`` and
+    ``benchmarks/``, which time the harness; the rest of the tree
+    reaches the clock through :class:`repro.perf.timing.Stopwatch`.
+
+    **True positive.** ``time.time()`` or ``datetime.now()`` in model
+    code; ``random.random()``, ``random.shuffle(q)`` or
+    ``np.random.rand()`` (the module-level RNG); an unseeded
+    ``random.Random()`` or ``np.random.default_rng()``;
+    ``os.urandom``, ``uuid.uuid4`` and any ``secrets`` call.
+
+    **True negative.** ``random.Random(seed)`` and draws from it;
+    ``np.random.default_rng(seed)``; ``time.sleep`` (no value);
+    ``time.perf_counter()`` inside ``repro/perf/``.
+
+    **Suppression.** Inject a seeded RNG or take time from the engine
+    or a ``Stopwatch`` instead. A ``# lint: disable=LINT011`` pragma is
+    only for a value that provably never reaches a result, such as a
+    log line.
+    """
+    origins = _import_origins(tree, ctx)
+    if not origins:
+        return []
+    wallclock_exempt = any(
+        fragment in ctx.norm_path for fragment in _WALLCLOCK_EXEMPT
+    )
+    findings: List[Finding] = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        dotted = _resolve_call(node.func, origins)
+        if dotted is None:
+            continue
+        reason = _nondeterminism(dotted, node, wallclock_exempt)
+        if reason is None:
+            continue
+        why, fix = reason
         findings.append(
             Finding(
                 file=ctx.path,
-                line=line,
-                col=getattr(node, "col_offset", 0),
+                line=node.lineno,
+                col=node.col_offset,
                 rule="LINT011",
-                message=message,
+                message=(
+                    f"nondeterministic value: {dotted}() {why}; model "
+                    "outputs must be functions of the configuration and "
+                    f"seed only — {fix}"
+                ),
             )
         )
-
-    def check_body(body: Sequence[ast.stmt]) -> None:
-        cfg = build_cfg(body)
-        for element, state in analysis.walk(cfg):
-            if not isinstance(element, ast.AST):
-                continue
-            _check_element(element, state)
-
-    def _check_element(element: ast.AST, state: State) -> None:
-        if isinstance(element, ast.Assign):
-            taint = analysis.expr_taint(element.value, state)
-            if taint:
-                for target in element.targets:
-                    for sub in ast.walk(target):
-                        if isinstance(sub, ast.Attribute):
-                            flag(element, taint, "stored into model state")
-                            return
-        elif isinstance(element, ast.AugAssign):
-            taint = analysis.expr_taint(element.value, state)
-            if taint and isinstance(element.target, ast.Attribute):
-                flag(element, taint, "stored into model state")
-        elif isinstance(element, ast.Return) and element.value is not None:
-            taint = analysis.expr_taint(element.value, state)
-            if taint:
-                flag(element, taint, "returned to callers")
-        for node in ast.walk(element):
-            if isinstance(node, (ast.Yield, ast.YieldFrom)):
-                value = node.value
-                if value is not None:
-                    taint = analysis.expr_taint(value, state)
-                    if taint:
-                        flag(node, taint, "yielded to callers")
-            elif isinstance(node, ast.Call) and _is_serializing_call(node):
-                taint: FrozenSet[str] = frozenset()
-                for arg in node.args:
-                    taint |= analysis.expr_taint(arg, state)
-                for kw in node.keywords:
-                    taint |= analysis.expr_taint(kw.value, state)
-                if taint:
-                    flag(node, taint, "written to serialized output")
-
-    check_body(tree.body)
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            check_body(node.body)
     return findings
 
 
 # ----------------------------------------------------------------------
-# LINT012 — transitive picklability of perf-job classes
+# LINT012 — picklability of perf-job classes
 # ----------------------------------------------------------------------
-def _check_transitive_picklability(
+def _job_scope_classes(
+    tree: ast.Module, ctx: FileContext
+) -> List[ast.ClassDef]:
+    in_perf = "repro/perf/" in ctx.norm_path
+    classes: List[ast.ClassDef] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and (
+            in_perf or node.name.endswith("Job")
+        ):
+            classes.append(node)
+    return classes
+
+
+def _check_job_picklability(
     tree: ast.Module, ctx: FileContext
 ) -> List[Finding]:
+    """Job classes must hold only values that survive ``pickle``.
+
+    **Why.** :func:`repro.perf.parallel_map` ships jobs to worker
+    processes. A lambda, generator or open file handle on a job fails
+    only at runtime, on the parallel path, under ``--jobs N``. The
+    rule covers job classes (name ending ``Job``, or any class in
+    ``repro/perf/``) and follows the module call graph
+    (:mod:`repro.lint.callgraph`), so a lambda returned three helpers
+    deep is caught where it is stored.
+
+    **True positive.** ``transform = lambda self, x: x`` in the class
+    body; ``fn: object = field(default=lambda: 1)``;
+    ``self.handle = open(path)``; ``self.key = make_key()`` where
+    ``make_key`` returns a lambda; a nested ``def`` (a closure) stored
+    on ``self``; a class attribute naming a module-level lambda.
+
+    **True negative.** Plain data fields; ``self.key = keyfn`` where
+    ``keyfn`` is a module-level ``def`` (pickled by qualified name);
+    a non-job class outside ``repro/perf/``.
+
+    **Suppression.** Store the picklable inputs and build the value
+    inside ``run()``. A ``# lint: disable=LINT012`` pragma is only for
+    a member that is dropped before the job is pickled.
+    """
     job_classes = _job_scope_classes(tree, ctx)
     if not job_classes:
         return []
@@ -897,46 +596,39 @@ def _check_transitive_picklability(
             )
         )
 
-    def value_reason(
-        value: ast.expr, info: Optional[FunctionInfo]
-    ) -> Optional[str]:
-        # Direct lambdas/open handles are LINT006's findings; this rule
-        # owns what only the call graph can see.
-        if isinstance(value, ast.Name):
-            if info is not None and value.id in info.nested_defs:
-                return f"nested function {value.id!r} (a closure)"
-            if value.id in bad_globals:
-                why, line = bad_globals[value.id]
-                return (
-                    f"module-level state {value.id!r} "
-                    f"({why}, bound at line {line})"
-                )
-        if isinstance(value, ast.Call):
-            class_name = info.class_name if info is not None else None
-            target = graph.resolve_call(value, class_name)
-            if target is not None and target in flagged:
-                return f"the result of {target}(), {flagged[target]}"
+    def global_reason(value: ast.expr) -> Optional[str]:
+        if isinstance(value, ast.Name) and value.id in bad_globals:
+            why, line = bad_globals[value.id]
+            return (
+                f"module-level state {value.id!r} "
+                f"({why}, bound at line {line})"
+            )
         return None
 
     for cls in job_classes:
         for stmt in cls.body:
-            value: Optional[ast.expr] = None
-            if isinstance(stmt, ast.Assign):
-                value = stmt.value
-            elif isinstance(stmt, ast.AnnAssign):
-                value = stmt.value
             if (
-                value is not None
-                and isinstance(value, ast.Name)
-                and value.id in bad_globals
+                not isinstance(stmt, (ast.Assign, ast.AnnAssign))
+                or stmt.value is None
             ):
-                why, line = bad_globals[value.id]
-                flag(
-                    value,
-                    cls.name,
-                    f"module-level state {value.id!r} ({why}, bound at "
-                    f"line {line})",
-                )
+                continue
+            value = stmt.value
+            direct = direct_unpicklable(value)
+            if direct is not None:
+                flag(value, cls.name, f"{direct} (class attribute)")
+            elif (
+                isinstance(value, ast.Call)
+                and isinstance(value.func, ast.Name)
+                and value.func.id == "field"
+            ):
+                for kw in value.keywords:
+                    direct = direct_unpicklable(kw.value)
+                    if kw.arg == "default" and direct is not None:
+                        flag(kw.value, cls.name, f"{direct} (field default)")
+            else:
+                reason = global_reason(value)
+                if reason is not None:
+                    flag(value, cls.name, reason)
         for member in cls.body:
             if not isinstance(
                 member, (ast.FunctionDef, ast.AsyncFunctionDef)
@@ -954,7 +646,9 @@ def _check_transitive_picklability(
                 )
                 if not stores_on_self:
                     continue
-                reason = value_reason(inner.value, info)
+                reason = graph.unpicklable_expr(
+                    inner.value, info, flagged
+                ) or global_reason(inner.value)
                 if reason is not None:
                     flag(inner, cls.name, reason)
     return findings
@@ -2105,57 +1799,6 @@ def _check_exception_flow(
 
 
 # ----------------------------------------------------------------------
-# LINT020 — public API surface ratchet
-# ----------------------------------------------------------------------
-def _check_api_surface(
-    tree: ast.Module, ctx: FileContext
-) -> List[Finding]:
-    """Public signatures must match the recorded ``api-surface.json``.
-
-    **Why.** The public surface — every public function's and method's
-    parameter names, kinds, kw-only-ness, and defaults — is a contract
-    with downstream users that ordinary tests under-cover (a renamed
-    keyword breaks callers while every positional test still passes).
-    ``pccs lint --write-api-surface`` records the surface into
-    ``api-surface.json``; this rule re-extracts it on every lint and
-    reports any drift — changed signature, removed symbol, or public
-    symbol not yet recorded — until the recording is regenerated. Like
-    the findings baseline, the diff of the recording is where an API
-    change becomes explicit and reviewable; CI gates on regeneration
-    producing no diff.
-
-    **True positive.** Renaming a public function's keyword parameter
-    or deleting its default without regenerating; deleting a public
-    function that is still recorded; adding a new public class and
-    forgetting to record it.
-
-    **True negative.** Any change to ``_private`` helpers, private
-    modules, or function bodies; moving a recorded function within its
-    file (line numbers are not part of the surface); drift that has
-    been regenerated (the recording then matches again).
-
-    **Suppression.** Regenerate with ``pccs lint --write-api-surface``
-    — that *is* the approval step, so a pragma defeats the rule's
-    purpose. Rename the symbol to ``_private`` if it was never meant
-    to be public. Without an ``api-surface.json`` above the linted
-    tree the rule is silent.
-    """
-    arch = ctx.arch
-    if arch is None or arch.surface is None:
-        return []
-    module = arch.graph.module_for_path(ctx.path)
-    if module is None:
-        return []
-    recorded = arch.surface.get("modules")
-    if not isinstance(recorded, dict):
-        return []
-    return [
-        Finding(ctx.path, line, 0, "LINT020", message)
-        for line, message in compare_module(module, tree, recorded)
-    ]
-
-
-# ----------------------------------------------------------------------
 # Registry
 # ----------------------------------------------------------------------
 _RULES: Tuple[Rule, ...] = (
@@ -2163,16 +1806,6 @@ _RULES: Tuple[Rule, ...] = (
         "LINT001",
         "unordered set/dict iteration in scheduler/engine selection loops",
         _check_unordered_iteration,
-    ),
-    Rule(
-        "LINT002",
-        "unseeded module-level random / numpy.random calls",
-        _check_unseeded_random,
-    ),
-    Rule(
-        "LINT003",
-        "wall-clock reads leaking into model code",
-        _check_wallclock,
     ),
     Rule(
         "LINT004",
@@ -2185,29 +1818,20 @@ _RULES: Tuple[Rule, ...] = (
         _check_mutable_defaults,
     ),
     Rule(
-        "LINT006",
-        "perf job classes holding unpicklable members",
-        _check_unpicklable_jobs,
-    ),
-    Rule(
         "LINT007",
         "raising bare builtin exceptions instead of repro.errors",
         _check_bare_raises,
     ),
     Rule(
-        "LINT010",
-        "unit mixing (GB/s vs bytes vs seconds vs ns ...) via data flow",
-        check_units,
-    ),
-    Rule(
         "LINT011",
-        "wall-clock/RNG-derived values flowing into model state or output",
-        _check_determinism_taint,
+        "nondeterministic values: wall clock, module-level or unseeded "
+        "RNG, OS entropy",
+        _check_nondeterminism,
     ),
     Rule(
         "LINT012",
-        "unpicklable values reaching perf jobs via helpers or globals",
-        _check_transitive_picklability,
+        "unpicklable perf-job members, direct or via helpers and globals",
+        _check_job_picklability,
         interprocedural=True,
     ),
     Rule(
@@ -2251,37 +1875,10 @@ _RULES: Tuple[Rule, ...] = (
         _check_exception_flow,
         interprocedural=True,
     ),
-    Rule(
-        "LINT020",
-        "public signature drift against the recorded api-surface.json",
-        _check_api_surface,
-        module_graph=True,
-    ),
 )
 
 RULES_BY_ID: Dict[str, Rule] = {rule.rule_id: rule for rule in _RULES}
 ALL_RULE_IDS: Tuple[str, ...] = tuple(rule.rule_id for rule in _RULES)
-
-INTERPROCEDURAL_RULE_IDS: Tuple[str, ...] = tuple(
-    rule.rule_id for rule in _RULES if rule.interprocedural
-)
-"""Rules whose findings can change when *other* files change.
-
-``--changed-only`` widens back to a whole-program run when any of
-these is selected, and the engine keys per-file cache entries on the
-whole-program fingerprint so a callee edit invalidates them.
-"""
-
-MODULE_GRAPH_RULE_IDS: Tuple[str, ...] = tuple(
-    rule.rule_id for rule in _RULES if rule.module_graph
-)
-"""Rules computed from the whole-tree module graph and declarations.
-
-Whole-program for ``--changed-only`` widening, like the
-interprocedural set; per-file cache entries are additionally keyed on
-the arch-context fingerprint (graph + ``architecture.toml`` +
-``api-surface.json`` + external root files).
-"""
 
 
 def rule_table() -> Tuple[Tuple[str, str], ...]:
@@ -2307,13 +1904,12 @@ def explain_rule(rule_id: str) -> str:
     if rule.module_graph:
         scope = (
             "Scope: module graph (whole-tree import/reachability "
-            "analysis plus declarations; --changed-only widens to a "
-            "whole-program run)."
+            "analysis plus declarations)."
         )
     elif rule.interprocedural:
         scope = (
             "Scope: interprocedural (findings may depend on other "
-            "files; --changed-only widens to a whole-program run)."
+            "files)."
         )
     else:
         scope = "Scope: single file."

@@ -4,7 +4,7 @@ Every record carries *simulated* time (or, for harness records, seconds
 relative to the observability session's start measured through the
 sanctioned :class:`repro.perf.timing.Stopwatch`) — never a raw host
 clock reading, so traced runs stay reproducible and the determinism
-rules (LINT003/LINT011) hold for instrumented code.
+rule (LINT011) holds for instrumented code.
 
 Times are always expressed in **seconds** regardless of the emitting
 engine's native unit; the DRAM instrumentation converts its nanosecond

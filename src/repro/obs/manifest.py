@@ -33,7 +33,6 @@ class RunManifest:
     config_hash: str
     seed: Optional[int]
     code_version: str
-    lint_baseline_hash: str
     python_version: str
     platform: str
     cpu_count: int
@@ -93,17 +92,6 @@ def code_version() -> str:
     return f"{__version__}+g{_git_head(root)}"
 
 
-def lint_baseline_hash() -> str:
-    """Hash of the lint ratchet baseline, tying results to rule state."""
-    root = _repo_root()
-    if root is None:
-        return "absent"
-    baseline = root / "lint-baseline.json"
-    if not baseline.is_file():
-        return "absent"
-    return hashlib.sha256(baseline.read_bytes()).hexdigest()[:16]
-
-
 def build_manifest(
     experiment: str,
     config: Optional[Mapping[str, object]] = None,
@@ -117,7 +105,6 @@ def build_manifest(
         config_hash=config_hash(config or {}),
         seed=seed,
         code_version=code_version(),
-        lint_baseline_hash=lint_baseline_hash(),
         python_version=sys.version.split()[0],
         platform=platform.platform(),
         cpu_count=os.cpu_count() or 1,
@@ -126,5 +113,4 @@ def build_manifest(
     )
 
 
-__all__ = ["RunManifest", "build_manifest", "code_version", "config_hash",
-           "lint_baseline_hash"]
+__all__ = ["RunManifest", "build_manifest", "code_version", "config_hash"]

@@ -18,7 +18,7 @@ Public surface:
 - :class:`PressureSweepJob` / :class:`ExperimentJob` — the standard
   picklable jobs fanned out by the sweeps and the experiment runner;
 - :func:`wall_clock_seconds` / :class:`Stopwatch` — the sanctioned
-  wall-clock access point for harness timing (LINT003 keeps host
+  wall-clock access point for harness timing (LINT011 keeps host
   clock reads out of model code).
 """
 

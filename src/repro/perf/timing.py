@@ -1,7 +1,7 @@
 """Wall-clock access for harness code — the only sanctioned clock.
 
 Model and simulator code must never read the host clock (simulated time
-comes from the engines; LINT003 enforces this). Harness layers that
+comes from the engines; LINT011 enforces this). Harness layers that
 legitimately need elapsed wall time — the experiment runner's banners,
 the parallel job outcomes — import it from here, keeping every host
 clock read in one greppable, mockable place.

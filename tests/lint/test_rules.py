@@ -109,7 +109,7 @@ class TestLint001UnorderedIteration:
         assert rule_ids(src, SCHED_PATH) == []
 
 
-class TestLint002UnseededRandom:
+class TestLint011UnseededRandom:
     def test_positive_module_level_random(self):
         src = """
         import random
@@ -117,7 +117,7 @@ class TestLint002UnseededRandom:
         def jitter():
             return random.random()
         """
-        assert rule_ids(src) == ["LINT002"]
+        assert rule_ids(src) == ["LINT011"]
 
     def test_positive_from_import(self):
         src = """
@@ -126,7 +126,7 @@ class TestLint002UnseededRandom:
         def pick(items):
             return choice(items)
         """
-        assert rule_ids(src) == ["LINT002"]
+        assert rule_ids(src) == ["LINT011"]
 
     def test_positive_numpy_random(self):
         src = """
@@ -135,7 +135,7 @@ class TestLint002UnseededRandom:
         def noise():
             return np.random.rand()
         """
-        assert rule_ids(src) == ["LINT002"]
+        assert rule_ids(src) == ["LINT011"]
 
     def test_negative_seeded_instance(self):
         src = """
@@ -163,12 +163,12 @@ class TestLint002UnseededRandom:
         import random
 
         def jitter():
-            return random.random()  # lint: disable=LINT002
+            return random.random()  # lint: disable=LINT011
         """
         assert rule_ids(src) == []
 
 
-class TestLint003WallClock:
+class TestLint011WallClock:
     def test_positive_time_time(self):
         src = """
         import time
@@ -176,7 +176,7 @@ class TestLint003WallClock:
         def stamp():
             return time.time()
         """
-        assert rule_ids(src) == ["LINT003"]
+        assert rule_ids(src) == ["LINT011"]
 
     def test_positive_from_import_perf_counter(self):
         src = """
@@ -185,7 +185,7 @@ class TestLint003WallClock:
         def stamp():
             return perf_counter()
         """
-        assert rule_ids(src) == ["LINT003"]
+        assert rule_ids(src) == ["LINT011"]
 
     def test_positive_datetime_now(self):
         src = """
@@ -194,7 +194,7 @@ class TestLint003WallClock:
         def stamp():
             return datetime.now()
         """
-        assert rule_ids(src) == ["LINT003"]
+        assert rule_ids(src) == ["LINT011"]
 
     def test_positive_datetime_module_chain(self):
         src = """
@@ -203,7 +203,7 @@ class TestLint003WallClock:
         def stamp():
             return datetime.datetime.utcnow()
         """
-        assert rule_ids(src) == ["LINT003"]
+        assert rule_ids(src) == ["LINT011"]
 
     def test_negative_in_perf_package(self):
         src = """
@@ -228,7 +228,7 @@ class TestLint003WallClock:
         import time
 
         def stamp():
-            return time.time()  # lint: disable=LINT003
+            return time.time()  # lint: disable=LINT011
         """
         assert rule_ids(src) == []
 
@@ -323,13 +323,13 @@ class TestLint005MutableDefaults:
         assert rule_ids(src) == []
 
 
-class TestLint006UnpicklableJobs:
+class TestLint012DirectUnpicklable:
     def test_positive_lambda_member(self):
         src = """
         class SweepJob:
             transform = lambda self, x: x + 1
         """
-        assert rule_ids(src) == ["LINT006"]
+        assert rule_ids(src) == ["LINT012"]
 
     def test_positive_self_open_handle(self):
         src = """
@@ -337,7 +337,7 @@ class TestLint006UnpicklableJobs:
             def __init__(self, path):
                 self.handle = open(path)
         """
-        assert rule_ids(src) == ["LINT006"]
+        assert rule_ids(src) == ["LINT012"]
 
     def test_positive_field_default_lambda(self):
         src = """
@@ -347,14 +347,14 @@ class TestLint006UnpicklableJobs:
         class RenderJob:
             fn: object = field(default=lambda: 1)
         """
-        assert rule_ids(src) == ["LINT006"]
+        assert rule_ids(src) == ["LINT012"]
 
     def test_positive_any_class_in_perf_package(self):
         src = """
         class Helper:
             hook = lambda self: None
         """
-        assert rule_ids(src, PERF_PATH) == ["LINT006"]
+        assert rule_ids(src, PERF_PATH) == ["LINT012"]
 
     def test_negative_plain_fields(self):
         src = """
@@ -377,7 +377,7 @@ class TestLint006UnpicklableJobs:
     def test_suppressed(self):
         src = """
         class SweepJob:
-            transform = lambda self, x: x + 1  # lint: disable=LINT006
+            transform = lambda self, x: x + 1  # lint: disable=LINT012
         """
         assert rule_ids(src) == []
 

@@ -2,19 +2,10 @@
 
 from __future__ import annotations
 
-import hashlib
 import json
-from pathlib import Path
 
 import repro
-from repro.obs.manifest import (
-    build_manifest,
-    code_version,
-    config_hash,
-    lint_baseline_hash,
-)
-
-REPO_ROOT = Path(repro.__file__).parent.parent.parent
+from repro.obs.manifest import build_manifest, code_version, config_hash
 
 
 class TestConfigHash:
@@ -45,17 +36,6 @@ class TestCodeVersion:
         assert "+g" in code_version()
 
 
-class TestLintBaselineHash:
-    def test_matches_the_checked_in_baseline(self):
-        baseline = REPO_ROOT / "lint-baseline.json"
-        expected = (
-            hashlib.sha256(baseline.read_bytes()).hexdigest()[:16]
-            if baseline.is_file()
-            else "absent"
-        )
-        assert lint_baseline_hash() == expected
-
-
 class TestBuildManifest:
     def test_field_set_complete(self):
         manifest = build_manifest(
@@ -81,8 +61,8 @@ class TestBuildManifest:
         assert payload["extra"] == {"a": "1", "b": "2"}
         assert set(payload) == {
             "experiment", "config_hash", "seed", "code_version",
-            "lint_baseline_hash", "python_version", "platform",
-            "cpu_count", "wall_seconds", "extra",
+            "python_version", "platform", "cpu_count", "wall_seconds",
+            "extra",
         }
 
     def test_defaults(self):
