@@ -2,19 +2,20 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.dram.request import Request
 from repro.dram.timing import DramTiming
 
 
-@dataclass
 class BankState:
     """Open-row and readiness state of one bank."""
 
-    open_row: Optional[int] = None
-    ready_at: float = 0.0
+    __slots__ = ("open_row", "ready_at")
+
+    def __init__(self, open_row: Optional[int] = None, ready_at: float = 0.0):
+        self.open_row = open_row
+        self.ready_at = ready_at
 
     def prep_time(self, row: int, timing: DramTiming) -> Tuple[float, bool]:
         """(preparation latency in ns, row hit?) for accessing ``row``."""
@@ -25,18 +26,23 @@ class BankState:
         return timing.t_rp_ns + timing.t_rcd_ns, False
 
 
-@dataclass
 class ChannelState:
-    """Data-bus and bank state of one channel."""
+    """Data-bus and bank state of one channel.
 
-    index: int
-    timing: DramTiming
-    bus_free_at: float = 0.0
-    next_refresh_ns: float = 0.0
-    banks: Dict[int, BankState] = field(default_factory=dict)
+    Every bank exists from construction, so an all-bank refresh closes
+    and delays all of them, including banks no request has touched yet.
+    """
 
-    def __post_init__(self) -> None:
-        self.next_refresh_ns = self.timing.t_refi_ns
+    __slots__ = ("index", "timing", "bus_free_at", "next_refresh_ns", "banks")
+
+    def __init__(self, index: int, timing: DramTiming):
+        self.index = index
+        self.timing = timing
+        self.bus_free_at = 0.0
+        self.next_refresh_ns = timing.t_refi_ns
+        self.banks: List[BankState] = [
+            BankState() for _ in range(timing.banks_per_channel)
+        ]
 
     def refresh_if_due(self, now: float) -> bool:
         """Perform an all-bank refresh when the interval elapsed.
@@ -48,8 +54,7 @@ class ChannelState:
             return False
         start = max(now, self.bus_free_at)
         self.bus_free_at = start + self.timing.t_rfc_ns
-        for index in sorted(self.banks):
-            bank = self.banks[index]
+        for bank in self.banks:
             bank.open_row = None
             bank.ready_at = max(bank.ready_at, self.bus_free_at)
         while self.next_refresh_ns <= now:
@@ -57,11 +62,7 @@ class ChannelState:
         return True
 
     def bank(self, bank_index: int) -> BankState:
-        state = self.banks.get(bank_index)
-        if state is None:
-            state = BankState()
-            self.banks[bank_index] = state
-        return state
+        return self.banks[bank_index]
 
     def earliest_data_start(self, request: Request, now: float) -> float:
         """When this request's data burst could start (no side effects).
@@ -70,10 +71,9 @@ class ChannelState:
         as soon as the bank is free, so a miss in an idle bank can often
         stream its data with no bus gap — bank-level parallelism.
         """
-        bank = self.bank(request.bank)
+        bank = self.banks[request.bank]
         prep, _ = bank.prep_time(request.row, self.timing)
-        prep_start = max(bank.ready_at, request.arrival_ns)
-        return max(now, prep_start + prep)
+        return max(now, max(bank.ready_at, request.arrival_ns) + prep)
 
     def dispatch(self, request: Request, now: float) -> float:
         """Issue the request; returns its completion time.
@@ -82,9 +82,9 @@ class ChannelState:
         scheduled at ``earliest_data_start``; the core sees the data one
         CAS latency after the burst completes.
         """
-        bank = self.bank(request.bank)
+        bank = self.banks[request.bank]
         prep, hit = bank.prep_time(request.row, self.timing)
-        data_start = self.earliest_data_start(request, now)
+        data_start = max(now, max(bank.ready_at, request.arrival_ns) + prep)
         burst_end = data_start + self.timing.t_burst_ns
         self.bus_free_at = burst_end
         bank.open_row = request.row
@@ -95,4 +95,4 @@ class ChannelState:
 
     def is_row_hit(self, request: Request) -> bool:
         """Whether the request would hit the currently open row."""
-        return self.bank(request.bank).open_row == request.row
+        return self.banks[request.bank].open_row == request.row

@@ -6,7 +6,10 @@ from repro.dram.bank import ChannelState
 from repro.dram.cores import CoreConfig
 from repro.dram.system import CMPSystem
 from repro.dram.timing import DramTiming
+from repro.dram.trace import MemoryTrace, TraceRecord, trace_core_config
 from repro.errors import ConfigurationError
+
+from tests.dram.test_invariants import recording
 
 REQ = 600
 
@@ -45,6 +48,29 @@ class TestRefreshMechanics:
     def test_bad_refresh_timing_rejected(self):
         with pytest.raises(ConfigurationError):
             DramTiming(t_rfc_ns=8000.0)  # longer than t_refi
+
+    def test_untouched_bank_waits_out_refresh(self):
+        """Regression: a bank first touched during a refresh used to
+        activate inside tRFC, because only banks that already existed
+        were refreshed. A 1 GB/s stream keeps to bank 0 row 0 except for
+        access #122, the first to bank 5; the refresh due at 7,800 ns
+        runs from 7,808 to 8,158 ns."""
+        records = tuple(
+            TraceRecord(address=(5 << 14) if i == 122 else (i % 64) << 8)
+            for i in range(200)
+        )
+        trace = MemoryTrace("bank5", records, demand_gbps=1.0)
+        with recording() as record:
+            result = CMPSystem(policy="fcfs").run(
+                [trace_core_config(trace, burst_lines=1)]
+            )
+        assert record.refreshes[0] == [(7808.0, 8158.0)]
+        bank5 = record.accesses[122]
+        assert bank5.outcome == "miss"
+        # Activation starts once the refresh frees the bank, not at 7,808.
+        assert bank5.activation == (8158.0, 8171.75)
+        assert bank5.start_ns == 8171.75
+        assert result.mean_latency_ns == 22.61875  # 22.4875 when inside
 
     def test_refresh_costs_bandwidth(self):
         """A saturating run spanning several tREFI intervals loses a few
