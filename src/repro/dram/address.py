@@ -9,7 +9,7 @@ same-stride streams spread across banks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.dram.timing import DramTiming
 from repro.errors import ConfigurationError
@@ -21,8 +21,7 @@ def _log2(value: int, what: str) -> int:
     return value.bit_length() - 1
 
 
-@dataclass(frozen=True)
-class DecodedAddress:
+class DecodedAddress(NamedTuple):
     """Coordinates of one cacheline."""
 
     channel: int
@@ -42,21 +41,25 @@ class AddressMapper:
         self.bank_bits = _log2(timing.banks_per_channel, "banks_per_channel")
         lines_per_row = timing.row_bytes // 64
         self.column_bits = _log2(lines_per_row, "row_bytes/64")
+        # Each field is (address >> its low bit) & its mask.
+        self._channel_mask = timing.channels - 1
+        self._column_shift = self.LINE_BITS + self.channel_bits
+        self._column_mask = lines_per_row - 1
+        self._bank_shift = self._column_shift + self.column_bits
         self._bank_mask = timing.banks_per_channel - 1
+        self._row_shift = self._bank_shift + self.bank_bits
 
     def decode(self, address: int) -> DecodedAddress:
         """Map a byte address to its DRAM coordinates."""
         if address < 0:
             raise ConfigurationError(f"address must be >= 0, got {address}")
-        line = address >> self.LINE_BITS
-        channel = line & (self.timing.channels - 1)
-        line >>= self.channel_bits
-        column = line & ((1 << self.column_bits) - 1)
-        line >>= self.column_bits
-        bank_raw = line & self._bank_mask
-        row = line >> self.bank_bits
-        bank = (bank_raw ^ row) & self._bank_mask
-        return DecodedAddress(channel=channel, bank=bank, row=row, column=column)
+        row = address >> self._row_shift
+        return DecodedAddress(
+            (address >> self.LINE_BITS) & self._channel_mask,
+            ((address >> self._bank_shift) ^ row) & self._bank_mask,
+            row,
+            (address >> self._column_shift) & self._column_mask,
+        )
 
     @property
     def line_stride(self) -> int:

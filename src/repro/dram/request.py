@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 
-@dataclass
 class Request:
     """One 64-byte read transaction in flight.
+
+    Slotted by hand (``dataclass(slots=True)`` needs Python 3.10): the
+    event loop builds one per access, so the record stays small and its
+    attributes cheap. Equality is identity; ``req_id`` is unique.
 
     Attributes
     ----------
@@ -26,17 +28,34 @@ class Request:
         Whether the access hit the open row (set at dispatch).
     """
 
-    req_id: int
-    core: int
-    channel: int
-    bank: int
-    row: int
-    arrival_ns: float
-    is_write: bool = False
-    completion_ns: Optional[float] = None
-    row_hit: Optional[bool] = None
-    batch_key: int = field(default=0)
+    __slots__ = (
+        "req_id", "core", "channel", "bank", "row", "arrival_ns",
+        "is_write", "completion_ns", "row_hit",
+    )
 
-    @property
-    def bank_key(self):
-        return (self.channel, self.bank)
+    def __init__(
+        self,
+        req_id: int,
+        core: int,
+        channel: int,
+        bank: int,
+        row: int,
+        arrival_ns: float,
+        is_write: bool = False,
+    ) -> None:
+        self.req_id = req_id
+        self.core = core
+        self.channel = channel
+        self.bank = bank
+        self.row = row
+        self.arrival_ns = arrival_ns
+        self.is_write = is_write
+        self.completion_ns: Optional[float] = None
+        self.row_hit: Optional[bool] = None
+
+    def __repr__(self) -> str:
+        return (
+            f"Request(req_id={self.req_id}, core={self.core}, "
+            f"channel={self.channel}, bank={self.bank}, row={self.row}, "
+            f"arrival_ns={self.arrival_ns!r}, is_write={self.is_write})"
+        )

@@ -44,13 +44,12 @@ class AtlasScheduler(Scheduler):
         self, queue: Sequence[Request], channel: ChannelState, now: float
     ) -> Request:
         self._tick(now)
-        over = [r for r in queue if now - r.arrival_ns > _OVER_THRESHOLD_NS]
-        if over:
-            return self.oldest(over)
-        pool = self.ready_subset(queue, channel, now)
-        least = min(self.attained[r.core] for r in pool)
-        candidates = [r for r in pool if self.attained[r.core] == least]
-        return self.hit_first_oldest(candidates, channel)
+        # now - arrival never grows with arrival, so if any request is
+        # over the threshold the oldest one is, and it is the oldest over.
+        oldest = self.oldest(queue)
+        if now - oldest.arrival_ns > _OVER_THRESHOLD_NS:
+            return oldest
+        return self.best_head(queue, channel, now, self.attained)
 
     def on_dispatch(self, request: Request, now: float) -> None:
         self._tick(now)

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Dict, List, Sequence
 
 from repro.dram.bank import ChannelState
+from repro.dram.queue import ChannelQueue
 from repro.dram.request import Request
 from repro.errors import SimulationError
+
+READY_WINDOW_NS = 3.0
+"""A request is *ready* when its data burst could start this soon."""
 
 
 class Scheduler:
@@ -15,6 +19,10 @@ class Scheduler:
     One scheduler instance serves all channels of the controller so
     policies with global per-core state (attained service, clustering)
     see the full picture. Subclasses implement :meth:`select`.
+
+    Policies select through the helpers below. Each answers from the
+    index of a :class:`~repro.dram.queue.ChannelQueue` and by scanning
+    any other sequence of requests, with the same result.
     """
 
     name = "base"
@@ -40,22 +48,17 @@ class Scheduler:
     @staticmethod
     def oldest(requests: Sequence[Request]) -> Request:
         """FCFS tiebreaker: earliest arrival, then lowest id."""
+        if isinstance(requests, ChannelQueue):
+            return requests.oldest()
         return min(requests, key=lambda r: (r.arrival_ns, r.req_id))
 
     @staticmethod
     def row_hits(
         requests: Sequence[Request], channel: ChannelState
     ) -> List[Request]:
-        """Requests that would hit their bank's open row.
-
-        A whole-queue container with a per-(bank, row) index (see
-        :class:`repro.dram.queue.ChannelQueue`) answers this by probing
-        each open row directly; filtered subsets fall back to the scan.
-        Either way the same hit set is produced.
-        """
-        indexed_hits = getattr(requests, "open_row_hits", None)
-        if indexed_hits is not None:
-            return indexed_hits(channel)
+        """Requests that would hit their bank's open row."""
+        if isinstance(requests, ChannelQueue):
+            return requests.open_row_hits(channel)
         return [r for r in requests if channel.is_row_hit(r)]
 
     def hit_first_oldest(
@@ -66,11 +69,43 @@ class Scheduler:
         return self.oldest(hits) if hits else self.oldest(requests)
 
     @staticmethod
+    def best_head(
+        requests: Sequence[Request],
+        channel: ChannelState,
+        now: float,
+        rank: Sequence[float],
+    ) -> Request:
+        """Among the ready requests (all of them if none is ready): the
+        best-ranked core's, row hits first, then the oldest.
+
+        That is the minimum of ``(rank[core], miss, arrival_ns,
+        req_id)``; a lower rank is served first.
+        """
+        if isinstance(requests, ChannelQueue):
+            return requests.best_head(channel, now, rank, READY_WINDOW_NS)
+        return min(
+            Scheduler.ready_subset(requests, channel, now),
+            key=lambda r: (
+                rank[r.core], not channel.is_row_hit(r), r.arrival_ns, r.req_id
+            ),
+        )
+
+    @staticmethod
+    def by_core(requests: Sequence[Request]) -> Dict[int, Dict[int, Request]]:
+        """Each core's requests keyed by ``req_id``, oldest first."""
+        if isinstance(requests, ChannelQueue):
+            return requests.by_core()
+        cores: Dict[int, Dict[int, Request]] = {}
+        for r in sorted(requests, key=lambda r: (r.arrival_ns, r.req_id)):
+            cores.setdefault(r.core, {})[r.req_id] = r
+        return cores
+
+    @staticmethod
     def ready_subset(
         requests: Sequence[Request],
         channel: ChannelState,
         now: float,
-        window_ns: float = 3.0,
+        window_ns: float = READY_WINDOW_NS,
     ) -> List[Request]:
         """Requests whose data burst could start almost immediately.
 

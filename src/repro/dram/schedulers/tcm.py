@@ -10,6 +10,10 @@ Each quantum, cores are sorted by bandwidth consumed; the lightest cores
 whose combined share stays below a threshold form the latency cluster,
 the rest form the bandwidth cluster whose ranks rotate every quantum
 (Kim et al., MICRO 2010's "insertion shuffle" approximated by rotation).
+
+Rules 1 and 2 fold into one rank: latency-cluster cores all rank -1,
+ahead of every bandwidth-cluster core (ranks 0, 1, ...). Before the
+first quantum every core is in the latency cluster, so every rank is -1.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ class TCMScheduler(Scheduler):
         self._rng = random.Random(seed)
         self.quantum_bytes = [0.0] * n_cores
         self.latency_cluster = set(range(n_cores))
-        self.rank = list(range(n_cores))
+        self.rank = [-1] * n_cores
         self._next_quantum = _QUANTUM_NS
 
     def _reclassify(self) -> None:
@@ -66,13 +70,7 @@ class TCMScheduler(Scheduler):
         self, queue: Sequence[Request], channel: ChannelState, now: float
     ) -> Request:
         self._tick(now)
-        pool = self.ready_subset(queue, channel, now)
-        latency = [r for r in pool if r.core in self.latency_cluster]
-        if latency:
-            return self.hit_first_oldest(latency, channel)
-        best_rank = min(self.rank[r.core] for r in pool)
-        candidates = [r for r in pool if self.rank[r.core] == best_rank]
-        return self.hit_first_oldest(candidates, channel)
+        return self.best_head(queue, channel, now, self.rank)
 
     def on_dispatch(self, request: Request, now: float) -> None:
         self._tick(now)

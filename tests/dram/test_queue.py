@@ -3,15 +3,20 @@
 import dataclasses
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.dram.bank import ChannelState
-from repro.dram.cores import CoreConfig, CoreState, staggered_base
+from repro.dram.cores import CoreConfig, CoreState
 from repro.dram.queue import ChannelQueue
 from repro.dram.request import Request
+from repro.dram.schedulers.base import Scheduler
 from repro.dram.system import BufferWaitQueue, CMPSystem
 from repro.dram.timing import DDR4_3200
+from repro.errors import SimulationError
 
-POLICIES = ("fcfs", "frfcfs", "atlas", "tcm", "sms")
+from tests.dram.strategies import POLICIES, mixed_cores, sim_inputs
+
+REQUESTS = 250
 
 
 def make_request(req_id, bank=0, row=0, arrival=0.0, core=0):
@@ -71,8 +76,6 @@ class TestChannelQueue:
         )
 
     def test_scheduler_row_hits_uses_index(self):
-        from repro.dram.schedulers.base import Scheduler
-
         queue = ChannelQueue()
         channel = ChannelState(index=0, timing=DDR4_3200)
         for i in range(6):
@@ -83,6 +86,73 @@ class TestChannelQueue:
         # plain sequences still take the scan path with the same answer
         scan = Scheduler.row_hits(list(queue), channel)
         assert sorted(r.req_id for r in scan) == [1, 3, 5]
+
+    def test_append_rejects_out_of_order(self):
+        queue = ChannelQueue()
+        queue.append(make_request(1, arrival=5.0))
+        with pytest.raises(SimulationError):
+            queue.append(make_request(2, arrival=4.0))
+        with pytest.raises(SimulationError):
+            queue.append(make_request(0, arrival=5.0))  # same time, lower id
+        queue.append(make_request(2, arrival=5.0))
+
+    def test_arrival_order_survives_removal(self):
+        queue = ChannelQueue()
+        requests = [
+            make_request(i, bank=i % 2, core=i % 3, arrival=float(i))
+            for i in range(6)
+        ]
+        for r in requests:
+            queue.append(r)
+        queue.remove(requests[0])
+        queue.remove(requests[3])
+        assert [r.req_id for r in queue] == [1, 2, 4, 5]
+        assert queue.oldest() is requests[1]
+        by_core = queue.by_core()
+        assert {core: list(rs) for core, rs in by_core.items()} == {
+            1: [1, 4],
+            2: [2, 5],
+        }
+
+
+@st.composite
+def channel_snapshots(draw):
+    """A channel's bank state plus arrival-ordered requests that often
+    share a (bank, row) across cores."""
+    channel = ChannelState(index=0, timing=DDR4_3200)
+    for bank in channel.banks:
+        bank.open_row = draw(st.sampled_from((None, 0, 1)))
+        bank.ready_at = draw(st.sampled_from((0.0, 20.0, 37.5, 60.0)))
+    arrivals = sorted(draw(st.lists(
+        st.sampled_from((0.0, 2.5, 10.0, 25.0, 40.0)), min_size=1, max_size=24
+    )))
+    requests = [
+        make_request(
+            i,
+            bank=draw(st.integers(0, 3)),
+            row=draw(st.integers(0, 2)),
+            arrival=arrival,
+            core=draw(st.integers(0, 3)),
+        )
+        for i, arrival in enumerate(arrivals)
+    ]
+    rank = draw(st.lists(st.sampled_from((-1, 0, 1, 2.5)), min_size=4, max_size=4))
+    now = draw(st.sampled_from((0.0, 30.0, 45.0, 70.0)))
+    return channel, requests, rank, now
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(snapshot=channel_snapshots())
+def test_best_head_matches_per_request_scan(snapshot):
+    """Selecting from group heads equals the ready-subset scan over
+    every request, whichever cores share a (bank, row)."""
+    channel, requests, rank, now = snapshot
+    queue = ChannelQueue()
+    for r in requests:
+        queue.append(r)
+    assert Scheduler.best_head(queue, channel, now, rank) is (
+        Scheduler.best_head(requests, channel, now, rank)
+    )
 
 
 class TestBufferWaitQueue:
@@ -115,28 +185,26 @@ class TestBufferWaitQueue:
         assert [waiters.pop().index for _ in range(2)] == [1, 0]
 
 
-def mixed_cores(n=6, requests=250):
-    return [
-        CoreConfig(
-            demand_gbps=2.0 + 3.0 * i,
-            total_requests=requests,
-            mshr=8,
-            burst_lines=8,
-            write_fraction=0.25 if i % 2 else 0.0,
-            address_base=staggered_base(i, DDR4_3200.banks_per_channel),
-        )
-        for i in range(n)
-    ]
-
-
 class TestFastQueueEquivalence:
     @pytest.mark.parametrize("policy", POLICIES)
     def test_bit_identical_to_list_queue(self, policy):
-        fast = CMPSystem(policy=policy, seed=3).run(mixed_cores())
+        fast = CMPSystem(policy=policy, seed=3).run(mixed_cores(6, REQUESTS))
         slow = CMPSystem(policy=policy, seed=3, queue_factory=list).run(
-            mixed_cores()
+            mixed_cores(6, REQUESTS)
         )
         assert fast == slow
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @settings(
+        max_examples=8,
+        derandomize=True,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(data=st.data())
+    def test_random_configs_match_list_queue(self, policy, data):
+        sim = data.draw(sim_inputs(policy))
+        assert sim.run() == sim.run(queue_factory=list)
 
     @pytest.mark.parametrize("policy", ("frfcfs", "tcm"))
     def test_blocked_core_wakeups_identical_with_tiny_buffer(self, policy):
@@ -144,19 +212,23 @@ class TestFastQueueEquivalence:
         wakeup order (and never double-enqueue) when the request buffer
         keeps filling up."""
         timing = dataclasses.replace(DDR4_3200, request_buffer=8)
-        fast = CMPSystem(timing=timing, policy=policy).run(mixed_cores(8))
+        fast = CMPSystem(timing=timing, policy=policy).run(
+            mixed_cores(8, REQUESTS)
+        )
         slow = CMPSystem(
             timing=timing, policy=policy, queue_factory=list
-        ).run(mixed_cores(8))
+        ).run(mixed_cores(8, REQUESTS))
         assert fast == slow
         for core in fast.cores:
-            assert core.completed == core.issued == 250
+            assert core.completed == core.issued == REQUESTS
         assert all(c.finish_ns is not None for c in fast.cores)
 
     def test_stop_cores_with_fast_queue(self):
-        fast = CMPSystem(policy="frfcfs").run(mixed_cores(), stop_cores={0})
+        fast = CMPSystem(policy="frfcfs").run(
+            mixed_cores(6, REQUESTS), stop_cores={0}
+        )
         slow = CMPSystem(policy="frfcfs", queue_factory=list).run(
-            mixed_cores(), stop_cores={0}
+            mixed_cores(6, REQUESTS), stop_cores={0}
         )
         assert fast == slow
         assert fast.cores[0].finish_ns is not None

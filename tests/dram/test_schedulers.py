@@ -1,8 +1,15 @@
-"""Scheduling policies: selection rules on crafted queues."""
+"""Scheduling policies: selection rules on crafted queues.
+
+Every policy test class runs twice: on plain lists (the per-request
+scans) and, through its ``...OnChannelQueue`` subclass, on a
+:class:`ChannelQueue` built in ``(arrival_ns, req_id)`` order (the
+indexed path).
+"""
 
 import pytest
 
 from repro.dram.bank import ChannelState
+from repro.dram.queue import ChannelQueue
 from repro.dram.request import Request
 from repro.dram.schedulers import (
     FAIRNESS_POLICIES,
@@ -29,9 +36,31 @@ def req(req_id, core=0, bank=0, row=0, arrival=0.0):
     )
 
 
+def indexed(requests):
+    """A ChannelQueue holding ``requests``."""
+    queue = ChannelQueue()
+    for r in sorted(requests, key=lambda r: (r.arrival_ns, r.req_id)):
+        queue.append(r)
+    return queue
+
+
 @pytest.fixture()
 def channel() -> ChannelState:
     return ChannelState(index=0, timing=DDR4_3200)
+
+
+@pytest.fixture()
+def queue_of():
+    """How a test turns its requests into a channel queue."""
+    return list
+
+
+class OnChannelQueue:
+    """Re-runs a test class's selections on ChannelQueue queues."""
+
+    @pytest.fixture()
+    def queue_of(self):
+        return indexed
 
 
 class TestRegistry:
@@ -57,55 +86,70 @@ class TestRegistry:
 
 
 class TestFCFS:
-    def test_strictly_oldest(self, channel):
+    def test_strictly_oldest(self, channel, queue_of):
         sched = FCFSScheduler(4)
-        queue = [req(1, arrival=5.0), req(0, arrival=1.0), req(2, arrival=9.0)]
+        queue = queue_of(
+            [req(1, arrival=5.0), req(0, arrival=1.0), req(2, arrival=9.0)]
+        )
         assert sched.select(queue, channel, 10.0).req_id == 0
 
-    def test_ignores_row_hits(self, channel):
+    def test_ignores_row_hits(self, channel, queue_of):
         channel.dispatch(req(99, bank=0, row=7), 0.0)
         sched = FCFSScheduler(4)
         hit = req(1, bank=0, row=7, arrival=5.0)
         miss = req(0, bank=0, row=3, arrival=1.0)
-        assert sched.select([hit, miss], channel, 10.0) is miss
+        assert sched.select(queue_of([hit, miss]), channel, 10.0) is miss
 
 
 class TestFRFCFS:
-    def test_prefers_row_hits(self, channel):
+    def test_prefers_row_hits(self, channel, queue_of):
         channel.dispatch(req(99, bank=0, row=7), 0.0)
         sched = FRFCFSScheduler(4)
         hit = req(1, bank=0, row=7, arrival=5.0)
         miss = req(0, bank=0, row=3, arrival=1.0)
-        assert sched.select([hit, miss], channel, 10.0) is hit
+        assert sched.select(queue_of([hit, miss]), channel, 10.0) is hit
 
-    def test_oldest_among_hits(self, channel):
+    def test_oldest_among_hits(self, channel, queue_of):
         channel.dispatch(req(99, bank=0, row=7), 0.0)
         sched = FRFCFSScheduler(4)
         hits = [req(2, bank=0, row=7, arrival=8.0), req(1, bank=0, row=7, arrival=5.0)]
-        assert sched.select(hits, channel, 10.0).req_id == 1
+        assert sched.select(queue_of(hits), channel, 10.0).req_id == 1
 
-    def test_falls_back_to_oldest(self, channel):
+    def test_falls_back_to_oldest(self, channel, queue_of):
         sched = FRFCFSScheduler(4)
-        queue = [req(1, row=4, arrival=3.0), req(0, row=9, arrival=1.0)]
+        queue = queue_of([req(1, row=4, arrival=3.0), req(0, row=9, arrival=1.0)])
         assert sched.select(queue, channel, 10.0).req_id == 0
 
 
 class TestATLAS:
-    def test_prefers_least_attained_core(self, channel):
+    def test_prefers_least_attained_core(self, channel, queue_of):
         sched = AtlasScheduler(2)
         sched.attained = [10.0, 0.0]
-        queue = [
+        queue = queue_of([
             req(0, core=0, bank=0, row=1, arrival=1.0),
             req(1, core=1, bank=1, row=2, arrival=5.0),
-        ]
+        ])
         assert sched.select(queue, channel, 10.0).core == 1
 
-    def test_over_threshold_first(self, channel):
+    def test_over_threshold_first(self, channel, queue_of):
         sched = AtlasScheduler(2)
         sched.attained = [10.0, 0.0]
+        # The starved request's bank is busy, so without the threshold
+        # rule the ready, better-ranked fresh request would win.
+        channel.bank(0).ready_at = 10_100.0
         starved = req(0, core=0, bank=0, row=1, arrival=0.0)
-        fresh = req(1, core=1, bank=1, row=2, arrival=9_999.0)
-        assert sched.select([starved, fresh], channel, 10_000.0) is starved
+        fresh = req(1, core=1, bank=1, row=2, arrival=9_980.0)
+        queue = queue_of([starved, fresh])
+        assert sched.select(queue, channel, 10_000.0) is starved
+
+    def test_ready_request_beats_better_ranked_unready(self, channel, queue_of):
+        channel.dispatch(req(99, bank=0, row=7), 0.0)
+        now = channel.bus_free_at
+        sched = AtlasScheduler(2)
+        sched.attained = [0.0, 10.0]
+        conflict = req(0, core=0, bank=0, row=3, arrival=0.0)
+        ready = req(1, core=1, bank=1, row=5, arrival=0.0)
+        assert sched.select(queue_of([conflict, ready]), channel, now) is ready
 
     def test_dispatch_accumulates_service(self, channel):
         sched = AtlasScheduler(2)
@@ -120,15 +164,25 @@ class TestATLAS:
 
 
 class TestTCM:
-    def test_latency_cluster_first(self, channel):
+    def test_latency_cluster_first(self, channel, queue_of):
         sched = TCMScheduler(2)
         sched.latency_cluster = {1}
         sched.rank = [0, -1]
-        queue = [
+        queue = queue_of([
             req(0, core=0, bank=0, row=1, arrival=1.0),
             req(1, core=1, bank=1, row=2, arrival=5.0),
-        ]
+        ])
         assert sched.select(queue, channel, 10.0).core == 1
+
+    def test_all_cores_tie_before_first_quantum(self, channel, queue_of):
+        """Every core starts in the latency cluster: no core outranks
+        another, so a younger row hit beats an older miss."""
+        channel.dispatch(req(99, bank=0, row=7), 0.0)
+        sched = TCMScheduler(2)
+        miss = req(0, core=0, bank=1, row=3, arrival=1.0)
+        hit = req(1, core=1, bank=0, row=7, arrival=5.0)
+        queue = queue_of([miss, hit])
+        assert sched.select(queue, channel, channel.bus_free_at) is hit
 
     def test_reclassification_uses_traffic(self, channel):
         sched = TCMScheduler(2)
@@ -139,26 +193,26 @@ class TestTCM:
         assert 1 in sched.latency_cluster
         assert 0 not in sched.latency_cluster
 
-    def test_bandwidth_cluster_ranked(self, channel):
+    def test_bandwidth_cluster_ranked(self, channel, queue_of):
         sched = TCMScheduler(3)
         sched.latency_cluster = set()
         sched.rank = [2, 0, 1]
-        queue = [
+        queue = queue_of([
             req(0, core=0, bank=0, row=1, arrival=1.0),
             req(1, core=1, bank=1, row=2, arrival=5.0),
             req(2, core=2, bank=2, row=3, arrival=2.0),
-        ]
+        ])
         assert sched.select(queue, channel, 10.0).core == 1
 
 
 class TestSMS:
-    def test_sticky_batch(self, channel):
+    def test_sticky_batch(self, channel, queue_of):
         sched = SMSScheduler(2, seed=1)
-        queue = [
+        queue = queue_of([
             req(0, core=0, bank=0, row=1, arrival=0.0),
             req(1, core=0, bank=0, row=1, arrival=1.0),
             req(2, core=1, bank=1, row=2, arrival=0.5),
-        ]
+        ])
         first = sched.select(queue, channel, 10.0)
         queue.remove(first)
         second = sched.select(queue, channel, 10.0)
@@ -167,28 +221,41 @@ class TestSMS:
         if first.core == 0:
             assert second.core == 0 and second.row == 1
 
-    def test_batch_capped(self):
-        requests = [req(i, core=0, bank=0, row=1, arrival=i) for i in range(20)]
-        batch = SMSScheduler._head_batch(requests)
-        assert len(batch) == 8
+    def test_shortest_queue_first(self, channel, queue_of):
+        sched = SMSScheduler(2)
+        sched._rng.random = lambda: 0.0  # always the SJF stage
+        heavy = [req(i, core=0, bank=0, row=1, arrival=i) for i in range(3)]
+        light = req(3, core=1, bank=1, row=2, arrival=5.0)
+        assert sched.select(queue_of(heavy + [light]), channel, 10.0) is light
 
-    def test_head_batch_stops_at_row_change(self):
-        requests = [
-            req(0, core=0, bank=0, row=1, arrival=0.0),
-            req(1, core=0, bank=0, row=1, arrival=1.0),
-            req(2, core=0, bank=0, row=2, arrival=2.0),
-        ]
-        batch = SMSScheduler._head_batch(requests)
-        assert [r.req_id for r in batch] == [0, 1]
-
-    def test_deterministic_given_seed(self, channel):
+    def test_deterministic_given_seed(self, channel, queue_of):
         queue = [
             req(0, core=0, bank=0, row=1, arrival=0.0),
             req(1, core=1, bank=1, row=2, arrival=0.5),
         ]
-        a = SMSScheduler(2, seed=42).select(list(queue), channel, 10.0)
-        b = SMSScheduler(2, seed=42).select(list(queue), channel, 10.0)
+        a = SMSScheduler(2, seed=42).select(queue_of(queue), channel, 10.0)
+        b = SMSScheduler(2, seed=42).select(queue_of(queue), channel, 10.0)
         assert a.req_id == b.req_id
+
+
+class TestFCFSOnChannelQueue(OnChannelQueue, TestFCFS):
+    pass
+
+
+class TestFRFCFSOnChannelQueue(OnChannelQueue, TestFRFCFS):
+    pass
+
+
+class TestATLASOnChannelQueue(OnChannelQueue, TestATLAS):
+    pass
+
+
+class TestTCMOnChannelQueue(OnChannelQueue, TestTCM):
+    pass
+
+
+class TestSMSOnChannelQueue(OnChannelQueue, TestSMS):
+    pass
 
 
 class TestReadySubset:
