@@ -31,18 +31,27 @@ class ChannelState:
 
     Every bank exists from construction, so an all-bank refresh closes
     and delays all of them, including banks no request has touched yet.
+    ``misses`` counts dispatches that found their bank closed; a row hit
+    or a conflict (another row open) is not a miss.
     """
 
-    __slots__ = ("index", "timing", "bus_free_at", "next_refresh_ns", "banks")
+    __slots__ = (
+        "index", "timing", "bus_free_at", "next_refresh_ns", "banks", "misses",
+    )
 
     def __init__(self, index: int, timing: DramTiming):
         self.index = index
         self.timing = timing
         self.bus_free_at = 0.0
-        self.next_refresh_ns = timing.t_refi_ns
+        # Never due when refresh is off, so callers may test this field
+        # alone before calling refresh_if_due.
+        self.next_refresh_ns = (
+            timing.t_refi_ns if timing.refresh_enabled else float("inf")
+        )
         self.banks: List[BankState] = [
             BankState() for _ in range(timing.banks_per_channel)
         ]
+        self.misses = 0
 
     def refresh_if_due(self, now: float) -> bool:
         """Perform an all-bank refresh when the interval elapsed.
@@ -83,15 +92,28 @@ class ChannelState:
         CAS latency after the burst completes.
         """
         bank = self.banks[request.bank]
-        prep, hit = bank.prep_time(request.row, self.timing)
-        data_start = max(now, max(bank.ready_at, request.arrival_ns) + prep)
-        burst_end = data_start + self.timing.t_burst_ns
+        timing = self.timing
+        row = request.row
+        # The preparation rule of BankState.prep_time, inlined.
+        open_row = bank.open_row
+        if open_row == row:
+            hit, prep = True, 0.0
+        elif open_row is None:
+            hit, prep = False, timing.t_rcd_ns
+            self.misses += 1
+        else:
+            hit, prep = False, timing.t_rp_ns + timing.t_rcd_ns
+        # earliest_data_start with comparisons in place of max().
+        arrival = request.arrival_ns
+        ready_at = bank.ready_at
+        prepared = (ready_at if ready_at > arrival else arrival) + prep
+        burst_end = (prepared if prepared > now else now) + timing.t_burst_ns
         self.bus_free_at = burst_end
-        bank.open_row = request.row
+        bank.open_row = row
         bank.ready_at = burst_end
         request.row_hit = hit
-        request.completion_ns = burst_end + self.timing.t_cas_ns
-        return request.completion_ns
+        completion = request.completion_ns = burst_end + timing.t_cas_ns
+        return completion
 
     def is_row_hit(self, request: Request) -> bool:
         """Whether the request would hit the currently open row."""

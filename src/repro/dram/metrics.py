@@ -3,33 +3,28 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List
+from typing import Iterable, List
 
 from repro.errors import AnalysisError
 
 
 @dataclass
 class DramMetrics:
-    """Counters accumulated while a simulation runs."""
+    """Tallies of one simulation run, built once after its event loop.
+
+    ``latencies_ns`` lists every dispatched request's queueing latency
+    in dispatch order, and ``sum_queue_latency_ns`` is their running sum
+    in that order. The engine adds as it goes rather than calling
+    ``sum()``, which rounds differently from Python 3.12 on.
+    """
 
     row_hits: int = 0
-    row_misses: int = 0
-    bytes_served: int = 0
-    per_core_bytes: Dict[int, int] = field(default_factory=dict)
     sum_queue_latency_ns: float = 0.0
-    dispatches: int = 0
     latencies_ns: List[float] = field(default_factory=list)
 
-    def record(self, core: int, row_hit: bool, latency_ns: float) -> None:
-        if row_hit:
-            self.row_hits += 1
-        else:
-            self.row_misses += 1
-        self.bytes_served += 64
-        self.per_core_bytes[core] = self.per_core_bytes.get(core, 0) + 64
-        self.sum_queue_latency_ns += latency_ns
-        self.dispatches += 1
-        self.latencies_ns.append(latency_ns)
+    @property
+    def dispatches(self) -> int:
+        return len(self.latencies_ns)
 
     def latency_percentile(self, q: float) -> float:
         """The q-th latency percentile in ns (q in [0, 100])."""
@@ -45,21 +40,19 @@ class DramMetrics:
 
     @property
     def row_hit_rate(self) -> float:
-        total = self.row_hits + self.row_misses
-        return self.row_hits / total if total else 0.0
+        dispatches = self.dispatches
+        return self.row_hits / dispatches if dispatches else 0.0
 
     @property
     def mean_latency_ns(self) -> float:
-        return (
-            self.sum_queue_latency_ns / self.dispatches
-            if self.dispatches
-            else 0.0
-        )
+        dispatches = self.dispatches
+        return self.sum_queue_latency_ns / dispatches if dispatches else 0.0
 
     def effective_bw_gbps(self, elapsed_ns: float) -> float:
         if elapsed_ns <= 0:
             return 0.0
-        return self.bytes_served / elapsed_ns  # bytes per ns == GB/s
+        # 64 bytes per request; bytes per ns == GB/s
+        return 64 * self.dispatches / elapsed_ns
 
 
 def unfairness_index(slowdowns: Iterable[float]) -> float:

@@ -13,6 +13,10 @@ All three stay in ``(arrival_ns, req_id)`` order because :meth:`append`
 refuses a request that does not sort after the previous one, and
 removal never reorders a dict. ``CMPSystem.run`` meets that order for
 free: simulated time never decreases and ids are issued in event order.
+A fourth dict stores each group's head, so selection reads it instead
+of rebuilding it: :meth:`append` sets it when a group starts, and
+:meth:`remove` advances it when the head leaves and drops it with the
+last request of the group.
 
 Within a group, bank state and preparation time are shared and
 ``max(ready_at, arrival) + prep`` never decreases as arrival grows
@@ -39,11 +43,12 @@ from repro.errors import SimulationError
 class ChannelQueue:
     """Request container used as one channel's queue."""
 
-    __slots__ = ("_requests", "_groups", "_cores", "_last")
+    __slots__ = ("_requests", "_groups", "_heads", "_cores", "_last")
 
     def __init__(self) -> None:
         self._requests: Dict[int, Request] = {}
         self._groups: Dict[Tuple[int, int, int], Dict[int, Request]] = {}
+        self._heads: Dict[Tuple[int, int, int], Request] = {}
         self._cores: Dict[int, Dict[int, Request]] = {}
         self._last: Tuple[float, int] = (float("-inf"), -1)
 
@@ -68,6 +73,7 @@ class ChannelQueue:
         group = self._groups.get(group_key)
         if group is None:
             self._groups[group_key] = {req_id: request}
+            self._heads[group_key] = request
         else:
             group[req_id] = request
         core = self._cores.get(request.core)
@@ -83,8 +89,12 @@ class ChannelQueue:
         group_key = (request.bank, request.row, request.core)
         group = self._groups[group_key]
         del group[req_id]
-        if not group:
+        if group:
+            # The group's first request is its head, whichever one left.
+            self._heads[group_key] = next(iter(group.values()))
+        else:
             del self._groups[group_key]
+            del self._heads[group_key]
         core = self._cores[request.core]
         del core[req_id]
         if not core:
@@ -102,16 +112,22 @@ class ChannelQueue:
         return self._cores
 
     def open_row_hits(self, channel: ChannelState) -> List[Request]:
-        """Queued requests whose bank currently has their row open."""
+        """The head of each group whose bank has the group's row open.
+
+        A group's requests share bank and row, so they hit or miss
+        together, and its head is its oldest. The oldest of these heads
+        is therefore the oldest queued row hit.
+        """
         banks = channel.banks
-        hits: List[Request] = []
-        # lint: disable=LINT001 — append()'s order check keeps every
-        # group in arrival order, and callers reduce the hits on the total
-        # (arrival_ns, req_id) key, so group order never decides.
-        for (bank, row, _), group in self._groups.items():
-            if banks[bank].open_row == row:
-                hits.extend(group.values())
-        return hits
+        # lint: disable=LINT001 — append()'s order check makes each
+        # group's head its oldest request, and callers reduce the heads
+        # on the total (arrival_ns, req_id) key, so group order never
+        # decides.
+        return [
+            head
+            for (bank, row, _), head in self._heads.items()
+            if banks[bank].open_row == row
+        ]
 
     def best_head(
         self,
@@ -140,8 +156,7 @@ class ChannelQueue:
         # group's head its oldest request, and heads are compared on the
         # total (rank, miss, arrival_ns, req_id) key, unique by req_id, so
         # group order never decides.
-        for (bank_index, row, core), group in self._groups.items():
-            head = next(iter(group.values()))
+        for (bank_index, row, core), head in self._heads.items():
             bank = banks[bank_index]
             # The preparation rule of BankState.prep_time, inlined.
             open_row = bank.open_row

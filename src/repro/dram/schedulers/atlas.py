@@ -43,7 +43,8 @@ class AtlasScheduler(Scheduler):
     def select(
         self, queue: Sequence[Request], channel: ChannelState, now: float
     ) -> Request:
-        self._tick(now)
+        if now >= self._next_quantum:
+            self._tick(now)
         # now - arrival never grows with arrival, so if any request is
         # over the threshold the oldest one is, and it is the oldest over.
         oldest = self.oldest(queue)
@@ -52,5 +53,6 @@ class AtlasScheduler(Scheduler):
         return self.best_head(queue, channel, now, self.attained)
 
     def on_dispatch(self, request: Request, now: float) -> None:
-        self._tick(now)
+        if now >= self._next_quantum:
+            self._tick(now)
         self.attained[request.core] += _SERVICE_PER_REQUEST

@@ -22,7 +22,8 @@ class Scheduler:
 
     Policies select through the helpers below. Each answers from the
     index of a :class:`~repro.dram.queue.ChannelQueue` and by scanning
-    any other sequence of requests, with the same result.
+    any other sequence of requests, and a policy selects the same
+    request either way.
     """
 
     name = "base"
@@ -56,7 +57,11 @@ class Scheduler:
     def row_hits(
         requests: Sequence[Request], channel: ChannelState
     ) -> List[Request]:
-        """Requests that would hit their bank's open row."""
+        """Row-hit requests whose oldest is the oldest queued row hit.
+
+        A :class:`ChannelQueue` returns only the head of each open-row
+        group; any other sequence returns every row hit.
+        """
         if isinstance(requests, ChannelQueue):
             return requests.open_row_hits(channel)
         return [r for r in requests if channel.is_row_hit(r)]

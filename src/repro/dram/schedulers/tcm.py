@@ -69,9 +69,11 @@ class TCMScheduler(Scheduler):
     def select(
         self, queue: Sequence[Request], channel: ChannelState, now: float
     ) -> Request:
-        self._tick(now)
+        if now >= self._next_quantum:
+            self._tick(now)
         return self.best_head(queue, channel, now, self.rank)
 
     def on_dispatch(self, request: Request, now: float) -> None:
-        self._tick(now)
+        if now >= self._next_quantum:
+            self._tick(now)
         self.quantum_bytes[request.core] += 64.0

@@ -50,6 +50,31 @@ def _row_outcome(channel: ChannelState, request: Request) -> str:
     return "conflict"
 
 
+def _export_metrics(
+    registry, latencies: List[float], row_hits: int, misses: int
+) -> None:
+    """Add one run's dispatches to the session metrics registry.
+
+    Called once per run. Integer counts are exact as floats and the
+    histogram adds the latencies in dispatch order, so the snapshot is
+    the one per-request recording would give.
+    """
+    dispatched = len(latencies)
+    if not dispatched:
+        return
+    registry.counter("dram.requests").inc(dispatched)
+    for outcome, count in (
+        ("conflict", dispatched - row_hits - misses),
+        ("hit", row_hits),
+        ("miss", misses),
+    ):
+        if count:
+            registry.counter(f"dram.row_{outcome}").inc(count)
+    histogram = registry.histogram("dram.latency_ns", LATENCY_BUCKETS_NS)
+    for latency in latencies:
+        histogram.observe(latency)
+
+
 class BufferWaitQueue:
     """FIFO of cores stalled on a full controller request buffer.
 
@@ -186,13 +211,21 @@ class CMPSystem:
         cores:
             Traffic configuration per core.
         stop_cores:
-            If given, the run ends once every listed core finished; other
-            cores act as background pressure and may be left unfinished.
+            If given, a non-empty set of indices into ``cores``: the run
+            ends once every listed core finished; other cores act as
+            background pressure and may be left unfinished.
         max_ns:
             Simulated-time guard.
         """
         if not cores:
             raise SimulationError("at least one core required")
+        all_cores = set(range(len(cores)))
+        must_finish = all_cores if stop_cores is None else set(stop_cores)
+        if not must_finish or not must_finish <= all_cores:
+            raise SimulationError(
+                "stop_cores must be a non-empty set of core indices "
+                f"below {len(cores)}, got {stop_cores!r}"
+            )
         scheduler = make_scheduler(
             self.policy_name, n_cores=len(cores), seed=self.seed
         )
@@ -202,14 +235,21 @@ class CMPSystem:
             for i in range(self.timing.channels)
         ]
         queues = [self.queue_factory() for _ in channels]
+        # Requests per channel queue: the loop tests these instead of
+        # the queues, whose emptiness would cost a __len__ call.
+        queued = [0] * len(channels)
         serve_scheduled = [False] * len(channels)
-        metrics = DramMetrics()
         buffer_used = 0
         buffer_cap = self.timing.request_buffer
         buffer_waiters = BufferWaitQueue()
-        must_finish = (
-            set(stop_cores) if stop_cores is not None else set(range(len(cores)))
-        )
+        # Its deque, so each dispatch tests for stalled cores without a
+        # Python-level len().
+        waiting = buffer_waiters._waiters
+        # Run tallies, turned into DramMetrics after the loop. The
+        # latency sum is a running one in dispatch order (see DramMetrics).
+        row_hits = 0
+        latency_sum = 0.0
+        latencies: List[float] = []
 
         # Observability: one session lookup per run; every emission in
         # the event loop is guarded by a plain attribute check.
@@ -262,7 +302,9 @@ class CMPSystem:
             if kind == _GEN:
                 state = states[payload]
                 state.gen_pending = False
-                if state.done_issuing:
+                config = state.config
+                total = config.total_requests
+                if state.issued >= total:
                     continue
                 if now + 1e-12 < state.next_gen_ns:
                     # Woken early (completion/buffer space): respect the
@@ -270,31 +312,37 @@ class CMPSystem:
                     state.gen_pending = True
                     heappush(events, (state.next_gen_ns, tie(), _GEN, payload))
                     continue
-                config = state.config
-                issued_now = 0
+                mshr = config.mshr
+                first = state.issued
+                stop = min(first + config.burst_lines, total)
                 touched = set()
-                while (
-                    issued_now < config.burst_lines
-                    and state.issued < config.total_requests
-                ):
-                    if config.trace is not None:
-                        is_write = config.trace.records[state.issued].is_write
-                    else:
-                        is_write = config.is_write_index(state.issued)
-                    if not is_write and state.inflight >= config.mshr:
-                        state.blocked = True
-                        break
+                # Each pass through the loop either blocks the core or
+                # issues a request, which unblocks it; the loop runs at
+                # least once, so unblocking once here is the same.
+                state.blocked = False
+                while state.issued < stop:
+                    # Only reads take an MSHR; writes are posted. The
+                    # write lookup has no side effects, so it runs only
+                    # when the MSHRs are full and its answer matters.
+                    if state.inflight >= mshr:
+                        if config.trace is not None:
+                            is_write = config.trace.records[state.issued].is_write
+                        else:
+                            is_write = config.is_write_index(state.issued)
+                        if not is_write:
+                            state.blocked = True
+                            break
                     if buffer_used >= buffer_cap:
                         state.blocked = True
                         buffer_waiters.add(state)
                         break
-                    state.blocked = False
                     address, is_write = state.next_access()
                     ch, bank, row, _ = decode(address)
                     request = Request(
                         next_request_id(), payload, ch, bank, row, now, is_write
                     )
                     queues[ch].append(request)
+                    queued[ch] += 1
                     if trace_on:
                         tracer.emit_event(
                             "req.enqueue",
@@ -313,35 +361,39 @@ class CMPSystem:
                     state.issued += 1
                     if not is_write:
                         state.inflight += 1
-                    issued_now += 1
                     touched.add(ch)
                 # Sorted so the wake order (and thus heap tie-break
                 # counters) never depends on set iteration order.
                 for ch in sorted(touched):
                     if not serve_scheduled[ch]:
                         serve_scheduled[ch] = True
+                        bus_free = channels[ch].bus_free_at
                         heappush(events, (
-                            max(now, channels[ch].bus_free_at), tie(),
+                            bus_free if bus_free > now else now, tie(),
                             _SERVE, ch,
                         ))
+                issued_now = state.issued - first
                 if issued_now:
-                    state.next_gen_ns = (
-                        max(state.next_gen_ns, now)
+                    next_gen = state.next_gen_ns
+                    state.next_gen_ns = next_gen = (
+                        (next_gen if next_gen > now else now)
                         + issued_now * config.interval_ns
                     )
-                    if not state.done_issuing and not state.blocked:
+                    if state.issued < total and not state.blocked:
                         state.gen_pending = True
-                        heappush(
-                            events, (state.next_gen_ns, tie(), _GEN, payload)
-                        )
+                        heappush(events, (next_gen, tie(), _GEN, payload))
             elif kind == _SERVE:
                 ch = payload
                 serve_scheduled[ch] = False
-                queue = queues[ch]
-                if not queue:
+                if not queued[ch]:
                     continue
                 channel = channels[ch]
-                refreshed = channel.refresh_if_due(now)
+                # refresh_if_due checks again; this skips the call on
+                # every serve between refreshes.
+                refreshed = (
+                    now >= channel.next_refresh_ns
+                    and channel.refresh_if_due(now)
+                )
                 if refreshed:
                     if trace_on:
                         tracer.emit_event(
@@ -352,17 +404,20 @@ class CMPSystem:
                         )
                     if metrics_on:
                         obs_metrics.counter("dram.refreshes").inc()
-                if refreshed or now + 1e-12 < channel.bus_free_at:
+                bus_free = channel.bus_free_at
+                if refreshed or now + 1e-12 < bus_free:
                     # Serve again once the bus is free.
                     serve_scheduled[ch] = True
                     heappush(events, (
-                        max(now, channel.bus_free_at), tie(), _SERVE, ch
+                        bus_free if bus_free > now else now, tie(), _SERVE, ch
                     ))
                     continue
+                queue = queues[ch]
                 request = select(queue, channel, now)
-                if trace_on or metrics_on:
+                if trace_on:
                     outcome = _row_outcome(channel, request)
                 queue.remove(request)
+                queued[ch] -= 1
                 buffer_used -= 1
                 completion = channel.dispatch(request, now)
                 on_dispatch(request, now)
@@ -374,7 +429,7 @@ class CMPSystem:
                         category="dram",
                         args=(
                             policy_pair,
-                            ("queue_len", len(queue) + 1),
+                            ("queue_len", queued[ch] + 1),
                             ("req_id", request.req_id),
                         ),
                     )
@@ -394,34 +449,32 @@ class CMPSystem:
                             ("write", request.is_write),
                         ),
                     )
-                if metrics_on:
-                    obs_metrics.counter("dram.requests").inc()
-                    obs_metrics.counter(f"dram.row_{outcome}").inc()
-                    obs_metrics.histogram(
-                        "dram.latency_ns", LATENCY_BUCKETS_NS
-                    ).observe(completion - request.arrival_ns)
-                metrics.record(
-                    request.core,
-                    bool(request.row_hit),
-                    completion - request.arrival_ns,
-                )
+                if request.row_hit:
+                    row_hits += 1
+                latency = completion - request.arrival_ns
+                latency_sum += latency
+                latencies.append(latency)
                 if request.is_write:
                     # Posted write: the core already moved on; account
                     # the completion here without a core event.
                     wstate = states[request.core]
                     wstate.completed += 1
-                    if wstate.finished and wstate.finish_ns is None:
+                    if (
+                        wstate.completed >= wstate.config.total_requests
+                        and wstate.finish_ns is None
+                    ):
                         wstate.finish_ns = now
                         if all(states[i].finished for i in must_finish):
                             break
                 else:
                     heappush(events, (completion, tie(), _COMPLETE, request.core))
-                if queue:
+                if queued[ch]:
                     serve_scheduled[ch] = True
+                    bus_free = channel.bus_free_at
                     heappush(events, (
-                        max(now, channel.bus_free_at), tie(), _SERVE, ch
+                        bus_free if bus_free > now else now, tie(), _SERVE, ch
                     ))
-                while len(buffer_waiters) and buffer_used < buffer_cap:
+                while waiting and buffer_used < buffer_cap:
                     waiter = buffer_waiters.pop()
                     if waiter.blocked and not waiter.gen_pending:
                         waiter.gen_pending = True
@@ -430,11 +483,12 @@ class CMPSystem:
                 state = states[payload]
                 state.inflight -= 1
                 state.completed += 1
-                if state.finished and state.finish_ns is None:
+                total = state.config.total_requests
+                if state.completed >= total and state.finish_ns is None:
                     state.finish_ns = now
                     if all(states[i].finished for i in must_finish):
                         break
-                if state.blocked and not state.done_issuing:
+                if state.blocked and state.issued < total:
                     state.blocked = False
                     if not state.gen_pending:
                         state.gen_pending = True
@@ -445,7 +499,18 @@ class CMPSystem:
             run_span.finish(elapsed * _NS_TO_S)
             run_span.close()
         if metrics_on:
+            _export_metrics(
+                obs_metrics,
+                latencies,
+                row_hits,
+                sum(channel.misses for channel in channels),
+            )
             obs_metrics.counter("dram.runs").inc()
+        metrics = DramMetrics(
+            row_hits=row_hits,
+            sum_queue_latency_ns=latency_sum,
+            latencies_ns=latencies,
+        )
         results = tuple(
             CoreResult(
                 index=s.index,

@@ -11,9 +11,7 @@ class TestPercentiles:
         assert DramMetrics().latency_percentile(99.0) == 0.0
 
     def test_known_distribution(self):
-        m = DramMetrics()
-        for latency in (10.0, 20.0, 30.0, 40.0, 50.0):
-            m.record(0, True, latency)
+        m = DramMetrics(latencies_ns=[10.0, 20.0, 30.0, 40.0, 50.0])
         assert m.latency_percentile(0.0) == 10.0
         assert m.latency_percentile(50.0) == 30.0
         assert m.latency_percentile(100.0) == 50.0

@@ -55,6 +55,8 @@ class TestChannelQueue:
         assert len(queue) == 0 and not queue
 
     def test_open_row_hits_matches_scan(self):
+        """open_row_hits returns exactly the head of each open-row group,
+        and their oldest is the oldest row hit a full scan finds."""
         queue = ChannelQueue()
         channel = ChannelState(index=0, timing=DDR4_3200)
         requests = [
@@ -65,27 +67,43 @@ class TestChannelQueue:
             queue.append(r)
         channel.bank(0).open_row = 0
         channel.bank(1).open_row = 1
-        expected = {r.req_id for r in requests if channel.is_row_hit(r)}
-        assert expected  # non-degenerate fixture
-        assert {r.req_id for r in queue.open_row_hits(channel)} == expected
-        # removal keeps the index exact
-        victim = next(r for r in requests if r.req_id in expected)
-        queue.remove(victim)
-        assert {r.req_id for r in queue.open_row_hits(channel)} == (
-            expected - {victim.req_id}
-        )
+        hits = [r for r in requests if channel.is_row_hit(r)]
+        # bank 0 row 0: ids 0, 6; bank 1 row 1: ids 1, 7
+        assert [r.req_id for r in hits] == [0, 1, 6, 7]
+        heads = queue.open_row_hits(channel)
+        assert {r.req_id for r in heads} == {0, 1}
+        assert Scheduler.oldest(heads) is Scheduler.oldest(hits)
+        # removing a head advances its group to the next request
+        queue.remove(requests[0])
+        hits.remove(requests[0])
+        heads = queue.open_row_hits(channel)
+        assert {r.req_id for r in heads} == {1, 6}
+        assert Scheduler.oldest(heads) is Scheduler.oldest(hits)
+        # removing a group's last request drops the group
+        queue.remove(requests[6])
+        assert {r.req_id for r in queue.open_row_hits(channel)} == {1}
 
     def test_scheduler_row_hits_uses_index(self):
         queue = ChannelQueue()
         channel = ChannelState(index=0, timing=DDR4_3200)
         for i in range(6):
-            queue.append(make_request(i, bank=0, row=i % 2))
+            queue.append(make_request(i, bank=0, row=i % 2, core=i % 3))
         channel.bank(0).open_row = 1
-        hits = Scheduler.row_hits(queue, channel)
-        assert sorted(r.req_id for r in hits) == [1, 3, 5]
-        # plain sequences still take the scan path with the same answer
+        # the index answers with one head per open-row (bank, row, core)
+        # group: ids 1 (core 1), 3 (core 0) and 5 (core 2)
+        heads = Scheduler.row_hits(queue, channel)
+        assert sorted(r.req_id for r in heads) == [1, 3, 5]
+        # plain sequences still take the scan path and return every hit
         scan = Scheduler.row_hits(list(queue), channel)
         assert sorted(r.req_id for r in scan) == [1, 3, 5]
+        assert Scheduler.oldest(heads) is Scheduler.oldest(scan)
+        # a second core-0 hit queues behind its group's head, id 3
+        queue.append(make_request(6, bank=0, row=1, core=0))
+        heads = Scheduler.row_hits(queue, channel)
+        scan = Scheduler.row_hits(list(queue), channel)
+        assert sorted(r.req_id for r in heads) == [1, 3, 5]
+        assert sorted(r.req_id for r in scan) == [1, 3, 5, 6]
+        assert Scheduler.oldest(heads) is Scheduler.oldest(scan)
 
     def test_append_rejects_out_of_order(self):
         queue = ChannelQueue()
@@ -153,6 +171,47 @@ def test_best_head_matches_per_request_scan(snapshot):
     assert Scheduler.best_head(queue, channel, now, rank) is (
         Scheduler.best_head(requests, channel, now, rank)
     )
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_head_upkeep_under_removal(data):
+    """Arrival-ordered appends interleaved with removals of any queued
+    request, head or not: after every step the stored group heads give
+    the answers of the per-request scans over ``list(queue)``. Few
+    banks, rows and cores keep groups long, so removals often leave a
+    group behind a removed non-head."""
+    channel, _, rank, now = data.draw(channel_snapshots())
+    queue = ChannelQueue()
+    arrival = 0.0
+    next_id = 0
+    for _ in range(data.draw(st.integers(1, 40))):
+        queued = list(queue)
+        # one step in three removes, so the queue grows
+        if queued and data.draw(st.integers(0, 2)) == 0:
+            queue.remove(data.draw(st.sampled_from(queued)))
+        else:
+            arrival += data.draw(st.sampled_from((0.0, 2.5, 10.0)))
+            queue.append(make_request(
+                next_id,
+                bank=data.draw(st.integers(0, 1)),
+                row=data.draw(st.integers(0, 1)),
+                arrival=arrival,
+                core=data.draw(st.integers(0, 2)),
+            ))
+            next_id += 1
+        scan = list(queue)
+        if not scan:
+            continue
+        assert Scheduler.best_head(queue, channel, now, rank) is (
+            Scheduler.best_head(scan, channel, now, rank)
+        )
+        assert queue.oldest() is Scheduler.oldest(scan)
+        heads = queue.open_row_hits(channel)
+        hits = Scheduler.row_hits(scan, channel)
+        assert bool(heads) == bool(hits)
+        if hits:
+            assert Scheduler.oldest(heads) is Scheduler.oldest(hits)
 
 
 class TestBufferWaitQueue:

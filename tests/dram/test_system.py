@@ -70,6 +70,16 @@ class TestStopCores:
         assert all(result.cores[i].finish_ns is not None for i in (4, 5, 6, 7))
         assert any(result.cores[i].finish_ns is None for i in range(4))
 
+    @pytest.mark.parametrize("stop_cores", [{5}, {-1}, set()])
+    def test_invalid_stop_cores_rejected(self, stop_cores):
+        """Regression: an index past the last core raised a bare
+        IndexError mid-run, -1 silently meant the last core, and an
+        empty set ended the run when the first core finished."""
+        system = CMPSystem()
+        configs = system.group_configs(10.0, 2, 50)
+        with pytest.raises(SimulationError, match="stop_cores"):
+            system.run(configs, stop_cores=stop_cores)
+
     def test_max_ns_guard(self):
         system = CMPSystem()
         configs = system.group_configs(1.0, 2, 10_000_000)
