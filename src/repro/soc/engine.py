@@ -98,16 +98,20 @@ class _StreamState:
         fraction = 1.0 - self.bytes_left / phase.traffic_bytes
         return done + fraction * phase.seconds
 
-    def advance(self, n_bytes: float, now: float) -> None:
-        """Consume ``n_bytes`` of the current phase, rolling phases over."""
+    def advance(self, n_bytes: float, now: float) -> bool:
+        """Consume ``n_bytes`` of the current phase, rolling phases over.
+
+        Returns whether the current phase ended: the state moved to the
+        next phase, started its next loop, or finished.
+        """
         self.bytes_left -= n_bytes
         self.bytes_done += n_bytes
         if self.bytes_left > 1e-3:
-            return
+            return False
         self.phase_index += 1
         if self.phase_index < len(self.profile.phases):
             self.bytes_left = self.current_phase.traffic_bytes
-            return
+            return True
         if self.looping:
             self.loops_done += 1
             self.phase_index = 0
@@ -117,6 +121,7 @@ class _StreamState:
                 self.finished_at = now
             self.phase_index = len(self.profile.phases) - 1
             self.bytes_left = 0.0
+        return True
 
 
 @dataclass(frozen=True)
@@ -351,56 +356,6 @@ class CoRunEngine:
                 ),
             )
 
-    @staticmethod
-    def _trace_transitions(
-        tracer,
-        pu_tracks: Dict[str, str],
-        now: float,
-        runnable: List[str],
-        states: Dict[str, "_StreamState"],
-        before: Dict[str, Tuple[int, int, bool]],
-    ) -> int:
-        """Emit phase-transition/finish events; returns the count.
-
-        ``tracer`` may be ``None`` (metrics-only session): transitions
-        are still counted, nothing is emitted.
-        """
-        transitions = 0
-        for name in runnable:
-            state = states[name]
-            prev_phase, prev_loops, was_finished = before[name]
-            changed = (
-                state.phase_index != prev_phase
-                or state.loops_done != prev_loops
-            )
-            just_finished = state.finished and not was_finished
-            if not changed and not just_finished:
-                continue
-            if changed:
-                transitions += 1
-            if tracer is None:
-                continue
-            if just_finished:
-                tracer.emit_event(
-                    "kernel.finished",
-                    time=now,
-                    track=pu_tracks[name],
-                    category="soc",
-                    args=(("kernel", state.profile.kernel_name),),
-                )
-            elif changed:
-                tracer.emit_event(
-                    "phase.transition",
-                    time=now,
-                    track=pu_tracks[name],
-                    category="soc",
-                    args=(
-                        ("loops_done", state.loops_done),
-                        ("phase", state.phase_index),
-                    ),
-                )
-        return transitions
-
     # ------------------------------------------------------------------
     # Co-run
     # ------------------------------------------------------------------
@@ -457,6 +412,15 @@ class CoRunEngine:
             for name, kernel in placements.items()
         }
         order = list(placements)
+        # One co-run stream per (PU, phase): what the resolve cache keys
+        # on, built once per corun instead of once per epoch.
+        phase_streams: Dict[str, List[StreamDemand]] = {}
+        for name in order:
+            pu = self.soc.pu(name)
+            phase_streams[name] = [
+                stream_for_phase(pu, phase)
+                for phase in states[name].profile.phases
+            ]
 
         # Observability: resolved once per corun (not per step), so the
         # disabled path costs one lookup here and an `if` per emission.
@@ -496,10 +460,7 @@ class CoRunEngine:
             if not runnable:
                 break
             streams = [
-                stream_for_phase(
-                    self.soc.pu(n), states[n].current_phase
-                )
-                for n in runnable
+                phase_streams[n][states[n].phase_index] for n in runnable
             ]
             if trace_on:
                 step_misses = self.resolve_stats.misses
@@ -523,24 +484,37 @@ class CoRunEngine:
                     tracer, soc_track, pu_tracks, now, dt, steps,
                     runnable, grants, step_misses,
                 )
-            if observing:
-                before = {
-                    n: (
-                        states[n].phase_index,
-                        states[n].loops_done,
-                        states[n].finished,
-                    )
-                    for n in runnable
-                }
             now += dt
             steps += 1
             for n in runnable:
-                states[n].advance(rates[n] * 1e9 * dt, now)
-            if observing:
-                phase_transitions += self._trace_transitions(
-                    tracer if trace_on else None, pu_tracks, now,
-                    runnable, states, before,
-                )
+                state = states[n]
+                ended = state.advance(rates[n] * 1e9 * dt, now)
+                if ended and observing:
+                    # A runnable kernel is unfinished before its advance,
+                    # so a phase that ends either finishes the kernel or
+                    # moves it to another phase or loop.
+                    if state.finished:
+                        if trace_on:
+                            tracer.emit_event(
+                                "kernel.finished",
+                                time=now,
+                                track=pu_tracks[n],
+                                category="soc",
+                                args=(("kernel", state.profile.kernel_name),),
+                            )
+                    else:
+                        phase_transitions += 1
+                        if trace_on:
+                            tracer.emit_event(
+                                "phase.transition",
+                                time=now,
+                                track=pu_tracks[n],
+                                category="soc",
+                                args=(
+                                    ("loops_done", state.loops_done),
+                                    ("phase", state.phase_index),
+                                ),
+                            )
             done_victims = [v for v in victims if states[v].finished]
             if until == "first" and done_victims:
                 break

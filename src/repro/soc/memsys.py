@@ -205,12 +205,6 @@ class SharedMemorySystem:
             1.0 + b.queue_factor * rho / (1.0 - b.queue_saturation * rho)
         )
 
-    def mlp_limited_bw(self, mlp_lines: float, latency_ns: float) -> float:
-        """Burst bandwidth sustainable with ``mlp_lines`` in flight (GB/s)."""
-        if latency_ns <= 0:
-            raise SimulationError("latency must be positive")
-        return mlp_lines * CACHELINE_BYTES / latency_ns  # bytes/ns == GB/s
-
     @staticmethod
     def pu_burst_bw(
         max_bw: float,
@@ -241,7 +235,7 @@ class SharedMemorySystem:
         capacity: float,
         targets: Sequence[float],
         caps: Sequence[float],
-        weights: Optional[Sequence[float]] = None,
+        weights: Sequence[float],
     ) -> List[float]:
         """Fairness allocation: guaranteed floors + proportional excess.
 
@@ -258,27 +252,31 @@ class SharedMemorySystem:
            one aggressor into two of half the demand changes nothing.
 
         Per-stream caps bound any single client while others are hungry.
+        Each ``min``/``max`` is written as the comparison that returns
+        the operand the built-in would.
         """
         n = len(targets)
-        if weights is None:
-            weights = [1.0] * n
         floor_level = self.behavior.guarantee_fraction * capacity
-        floors = [min(t, floor_level) for t in targets]
+        floors = [floor_level if floor_level < t else t for t in targets]
         total_floors = sum(floors)
         if total_floors >= capacity:
             scale = capacity / total_floors if total_floors > 0 else 0.0
             return [f * scale for f in floors]
         alloc = list(floors)
         remaining = capacity - total_floors
-
-        def fill(limits: Sequence[float], remaining: float) -> float:
+        # weight * max(excess demand, _EPS_BW): fixed for the whole call.
+        share_w = [
+            w * (_EPS_BW if _EPS_BW > t - f else t - f)
+            for w, t, f in zip(weights, targets, floors)
+        ]
+        capped = [c if c < t else t for t, c in zip(targets, caps)]
+        # The capped fill, then the same fill with caps released when
+        # capacity is left over: the controller does not idle the bus for
+        # a lone hungry client once every other client is satisfied.
+        for limits in (capped, targets):
             hungry = [i for i in range(n) if limits[i] - alloc[i] > _EPS_BW]
             while hungry and remaining > _EPS_BW:
-                share_w = {
-                    i: weights[i] * max(targets[i] - floors[i], _EPS_BW)
-                    for i in hungry
-                }
-                total_w = sum(share_w.values())
+                total_w = sum([share_w[i] for i in hungry])
                 done = [
                     i
                     for i in hungry
@@ -294,14 +292,8 @@ class SharedMemorySystem:
                     for i in hungry:
                         alloc[i] += remaining * share_w[i] / total_w
                     remaining = 0.0
-            return remaining
-
-        limit = [min(t, c) for t, c in zip(targets, caps)]
-        remaining = fill(limit, remaining)
-        if remaining > _EPS_BW:
-            # Caps released when every other client is satisfied: the
-            # controller does not idle the bus for a lone hungry client.
-            fill(list(targets), remaining)
+            if remaining <= _EPS_BW:
+                break
         return alloc
 
     # ------------------------------------------------------------------
@@ -311,57 +303,118 @@ class SharedMemorySystem:
         """Solve the co-run steady state for a set of streams.
 
         Returns one :class:`StreamGrant` per input stream (same order).
-        The solution is a damped fixed point over loaded latency,
-        MLP-limited burst bandwidth, latency-adjusted demand, and the
-        fairness allocation.
+        The solution is a damped fixed point over the loaded latency L.
+        One evaluation at L gives every active stream's MLP-limited
+        burst bandwidth (:meth:`pu_burst_bw`) and latency-adjusted demand
+        (:func:`time_per_gb`), the fairness allocation of those demands,
+        and the loaded latency its utilization implies
+        (:meth:`loaded_latency_ns`); L is then damped towards it.
+
+        The evaluation inlines those three rules operation for
+        operation: every product and quotient keeps their association
+        order, every ``sum()`` stays a ``sum()`` (from Python 3.12 it
+        rounds differently from a ``+=`` loop), and each ``min``/``max``
+        is the comparison that returns the operand the built-in would.
+
+        Raises :class:`SimulationError` for a stream the solver cannot
+        handle: demand must be finite and >= 0; ``max_bw``,
+        ``mlp_lines`` and ``arbitration_weight`` finite and > 0;
+        ``burst_bw`` > 0; ``overlap`` and ``latency_sensitivity`` in
+        [0, 1]; ``locality`` in (0, 1]; ``compute_time_per_gb`` and
+        ``latency_exposure`` finite and >= 0.
         """
-        b = self.behavior
         if not streams:
             return []
         for s in streams:
-            if s.demand < 0 or s.max_bw <= 0 or s.mlp_lines <= 0:
-                raise SimulationError(f"invalid stream demand: {s}")
+            if not (
+                0 <= s.demand < math.inf
+                and 0 < s.max_bw < math.inf
+                and 0 < s.mlp_lines < math.inf
+                and 0 < s.arbitration_weight < math.inf
+                and s.burst_bw > 0
+                and 0 <= s.overlap <= 1
+                and 0 <= s.latency_sensitivity <= 1
+                and 0 < s.locality <= 1
+                and 0 <= s.compute_time_per_gb < math.inf
+                and 0 <= s.latency_exposure < math.inf
+            ):
+                raise SimulationError(
+                    f"invalid stream demand for {s.name!r}: {s}"
+                )
+        b = self.behavior
+        n = len(streams)
         capacity = self.effective_bw(streams)
-        n_active = sum(1 for s in streams if s.demand > _EPS_BW)
-        cap = b.cap_fraction * capacity if n_active > 1 else float("inf")
-
-        latency = b.base_latency_ns
-        grants = [0.0] * len(streams)
-        bursts = [s.burst_bw for s in streams]
-        for _ in range(_FIXED_POINT_ITERS):
-            targets = []
-            new_bursts = []
-            for s in streams:
-                if s.demand <= _EPS_BW:
-                    targets.append(0.0)
-                    new_bursts.append(s.burst_bw)
-                    continue
-                burst = min(
-                    s.burst_bw,
-                    s.max_bw,
-                    self.pu_burst_bw(
-                        s.max_bw, s.mlp_lines, s.latency_sensitivity, latency
-                    ),
-                )
-                burst = max(burst, _EPS_BW)
-                rate = 1.0 / time_per_gb(
-                    s.compute_time_per_gb,
-                    burst,
-                    s.overlap,
-                    s.latency_exposure,
-                    latency,
-                )
-                targets.append(min(rate, s.demand))
-                new_bursts.append(burst)
-            bursts = new_bursts
-            grants = self._allocate(
-                capacity,
-                targets,
-                [cap] * len(streams),
-                [s.arbitration_weight for s in streams],
+        # Per active stream, what the evaluation reads, fixed for the
+        # call: L_sat of the pu_burst_bw rule and the first two operands
+        # of min(burst_bw, max_bw, pu_burst_bw(L)).
+        active = [
+            (
+                i,
+                s.demand,
+                min(s.burst_bw, s.max_bw),
+                s.max_bw,
+                s.mlp_lines * CACHELINE_BYTES / s.max_bw,
+                s.latency_sensitivity,
+                s.compute_time_per_gb,
+                s.overlap,
+                1.0 - s.overlap,
+                s.latency_exposure,
             )
+            for i, s in enumerate(streams)
+            if s.demand > _EPS_BW
+        ]
+        cap = b.cap_fraction * capacity if len(active) > 1 else math.inf
+        caps = [cap] * n
+        weights = [s.arbitration_weight for s in streams]
+        base_latency = b.base_latency_ns
+        queue_factor = b.queue_factor
+        queue_saturation = b.queue_saturation
+        max_utilization = b.max_utilization
+
+        latency = base_latency
+        targets = [0.0] * n
+        bursts = [s.burst_bw for s in streams]
+        grants = [0.0] * n
+        for _ in range(_FIXED_POINT_ITERS):
+            for (
+                i, demand, top, max_bw, l_sat, sensitivity,
+                t_cmp, overlap, serial, exposure,
+            ) in active:
+                # SharedMemorySystem.pu_burst_bw at L, the three-way min
+                # and the _EPS_BW floor, inlined.
+                burst = top
+                if latency > l_sat and sensitivity != 0:
+                    limited = max_bw * (l_sat / latency) ** sensitivity
+                    if limited < burst:
+                        burst = limited
+                if _EPS_BW > burst:
+                    burst = _EPS_BW
+                # The time_per_gb rule at (burst, L), inlined; t_mem > 0.
+                t_mem = 1.0 / burst
+                t_sum = t_cmp + t_mem
+                t = serial * t_sum + overlap * (
+                    t_mem if t_mem > t_cmp else t_cmp
+                )
+                if exposure > 0 and latency > 0:
+                    t += (
+                        exposure
+                        * latency
+                        * 1e-9
+                        * _LINES_PER_GB
+                        * (t_cmp / t_sum)
+                    )
+                rate = 1.0 / t
+                targets[i] = demand if demand < rate else rate
+                bursts[i] = burst
+            grants = self._allocate(capacity, targets, caps, weights)
             rho = sum(grants) / capacity if capacity > 0 else 1.0
-            new_latency = self.loaded_latency_ns(rho)
+            # The loaded_latency_ns rule, its clamp to [0, max_utilization]
+            # inlined.
+            rho = rho if rho < max_utilization else max_utilization
+            rho = rho if rho > 0.0 else 0.0
+            new_latency = base_latency * (
+                1.0 + queue_factor * rho / (1.0 - queue_saturation * rho)
+            )
             latency = _DAMPING * latency + (1.0 - _DAMPING) * new_latency
         return [
             StreamGrant(
@@ -373,7 +426,3 @@ class SharedMemorySystem:
             )
             for s, g, burst in zip(streams, grants, bursts)
         ]
-
-    def resolve_single(self, stream: StreamDemand) -> StreamGrant:
-        """Convenience wrapper for a standalone stream."""
-        return self.resolve([stream])[0]

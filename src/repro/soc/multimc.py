@@ -130,11 +130,6 @@ class PartitionedMemorySystem:
             utilization
         )
 
-    def mlp_limited_bw(self, mlp_lines: float, latency_ns: float) -> float:
-        return SharedMemorySystem.mlp_limited_bw(
-            next(iter(self._systems.values())), mlp_lines, latency_ns
-        )
-
     pu_burst_bw = staticmethod(SharedMemorySystem.pu_burst_bw)
 
     def resolve(self, streams: Sequence[StreamDemand]) -> List[StreamGrant]:

@@ -22,6 +22,7 @@ from typing import Tuple
 from repro.errors import SimulationError
 from repro.soc.memsys import SharedMemorySystem, StreamDemand, time_per_gb
 from repro.soc.spec import PUSpec
+from repro.units import CACHELINE_BYTES
 from repro.workloads.kernel import KernelSpec, Phase
 
 _STANDALONE_ITERS = 40
@@ -121,26 +122,33 @@ def profile_phase(
     if capacity <= 0:
         raise SimulationError("memory system has no effective bandwidth")
 
-    burst = min(pu.max_bw, capacity)
+    max_bw = pu.max_bw
+    overlap = pu.overlap
+    exposure = pu.latency_exposure
+    sensitivity = pu.latency_sensitivity
+    l_sat = pu.mlp_lines * CACHELINE_BYTES / max_bw
+    max_utilization = mem.behavior.max_utilization
+    # The first two operands of min(max_bw, capacity, pu_burst_bw(L)).
+    top = min(max_bw, capacity)
+    burst = top
     latency = mem.behavior.base_latency_ns
-    rate = 1.0 / time_per_gb(tc, burst, pu.overlap, pu.latency_exposure, latency)
+    rate = 1.0 / time_per_gb(tc, burst, overlap, exposure, latency)
     for _ in range(_STANDALONE_ITERS):
-        rho = min(rate / capacity, mem.behavior.max_utilization)
+        rho = rate / capacity
+        rho = max_utilization if max_utilization < rho else rho
         latency = mem.loaded_latency_ns(rho)
-        target_burst = min(
-            pu.max_bw,
-            capacity,
-            mem.pu_burst_bw(
-                pu.max_bw, pu.mlp_lines, pu.latency_sensitivity, latency
-            ),
-        )
+        # SharedMemorySystem.pu_burst_bw at this latency and the
+        # three-way min, inlined.
+        target_burst = top
+        if latency > l_sat and sensitivity != 0:
+            limited = max_bw * (l_sat / latency) ** sensitivity
+            if limited < target_burst:
+                target_burst = limited
         burst = (
             _STANDALONE_DAMPING * burst
             + (1.0 - _STANDALONE_DAMPING) * target_burst
         )
-        rate = 1.0 / time_per_gb(
-            tc, burst, pu.overlap, pu.latency_exposure, latency
-        )
+        rate = 1.0 / time_per_gb(tc, burst, overlap, exposure, latency)
     seconds = phase.traffic_bytes / 1e9 / rate
     return PhaseProfile(
         name=phase.name,

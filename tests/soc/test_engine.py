@@ -3,12 +3,16 @@
 import pytest
 
 from repro.errors import SimulationError
+from repro.obs import runtime as obs_runtime
 from repro.soc.engine import CoRunEngine
 from repro.soc.configs import xavier_agx
 from repro.soc.spec import PUType
 from repro.workloads.kernel import single_phase_kernel
 from repro.workloads.rodinia import rodinia_kernel
-from repro.workloads.roofline import calibrator_for_bandwidth
+from repro.workloads.roofline import (
+    calibrator_for_bandwidth,
+    max_demand_kernel,
+)
 
 
 @pytest.fixture()
@@ -155,3 +159,36 @@ class TestDeterminism:
         rb = b.corun({"gpu": gpu_kernel, "cpu": pressure}, looping={"cpu"})
         assert ra.relative_speed("gpu") == rb.relative_speed("gpu")
         assert ra.elapsed == rb.elapsed
+
+
+class TestPhaseTransitions:
+    """``soc.phase_transitions`` counts phase and loop roll-overs; a
+    kernel finishing is an event but not a transition."""
+
+    @staticmethod
+    def corun_cfd_against_looping_cpu():
+        CoRunEngine(xavier_agx()).corun(
+            {
+                "gpu": rodinia_kernel("cfd", PUType.GPU),
+                "cpu": max_demand_kernel(),
+            },
+            looping={"cpu"},
+        )
+
+    def test_metrics_only_count(self):
+        with obs_runtime.session(metrics=True) as sess:
+            self.corun_cfd_against_looping_cpu()
+            snapshot = sess.metrics.snapshot()
+        assert snapshot.counter_value("soc.epochs") == 5
+        # cfd's three GPU phase changes and one CPU loop.
+        assert snapshot.counter_value("soc.phase_transitions") == 4
+
+    def test_traced_run_emits_one_event_per_transition(self):
+        with obs_runtime.session(trace=True, metrics=True) as sess:
+            self.corun_cfd_against_looping_cpu()
+            names = [event.name for event in sess.tracer.buffer.events]
+            count = sess.metrics.snapshot().counter_value(
+                "soc.phase_transitions"
+            )
+        assert names.count("phase.transition") == count == 4
+        assert names.count("kernel.finished") == 1
