@@ -10,8 +10,6 @@ Commands
 - ``experiment`` — run paper experiments (delegates to the runner).
 - ``trace`` — run one experiment under tracing (``--jobs N`` stitches
   worker buffers onto one timeline) and export the trace.
-- ``bench`` — performance-regression sentinel over the benchmark
-  history (``compare`` gates CI; ``record`` appends to the history).
 - ``lint`` — run the simulator-invariant checker (``repro.lint``).
 - ``graph`` — emit the module import graph (DOT or JSON).
 """
@@ -250,59 +248,6 @@ def _cmd_trace(args) -> int:
         rates = hit_rates_table(snapshot)
         if rates is not None:
             print(rates)
-    return 0
-
-
-def _cmd_bench(args) -> int:
-    """Performance-regression sentinel: ``pccs bench compare|record``."""
-    from repro.errors import ObsError
-    from repro.obs.sentinel import (
-        append_history,
-        compare_results,
-        comparison_table,
-        load_history,
-        load_results,
-        parse_thresholds,
-    )
-
-    try:
-        results = load_results(args.results)
-        if args.bench_command == "record":
-            count = append_history(args.history, results.values())
-            print(f"bench: recorded {count} result(s) to {args.history}")
-            return 0
-        if args.baseline:
-            history = load_results(args.baseline)
-        else:
-            history = load_history(args.history)
-        thresholds = parse_thresholds(args.threshold or [])
-        comparisons = compare_results(
-            results,
-            history,
-            thresholds=thresholds,
-            default_threshold=args.default_threshold,
-        )
-    except ObsError as exc:
-        print(f"pccs bench: error: {exc}", file=sys.stderr)
-        return 2
-    print(comparison_table(comparisons))
-    unrecorded = sorted(set(results) - set(history))
-    if unrecorded:
-        print(
-            f"bench: {len(unrecorded)} benchmark(s) not in the history "
-            f"yet (run 'pccs bench record'): {', '.join(unrecorded)}"
-        )
-    regressions = [c for c in comparisons if c.regressed]
-    if regressions:
-        for c in regressions:
-            print(
-                f"bench: REGRESSION {c.name}/{c.metric}: "
-                f"{c.current:.4g} vs recorded {c.baseline:.4g} "
-                f"({c.ratio:.2f}x worse, threshold {c.threshold:.2f}x)",
-                file=sys.stderr,
-            )
-        return 1
-    print(f"bench: no regressions in {len(comparisons)} comparison(s)")
     return 0
 
 
@@ -601,71 +546,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     p.set_defaults(func=_cmd_trace)
-
-    p = sub.add_parser(
-        "bench",
-        help="performance-regression sentinel over benchmark results",
-        description=(
-            "Reads the machine-readable benchmark results "
-            "(benchmarks/results/*.json) and ratchets them against the "
-            "append-only history (benchmarks/history.jsonl). 'compare' "
-            "exits 1 on any noise-tolerant regression (the CI gate); "
-            "'record' appends the current results with run provenance."
-        ),
-    )
-    bench_sub = p.add_subparsers(dest="bench_command", required=True)
-    for verb, verb_help in (
-        ("compare", "compare current results against the history"),
-        ("record", "append current results to the history"),
-    ):
-        bp = bench_sub.add_parser(verb, help=verb_help)
-        bp.add_argument(
-            "--results",
-            default="benchmarks/results",
-            metavar="DIR",
-            help=(
-                "directory of *.json benchmark results "
-                "(default: benchmarks/results)"
-            ),
-        )
-        bp.add_argument(
-            "--history",
-            default="benchmarks/history.jsonl",
-            metavar="FILE",
-            help=(
-                "append-only JSONL history "
-                "(default: benchmarks/history.jsonl)"
-            ),
-        )
-        if verb == "compare":
-            bp.add_argument(
-                "--baseline",
-                metavar="DIR",
-                help=(
-                    "compare against another results directory "
-                    "instead of the history"
-                ),
-            )
-            bp.add_argument(
-                "--threshold",
-                action="append",
-                metavar="NAME=FACTOR",
-                help=(
-                    "per-benchmark worse-by factor override "
-                    "(repeatable, e.g. --threshold obs=1.3)"
-                ),
-            )
-            bp.add_argument(
-                "--default-threshold",
-                type=float,
-                default=1.5,
-                metavar="FACTOR",
-                help=(
-                    "fail when a metric is this factor worse than "
-                    "recorded (default: 1.5)"
-                ),
-            )
-        bp.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser(
         "lint",

@@ -250,7 +250,10 @@ def main(argv=None) -> int:
                 ],
                 max_workers=args.jobs,
             )
+            cache = active_sim_cache()
             for outcome in outcomes:
+                if cache is not None:
+                    cache.add_counts(outcome.sim_cache_counts)
                 print(f"==== {outcome.name} ({outcome.elapsed:.1f}s) ====")
                 print(outcome.report)
                 print()

@@ -17,8 +17,6 @@
   buffers aligned onto the coordinator's timeline;
 - :mod:`repro.obs.profile` — deterministic sim-clock profiler
   (cumulative/self time per phase, collapsed-stack flamegraph output);
-- :mod:`repro.obs.sentinel` — performance-regression sentinel over the
-  recorded benchmark history.
 
 Invariants: traced and untraced runs are bit-identical (asserted by
 the determinism harness), and every record carries simulated time —
@@ -38,14 +36,6 @@ from repro.obs.export import (
     write_chrome_trace,
 )
 from repro.obs.profile import Profile, ProfileNode, build_profile
-from repro.obs.sentinel import (
-    BenchResult,
-    Comparison,
-    append_history,
-    compare_results,
-    load_history,
-    load_results,
-)
 from repro.obs.stitch import (
     StitchedWorker,
     WorkerTrace,
@@ -74,8 +64,6 @@ from repro.obs.runtime import (
 from repro.obs.tracer import NULL_TRACER, NullTracer, Tracer
 
 __all__ = [
-    "BenchResult",
-    "Comparison",
     "Counter",
     "Event",
     "Gauge",
@@ -98,16 +86,12 @@ __all__ = [
     "activate",
     "active",
     "align_workers",
-    "append_history",
     "build_manifest",
     "build_profile",
-    "compare_results",
     "config_hash",
     "deactivate",
     "ensure_valid_chrome_trace",
     "hit_rates_table",
-    "load_history",
-    "load_results",
     "merge_snapshots",
     "merged_buffer",
     "metrics_table",

@@ -25,7 +25,7 @@ pragma: it is typo-checked and reads as documentation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 from repro.obs.metrics import MetricsSnapshot
@@ -96,7 +96,10 @@ class ExperimentOutcome:
     span/event buffer as a :class:`repro.obs.stitch.WorkerTrace` — the
     coordinator stamps the job index via
     :meth:`~repro.obs.stitch.WorkerTrace.with_first_index` before
-    stitching, since the worker does not know it.
+    stitching, since the worker does not know it. ``sim_cache_counts``
+    are the job's own cache's :meth:`~repro.perf.simcache.SimCache.counts`
+    (empty without a cache), which the coordinator folds into its cache
+    so the runner's ``sim-cache:`` line counts every process.
     """
 
     name: str
@@ -105,6 +108,7 @@ class ExperimentOutcome:
     csv_count: int = 0
     metrics_snapshot: Optional[MetricsSnapshot] = None
     trace: Optional[WorkerTrace] = None
+    sim_cache_counts: Tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -115,8 +119,8 @@ class ExperimentJob:
     only ships a rendered report string back across the pipe — which is
     also why the job has no ``signature()``: it is not side-effect
     free, so it is never cached as a unit. Instead ``sim_cache_dir``
-    re-activates the coordinator's simulation cache inside the worker,
-    and the experiment's internal sweeps are cached at the
+    opens the coordinator's simulation cache directory for the job's
+    duration, and the experiment's internal sweeps are cached at the
     :class:`PressureSweepJob` granularity (shared across experiments).
     That same granularity carries retry and checkpoint semantics: if
     this job is re-run in-process after a worker loss, or the whole
@@ -146,18 +150,30 @@ class ExperimentJob:
         return f"experiment:{self.name}"
 
     def run(self) -> ExperimentOutcome:
-        import os
-        from pathlib import Path
-
-        from repro.experiments.runner import get_runner, save_result_csvs
         from repro.perf.executor import set_default_max_workers
-        from repro.perf.simcache import activate_sim_cache
+        from repro.perf.simcache import SimCache, set_sim_cache
 
         # This job is the unit of parallelism: never fork a nested pool
         # (the forked child inherits the parent's --jobs default).
         set_default_max_workers(1)
-        if self.sim_cache_dir is not None:
-            activate_sim_cache(self.sim_cache_dir)
+        if self.sim_cache_dir is None:
+            return self._run()
+        # A cache object of the job's own, so its counts ship back in
+        # the outcome and are counted once whichever process ran it.
+        cache = SimCache(self.sim_cache_dir)
+        previous = set_sim_cache(cache)
+        try:
+            outcome = self._run()
+        finally:
+            set_sim_cache(previous)
+        return replace(outcome, sim_cache_counts=cache.counts())
+
+    def _run(self) -> ExperimentOutcome:
+        import os
+        from pathlib import Path
+
+        from repro.experiments.runner import get_runner, save_result_csvs
+
         watch = Stopwatch()
         snapshot: Optional[MetricsSnapshot] = None
         trace: Optional[WorkerTrace] = None

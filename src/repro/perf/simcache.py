@@ -15,17 +15,30 @@ entry is keyed by the sha256 of
 
 There are no mtime heuristics and no partial keys: either the bytes of
 the inputs and the bytes of the code both match, or the entry is a
-miss. Entries are pickles under a sharded directory (git-object style,
-first two hex chars), written atomically (``tmp`` + ``replace``) so a
-killed run never leaves a truncated entry behind. Tmp names embed the
-writer's pid plus a per-process monotonic counter, so concurrent pooled
-writers can never collide on (and ``replace`` each other's) the same
-tmp path; tmp files orphaned by a killed writer are swept when a cache
-opens on the directory. The cache is advisory in *both* directions:
-corrupt, truncated, or schema-mismatched entries count as
-invalidations and are recomputed and overwritten, and a store that
-fails at the OS level (disk full, read-only directory) degrades to
-"not cached" — counted as a store failure, never a crashed sweep.
+miss.
+
+On disk the cache is a directory of append-only **segment files**
+(``<pid>-<n>.pkl``), one per writing :class:`SimCache` and process.
+Each store appends one record to its own segment with a single
+``write``: a header (key and payload lengths), the key, then the
+pickled ``{version, key, result}`` payload. A lookup serves from an
+in-memory index of complete records; on a miss it first indexes
+whatever any segment gained since its last scan, so a store made by
+any process is visible to every later lookup. Creating a file costs
+far more than appending to one, which is why the layout has one file
+per writer rather than one per entry.
+
+Crash semantics: a record cut short (a writer killed mid-``write``,
+or a short write on a full disk) is never indexed or served, and
+nothing is ever appended after it — a killed writer writes no more, a
+failed write makes the next store start a new segment, and a cache
+inherited across ``fork`` checks the writer pid and opens a segment of
+its own. The cache is advisory in *both* directions: a complete record
+that fails to unpickle or carries another key or schema version counts
+as an invalidation and is recomputed (the new record supersedes it in
+this cache's index), and a store that fails at the OS level (disk full,
+read-only directory) degrades to "not cached" — counted as a store
+failure, never a crashed sweep.
 
 Hit/miss/store/invalidation counts live on the cache object and are
 mirrored into the active observability session's metrics registry
@@ -41,57 +54,55 @@ experiment artifacts.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import os
 import pickle
+import struct
 from pathlib import Path
-from typing import Any, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, Optional, Sequence, Tuple, Union
 
 CACHE_DIR_NAME = ".sim-cache"
-CACHE_SCHEMA_VERSION = 1
+CACHE_SCHEMA_VERSION = 2
 
 _CODE_FINGERPRINT: Optional[str] = None
 
 _ACTIVE: Optional["SimCache"] = None
 
-#: Per-process monotonic suffix for tmp names. Together with the pid it
-#: makes every in-flight tmp path unique across the whole pool — two
-#: caches in two workers can never ``replace`` each other's
-#: partially-written blob into the store.
-_TMP_COUNTER = itertools.count()
-
-#: Fork-safety declaration (LINT016): all three globals are deliberately
+#: Fork-safety declaration (LINT016): both globals are deliberately
 #: per-process. The fingerprint is a deterministic pure function of the
-#: source tree (every process computes the same string), the active
-#: cache is re-installed inside each worker by ``ExperimentJob.run`` —
-#: the processes converge on the same on-disk store, never on shared
-#: memory — and the tmp counter only ever pairs with this process's own
-#: pid, so a forked child restarting at 0 is still unique.
-_PROCESS_LOCAL_STATE = ("_ACTIVE", "_CODE_FINGERPRINT", "_TMP_COUNTER")
+#: source tree (every process computes the same string), and each
+#: process installs its own active cache (``ExperimentJob.run`` does so
+#: per job) — the processes converge on the same on-disk store, never
+#: on shared memory.
+_PROCESS_LOCAL_STATE = ("_ACTIVE", "_CODE_FINGERPRINT")
+
+#: Record header: key length, payload length (little-endian).
+_HEADER = struct.Struct("<IQ")
+
+#: Suffix of segment files; a scan reads no other file.
+_SEGMENT_SUFFIX = ".pkl"
 
 
-def _tmp_writer_pid(name: str) -> Optional[int]:
-    """The writer pid embedded in a tmp filename, if parseable."""
-    marker = ".tmp-"
-    start = name.find(marker)
-    if start < 0:
-        return None
-    parts = name[start + len(marker) :].split("-")
-    try:
-        return int(parts[0])
-    except (IndexError, ValueError):
-        return None
+def _record(key: str, blob: bytes) -> bytes:
+    """One on-disk record: header, key, pickled payload."""
+    key_bytes = key.encode("utf-8")
+    return _HEADER.pack(len(key_bytes), len(blob)) + key_bytes + blob
 
 
-def _pid_alive(pid: int) -> bool:
-    """Whether a process with ``pid`` currently exists."""
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except OSError:
-        return True  # exists but not ours (EPERM)
-    return True
+def _records(data: bytes) -> Iterator[Tuple[str, bytes, int]]:
+    """``(key, payload, end offset)`` of each complete record in ``data``.
+
+    Stops at the first record cut short, so a torn tail is never read.
+    """
+    pos = 0
+    while pos + _HEADER.size <= len(data):
+        key_len, blob_len = _HEADER.unpack_from(data, pos)
+        key_end = pos + _HEADER.size + key_len
+        end = key_end + blob_len
+        if end > len(data):
+            return
+        key = data[pos + _HEADER.size : key_end].decode("utf-8", "replace")
+        yield key, data[key_end:end], end
+        pos = end
 
 
 def code_fingerprint() -> str:
@@ -118,6 +129,11 @@ def code_fingerprint() -> str:
 class SimCache:
     """Content-addressed result store under ``directory``."""
 
+    #: The counters, in the order :meth:`counts` reports them.
+    COUNTERS = (
+        "hits", "misses", "stores", "invalidations", "store_failures"
+    )
+
     def __init__(self, directory: Union[str, Path]) -> None:
         self.directory = Path(directory)
         self.hits = 0
@@ -125,27 +141,15 @@ class SimCache:
         self.stores = 0
         self.invalidations = 0
         self.store_failures = 0
-        self.tmp_swept = 0
         self._fingerprint = code_fingerprint()
-        self._sweep_stale_tmp()
-
-    def _sweep_stale_tmp(self) -> None:
-        """Remove tmp files orphaned by killed writers.
-
-        A writer that dies between ``write_bytes`` and ``replace``
-        leaves its tmp behind forever (the unique names mean no later
-        store overwrites it). Tmp paths embedding a pid that is still
-        alive belong to a concurrent writer and are left alone.
-        """
-        for tmp in sorted(self.directory.glob("*/*.tmp*")):
-            pid = _tmp_writer_pid(tmp.name)
-            if pid is not None and pid != os.getpid() and _pid_alive(pid):
-                continue
-            try:
-                tmp.unlink()
-            except OSError:
-                continue
-            self.tmp_swept += 1
+        #: Payload of the newest complete record seen for each key.
+        self._index: Dict[str, bytes] = {}
+        #: Bytes of each segment (by path) already indexed or written.
+        self._scanned: Dict[str, int] = {}
+        #: This cache's own segment and the pid that created it; a
+        #: store from any other pid (a forked child) opens a new one.
+        self._segment = ""
+        self._writer_pid: Optional[int] = None
 
     # ------------------------------------------------------------------
     # Keys
@@ -173,23 +177,73 @@ class SimCache:
             return None
         return self.key_for_signature(signature)
 
-    def _entry_path(self, key: str) -> Path:
-        return self.directory / key[:2] / f"{key[2:]}.pkl"
+    # ------------------------------------------------------------------
+    # Segments
+    # ------------------------------------------------------------------
+    def _scan(self) -> None:
+        """Index the complete records appended to any segment since the
+        last scan; a record still cut short is left for a later one."""
+        try:
+            names = sorted(
+                name
+                for name in os.listdir(self.directory)
+                if name.endswith(_SEGMENT_SUFFIX)
+            )
+        except OSError:
+            return  # no directory yet: nothing stored
+        for name in names:
+            path = os.path.join(self.directory, name)
+            start = self._scanned.get(path, 0)
+            try:
+                with open(path, "rb") as handle:
+                    handle.seek(start)
+                    data = handle.read()
+            except OSError:
+                continue
+            consumed = 0
+            for key, blob, consumed in _records(data):
+                self._index[key] = blob
+            self._scanned[path] = start + consumed
+
+    def _segment_fd(self) -> int:
+        """An append fd on this cache's own segment, created on first
+        use in each process: a cache inherited across ``fork`` never
+        appends to its parent's file."""
+        pid = os.getpid()
+        if self._writer_pid == pid:
+            return os.open(self._segment, os.O_WRONLY | os.O_APPEND)
+        self.directory.mkdir(parents=True, exist_ok=True)
+        n = 0
+        while True:
+            path = os.path.join(self.directory, f"{pid}-{n}{_SEGMENT_SUFFIX}")
+            try:
+                fd = os.open(
+                    path,
+                    os.O_WRONLY | os.O_APPEND | os.O_CREAT | os.O_EXCL,
+                    0o644,
+                )
+            except FileExistsError:  # another cache here, or a reused pid
+                n += 1
+                continue
+            self._segment, self._writer_pid = path, pid
+            self._scanned[path] = 0
+            return fd
 
     # ------------------------------------------------------------------
     # Lookup / store
     # ------------------------------------------------------------------
     def lookup(self, key: str) -> Tuple[bool, Any]:
         """``(True, result)`` on a hit, ``(False, None)`` otherwise."""
-        entry = self._entry_path(key)
-        try:
-            raw = entry.read_bytes()
-        except OSError:
+        blob = self._index.get(key)
+        if blob is None:
+            self._scan()
+            blob = self._index.get(key)
+        if blob is None:
             self.misses += 1
             self._mirror("misses")
             return False, None
         try:
-            payload = pickle.loads(raw)
+            payload = pickle.loads(blob)
         except Exception:  # noqa: BLE001 - any corruption is a recompute
             payload = None
         if (
@@ -198,7 +252,8 @@ class SimCache:
             or payload.get("key") != key
             or "result" not in payload
         ):
-            # Stale, foreign, or corrupt entry: invalidate and recompute.
+            # Stale, foreign, or corrupt record: invalidate and recompute.
+            del self._index[key]
             self.invalidations += 1
             self.misses += 1
             self._mirror("invalidations")
@@ -215,10 +270,8 @@ class SimCache:
         unpicklable *or* the filesystem refuses the write (disk full,
         read-only directory): the cache is advisory, so a failed store
         degrades to "not cached" — counted in ``store_failures`` — and
-        the sweep's own result is unaffected. The tmp file is unlinked
-        on failure rather than leaked.
+        the sweep's own result is unaffected.
         """
-        entry = self._entry_path(key)
         payload = {
             "version": CACHE_SCHEMA_VERSION,
             "key": key,
@@ -228,25 +281,24 @@ class SimCache:
             blob = pickle.dumps(payload)
         except Exception:  # noqa: BLE001 - uncacheable result, not an error
             return False
-        tmp: Optional[Path] = None
+        record = _record(key, blob)
         try:
-            entry.parent.mkdir(parents=True, exist_ok=True)
-            # pid + per-process counter: unique across every concurrent
-            # writer in the pool (id(self) was not — see tests).
-            tmp = entry.parent / (
-                f"{entry.stem}.tmp-{os.getpid()}-{next(_TMP_COUNTER)}"
-            )
-            tmp.write_bytes(blob)
-            tmp.replace(entry)
+            fd = self._segment_fd()
+            try:
+                written = os.write(fd, record)
+            finally:
+                os.close(fd)
         except OSError:
-            if tmp is not None:
-                try:
-                    tmp.unlink()
-                except OSError:
-                    pass
+            written = 0
+        if written != len(record):
+            # Part of the record may be on disk: the next store starts a
+            # new segment, so nothing is appended after a record cut short.
+            self._writer_pid = None
             self.store_failures += 1
             self._mirror("store_failures")
             return False
+        self._scanned[self._segment] += len(record)
+        self._index[key] = blob
         self.stores += 1
         self._mirror("stores")
         return True
@@ -262,6 +314,15 @@ class SimCache:
         if metrics.enabled:
             metrics.counter(f"perf.simcache.{which}").inc()
 
+    def counts(self) -> Tuple[int, ...]:
+        """The :attr:`COUNTERS` values, for shipping across processes."""
+        return tuple(getattr(self, name) for name in self.COUNTERS)
+
+    def add_counts(self, counts: Sequence[int]) -> None:
+        """Fold in another cache's :meth:`counts` (a worker's)."""
+        for name, value in zip(self.COUNTERS, counts):
+            setattr(self, name, getattr(self, name) + value)
+
     def stats_line(self) -> str:
         line = (
             f"sim-cache: {self.hits} hit(s), {self.misses} miss(es), "
@@ -270,8 +331,6 @@ class SimCache:
         )
         if self.store_failures:
             line += f", {self.store_failures} store failure(s)"
-        if self.tmp_swept:
-            line += f", {self.tmp_swept} stale tmp swept"
         return line + f" under {self.directory}"
 
 

@@ -227,6 +227,12 @@ class CoRunEngine:
             else SharedMemorySystem(soc.peak_bw, soc.mc)
         )
         self._profiles: Dict[Tuple[str, KernelSpec], StandaloneProfile] = {}
+        #: :func:`repro.workloads.roofline.calibrator_for_bandwidth`
+        #: results by (PU, target_bw, traffic_gb, tolerance): a pure
+        #: function of this engine's standalone profiles.
+        self.calibrators: Dict[
+            Tuple[str, float, float, float], Tuple[KernelSpec, float]
+        ] = {}
         self._resolve_cache: Optional[
             Dict[Tuple[StreamDemand, ...], Tuple[StreamGrant, ...]]
         ] = {} if resolve_cache else None

@@ -83,9 +83,24 @@ def calibrator_for_bandwidth(
         exceeds what the PU can generate, the pure-streaming kernel and
         its (lower) demand are returned — the paper notes the actual
         external pressure is "equal to or lower than the demand".
+        A repeated search is served from ``engine.calibrators``.
     """
     if target_bw <= 0:
         raise WorkloadError(f"target_bw must be positive, got {target_bw}")
+    key = (pu_name, target_bw, traffic_gb, tolerance)
+    found = engine.calibrators.get(key)
+    if found is None:
+        found = _search_calibrator(
+            engine, pu_name, target_bw, traffic_gb, tolerance
+        )
+        engine.calibrators[key] = found
+    return found
+
+
+def _search_calibrator(
+    engine, pu_name: str, target_bw: float, traffic_gb: float, tolerance: float
+) -> Tuple[KernelSpec, float]:
+    """The bisection behind :func:`calibrator_for_bandwidth`."""
 
     def demand_at(intensity: float) -> float:
         kernel = calibrator(intensity, traffic_gb=traffic_gb)

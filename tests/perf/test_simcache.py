@@ -3,8 +3,13 @@
 import filecmp
 import pickle
 from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import repro.perf.simcache as simcache_module
 
 from repro.experiments import common
 from repro.perf import parallel_map, shutdown_pool
@@ -78,8 +83,6 @@ class TestKeys:
         assert len(keys) == len(variants)
 
     def test_code_fingerprint_invalidates(self, tmp_path, monkeypatch):
-        import repro.perf.simcache as simcache_module
-
         cache = SimCache(tmp_path)
         key = cache.key_for_signature("sig")
         assert cache.store(key, {"answer": 42})
@@ -103,41 +106,68 @@ class TestKeys:
         assert cache.key_for(object()) is None
 
 
+def _segments(directory):
+    return sorted(Path(directory).glob("*.pkl"))
+
+
+def _append_foreign_record(directory, key, blob):
+    """Append one complete record to a segment no cache object owns."""
+    with open(Path(directory) / "foreign-0.pkl", "ab") as handle:
+        handle.write(simcache_module._record(key, blob))
+
+
+def _record_count(directory) -> int:
+    return sum(
+        len(list(simcache_module._records(path.read_bytes())))
+        for path in _segments(directory)
+    )
+
+
 class TestRecovery:
     def test_corrupt_entry_is_recomputed_and_overwritten(self, tmp_path):
         cache = SimCache(tmp_path)
         key = cache.key_for_signature("sig")
-        assert cache.store(key, [1, 2, 3])
-        entry = cache._entry_path(key)
-        entry.write_bytes(b"not a pickle at all")
+        _append_foreign_record(tmp_path, key, b"not a pickle at all")
         assert cache.lookup(key) == (False, None)
         assert cache.invalidations == 1
         assert cache.store(key, [1, 2, 3])
         assert cache.lookup(key) == (True, [1, 2, 3])
+        # Another process never serves the damaged record either.
+        assert SimCache(tmp_path).lookup(key) in (
+            (True, [1, 2, 3]),
+            (False, None),
+        )
 
     def test_truncated_entry_tolerated(self, tmp_path):
         cache = SimCache(tmp_path)
         key = cache.key_for_signature("sig")
         assert cache.store(key, {"a": 1})
-        entry = cache._entry_path(key)
-        entry.write_bytes(entry.read_bytes()[:7])
-        assert cache.lookup(key) == (False, None)
-        assert cache.invalidations == 1
+        (segment,) = _segments(tmp_path)
+        segment.write_bytes(segment.read_bytes()[:-7])
+        fresh = SimCache(tmp_path)
+        assert fresh.lookup(key) == (False, None)
+        assert fresh.invalidations == 0  # a cut-short record is not indexed
 
     def test_schema_version_mismatch_invalidates(self, tmp_path):
         cache = SimCache(tmp_path)
         key = cache.key_for_signature("sig")
-        entry = cache._entry_path(key)
-        entry.parent.mkdir(parents=True, exist_ok=True)
-        entry.write_bytes(
-            pickle.dumps(
-                {
-                    "version": CACHE_SCHEMA_VERSION + 1,
-                    "key": key,
-                    "result": 5,
-                }
+        other = cache.key_for_signature("other")
+        for payload_version, payload_key in (
+            (CACHE_SCHEMA_VERSION + 1, key),
+            (CACHE_SCHEMA_VERSION, other),
+        ):
+            _append_foreign_record(
+                tmp_path,
+                key,
+                pickle.dumps(
+                    {
+                        "version": payload_version,
+                        "key": payload_key,
+                        "result": 5,
+                    }
+                ),
             )
-        )
+            assert SimCache(tmp_path).lookup(key) == (False, None)
         assert cache.lookup(key) == (False, None)
         assert cache.invalidations == 1
 
@@ -157,11 +187,9 @@ def _hammer_store(directory, key, payload, rounds):
 
 class TestConcurrentWriters:
     def test_same_key_from_many_processes_never_tears(self, tmp_path):
-        """Regression: tmp names once used ``id(self) & 0xFFFF``, which
-        two pooled workers can share — one worker's ``replace`` could
-        then publish the other's half-written blob. pid + per-process
-        counter makes every in-flight tmp unique, so however the stores
-        interleave, the entry is always one writer's complete payload.
+        """Every writer appends whole records to a segment of its own,
+        so however the stores interleave, each record on disk is one
+        writer's complete payload and every segment parses to its end.
         """
         import multiprocessing
 
@@ -183,27 +211,27 @@ class TestConcurrentWriters:
         fresh = SimCache(directory)
         assert fresh.lookup(key) == (True, payload)
         assert fresh.invalidations == 0
-        assert not list(directory.glob("*/*.tmp*"))  # nothing leaked
+        segments = _segments(directory)
+        assert len(segments) == 4
+        for segment in segments:
+            data = segment.read_bytes()
+            ends = [end for _, _, end in simcache_module._records(data)]
+            assert len(ends) == 25 and ends[-1] == len(data)
 
-    def test_tmp_names_unique_within_process(self, tmp_path, monkeypatch):
-        """Every store uses a fresh tmp path even for the same key."""
-        import repro.perf.simcache as simcache_module
-
-        seen = []
-        original = simcache_module.Path.replace
-
-        def recording_replace(self, target):
-            if ".tmp-" in self.name:
-                seen.append(self.name)
-            return original(self, target)
-
-        monkeypatch.setattr(simcache_module.Path, "replace", recording_replace)
-        cache = SimCache(tmp_path)
-        key = cache.key_for_signature("sig")
-        for i in range(5):
-            assert cache.store(key, i)
-        assert len(seen) == 5
-        assert len(set(seen)) == 5  # pid+counter suffix never repeats
+    def test_each_cache_appends_to_its_own_segment(self, tmp_path):
+        """Two caches in one process never share a segment, and each
+        sees the other's stores."""
+        first, second = SimCache(tmp_path), SimCache(tmp_path)
+        a, b = first.key_for_signature("a"), first.key_for_signature("b")
+        assert first.store(a, 1) and second.store(b, 2)
+        assert first.store(a, 1)
+        counts = sorted(
+            len(list(simcache_module._records(path.read_bytes())))
+            for path in _segments(tmp_path)
+        )
+        assert counts == [1, 2]
+        assert first.lookup(b) == (True, 2)
+        assert second.lookup(a) == (True, 1)
 
 
 class TestStoreFailureDegradation:
@@ -211,63 +239,211 @@ class TestStoreFailureDegradation:
         """Disk trouble must cost the cache entry, never the sweep.
 
         chmod tricks do not block root, so the OSError is forced with a
-        regular file squatting on the shard-directory path: ``mkdir``
-        fails with ENOTDIR/EEXIST on every platform and uid.
+        regular file squatting on the cache-directory path: ``mkdir``
+        fails with EEXIST/ENOTDIR on every platform and uid.
         """
-        cache = SimCache(tmp_path)
+        squatted = tmp_path / "cache"
+        squatted.write_text("file where the cache directory goes")
+        cache = SimCache(squatted)
         key = cache.key_for_signature("sig")
-        (tmp_path / key[:2]).write_text("file where the shard dir goes")
         assert cache.store(key, [1, 2]) is False
         assert cache.store_failures == 1
         assert cache.stores == 0
         assert cache.lookup(key) == (False, None)  # simply not cached
         assert "store failure" in cache.stats_line()
 
-    def test_failed_store_does_not_leak_tmp(self, tmp_path, monkeypatch):
-        import repro.perf.simcache as simcache_module
+    def test_short_write_leaves_no_torn_record(self, tmp_path, monkeypatch):
+        """A write cut short (disk full) is a failed store, and the next
+        store starts a new segment instead of appending after it."""
+        write = simcache_module.os.write
 
-        def failing_replace(self, target):
-            raise OSError(28, "No space left on device")
+        def half_write(fd, data):
+            return write(fd, data[: len(data) // 2])
 
-        monkeypatch.setattr(simcache_module.Path, "replace", failing_replace)
         cache = SimCache(tmp_path)
         key = cache.key_for_signature("sig")
+        monkeypatch.setattr(simcache_module.os, "write", half_write)
         assert cache.store(key, {"a": 1}) is False
+        monkeypatch.undo()
         assert cache.store_failures == 1
-        assert not list(tmp_path.glob("*/*.tmp*"))  # tmp unlinked
+        assert cache.store(key, {"a": 1})
+        assert [
+            len(list(simcache_module._records(path.read_bytes())))
+            for path in _segments(tmp_path)
+        ] == [0, 1]
+        fresh = SimCache(tmp_path)
+        assert fresh.lookup(key) == (True, {"a": 1})
+        assert fresh.invalidations == 0
 
 
-class TestStaleTmpSweep:
-    def test_orphans_swept_on_open(self, tmp_path):
-        shard = tmp_path / "ab"
-        shard.mkdir(parents=True)
-        (shard / "dead.tmp-999999999-3").write_bytes(b"dead writer")
-        (shard / "old.tmp1a2b").write_bytes(b"pre-fix naming scheme")
-        (shard / "entry.pkl").write_bytes(b"real entry stays")
+class TestKilledWriter:
+    def test_torn_tail_never_served(self, tmp_path):
+        """A writer killed mid-``write`` leaves a record cut short: it is
+        never indexed, and the records before it are still served."""
         cache = SimCache(tmp_path)
-        assert cache.tmp_swept == 2
-        assert (shard / "entry.pkl").exists()
-        assert not list(shard.glob("*.tmp*"))
-        assert "stale tmp swept" in cache.stats_line()
+        keep = cache.key_for_signature("keep")
+        torn = cache.key_for_signature("torn")
+        assert cache.store(keep, "kept") and cache.store(torn, "torn")
+        (segment,) = _segments(tmp_path)
+        data = segment.read_bytes()
+        segment.write_bytes(data[: len(data) - 10])
+        resumed = SimCache(tmp_path)
+        assert resumed.lookup(keep) == (True, "kept")
+        assert resumed.lookup(torn) == (False, None)
+        assert resumed.invalidations == 0
+        assert resumed.store(torn, "torn")  # recomputed into a new segment
+        assert len(_segments(tmp_path)) == 2
+        assert SimCache(tmp_path).lookup(torn) == (True, "torn")
 
-    def test_live_writers_tmp_left_alone(self, tmp_path):
+    def test_in_flight_record_served_once_complete(self, tmp_path):
+        """A record another process is still writing is a miss until its
+        last byte lands, then a hit for the same cache object."""
+        cache = SimCache(tmp_path)
+        key = cache.key_for_signature("sig")
+        record = simcache_module._record(
+            key,
+            pickle.dumps(
+                {"version": CACHE_SCHEMA_VERSION, "key": key, "result": 9}
+            ),
+        )
+        segment = tmp_path / "writer-0.pkl"
+        segment.write_bytes(record[:20])
+        assert cache.lookup(key) == (False, None)
+        segment.write_bytes(record)
+        assert cache.lookup(key) == (True, 9)
+        assert (cache.hits, cache.misses, cache.invalidations) == (1, 1, 0)
+
+
+def _value(k: int):
+    """The one result ever stored under key ``k`` (content addressing)."""
+    return {"k": k, "blob": list(range(40 * k))}
+
+
+def _store_in_child(cache, keys):
+    for key, k in keys:
+        cache.store(key, _value(k))
+
+
+class TestSegmentStoreModel:
+    """The segment store against a dict model.
+
+    Each example interleaves stores, lookups, reopenings and tail
+    truncations across 2-3 caches on one directory, plus one forked
+    writer that stores through a cache it inherited. A truncation cuts
+    a segment anywhere, as a writer killed mid-``write`` would, and the
+    segment's writer is replaced by a fresh cache (a killed writer
+    writes no more). The model holds, per segment, the key and end
+    offset of each record.
+    """
+
+    KEYS = 6
+    #: Stores and lookups weighted twice as heavily as the rest.
+    OPS = ("store", "store", "lookup", "lookup", "reopen", "truncate")
+
+    @settings(
+        derandomize=True,
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        caches=st.integers(2, 3),
+        ops=st.lists(
+            st.tuples(
+                st.sampled_from(OPS),
+                st.integers(0, 2),
+                st.integers(0, KEYS - 1),
+                st.integers(0, 10**6),
+            ),
+            min_size=10,
+            max_size=40,
+        ),
+        fork_at=st.integers(0, 40),
+        fork_keys=st.lists(st.integers(0, KEYS - 1), min_size=1, max_size=3),
+    )
+    def test_matches_dict_model(self, caches, ops, fork_at, fork_keys):
+        import tempfile
+
+        with tempfile.TemporaryDirectory() as directory:
+            self._check(Path(directory), caches, ops, fork_at, fork_keys)
+
+    def _check(self, directory, n, ops, fork_at, fork_keys):
         import multiprocessing
 
-        shard = tmp_path / "cd"
-        shard.mkdir(parents=True)
-        # A process that is demonstrably alive while the cache opens.
-        gate = multiprocessing.Event()
-        proc = multiprocessing.Process(target=gate.wait)
-        proc.start()
-        try:
-            live_tmp = shard / f"busy.tmp-{proc.pid}-0"
-            live_tmp.write_bytes(b"another writer's in-flight store")
-            cache = SimCache(tmp_path)
-            assert cache.tmp_swept == 0
-            assert live_tmp.exists()
-        finally:
-            gate.set()
-            proc.join(timeout=10)
+        live = [SimCache(directory) for _ in range(n)]
+        keys = [
+            live[0].key_for_signature(f"model:{k}") for k in range(self.KEYS)
+        ]
+        records = {}  # segment name -> [(k, end offset)]
+        lookups = {id(cache): 0 for cache in live}
+        retired = []
+
+        def on_disk(k):
+            return any(k == rk for seg in records.values() for rk, _ in seg)
+
+        def replace_cache(i):
+            retired.append(live[i])
+            live[i] = SimCache(directory)
+            lookups[id(live[i])] = 0
+
+        for step, (op, i, k, cut) in enumerate(ops + [("end", 0, 0, 0)]):
+            if step == fork_at % (len(ops) + 1):
+                before = {
+                    p.name: p.stat().st_size for p in _segments(directory)
+                }
+                parent = live[fork_at % n]
+                child = multiprocessing.get_context("fork").Process(
+                    target=_store_in_child,
+                    args=(parent, [(keys[fk], fk) for fk in fork_keys]),
+                )
+                child.start()
+                child.join(timeout=60)
+                assert child.exitcode == 0
+                (name,) = {p.name for p in _segments(directory)} - set(before)
+                ends = [
+                    end
+                    for _, _, end in simcache_module._records(
+                        (directory / name).read_bytes()
+                    )
+                ]
+                assert len(ends) == len(fork_keys)  # every child store whole
+                records[name] = list(zip(fork_keys, ends))
+                assert {  # no other segment, the parent's included, grew
+                    p.name: p.stat().st_size
+                    for p in _segments(directory)
+                    if p.name != name
+                } == before
+            i %= n
+            cache = live[i]
+            if op == "store":
+                assert cache.store(keys[k], _value(k))
+                seg = Path(cache._segment).name
+                size = (directory / seg).stat().st_size
+                records.setdefault(seg, []).append((k, size))
+            elif op == "lookup":
+                lookups[id(cache)] += 1
+                found, value = cache.lookup(keys[k])
+                if found:
+                    assert value == _value(k)  # never wrong or torn
+                else:
+                    assert not on_disk(k)  # every complete record is seen
+            elif op == "reopen":
+                replace_cache(i)
+            elif op == "truncate" and records:
+                seg = sorted(records)[cut % len(records)]
+                size = (directory / seg).stat().st_size
+                new_size = cut % (size + 1)
+                with open(directory / seg, "r+b") as handle:
+                    handle.truncate(new_size)
+                records[seg] = [
+                    (rk, end) for rk, end in records[seg] if end <= new_size
+                ]
+                for j, other in enumerate(live):
+                    if Path(other._segment).name == seg:
+                        replace_cache(j)
+        for cache in live + retired:
+            assert cache.hits + cache.misses == lookups[id(cache)]
+            assert cache.invalidations == 0
 
 
 class TestParallelMapIntegration:
@@ -320,6 +496,29 @@ class TestCalibrationCaching:
         warm = common.pccs_params_for("xavier-agx", "gpu")
         assert warm == cold
         assert cache.hits == 1
+
+
+class TestRunnerStatsLine:
+    def test_pooled_experiments_counted_once(self, tmp_path, capsys):
+        """Under ``--jobs N`` with several experiments every lookup and
+        store happens in a worker; the runner's line still counts each
+        one once."""
+        from repro.experiments.runner import main
+
+        cache_dir = tmp_path / "cache"
+        argv = ["fig8", "fig9", "--jobs", "2", "--sim-cache", str(cache_dir)]
+        lines = []
+        for _ in range(2):  # cold, then warm
+            shutdown_pool()  # no worker keeps results in memory
+            common.clear_caches()
+            assert main(argv) == 0
+            lines.append(capsys.readouterr().err)
+        shutdown_pool()
+        stored = _record_count(cache_dir)
+        assert stored > 0
+        cold, warm = lines
+        assert f": 0 hit(s), {stored} miss(es), {stored} store(s)" in cold
+        assert f": {stored} hit(s), 0 miss(es), 0 store(s)" in warm
 
 
 class TestArtifactBitIdentity:

@@ -1,7 +1,7 @@
-"""Worker loss and torn cache entries against the real pool and cache.
+"""Worker loss and torn cache records against the real pool and cache.
 
 A worker SIGKILLs itself mid-sweep (the ``kill_one_worker`` fixture),
-every worker dies, or cache entries are torn on disk — and the sweep
+every worker dies, or cache segments are torn on disk — and the sweep
 must still complete, with results identical to a clean serial run
 (bit-identity, metrics included).
 """
@@ -18,7 +18,14 @@ from repro.experiments import common
 from repro.experiments.fig8_11 import run_validation
 from repro.obs import runtime as obs_runtime
 from repro.obs.runtime import ObsSession
-from repro.perf import activate_sim_cache, parallel_map, recovery_counters
+from repro.perf import (
+    SimCache,
+    activate_sim_cache,
+    parallel_map,
+    recovery_counters,
+    set_sim_cache,
+)
+from repro.perf.simcache import _records
 
 BENCHMARKS = ("cfd", "bfs")
 
@@ -164,23 +171,29 @@ class TestEveryWorkerDies:
         assert cache.hits == 5
 
 
-def _tear_entries(directory) -> int:
-    """Truncate every cache entry in place, as a crashed writer would."""
-    entries = sorted(Path(directory).glob("*/*.pkl"))
-    for entry in entries:
-        raw = entry.read_bytes()
-        entry.write_bytes(raw[: len(raw) // 2])
-    return len(entries)
+def _tear_segments(directory) -> int:
+    """Cut every cache segment in half, as a writer killed mid-sweep
+    would leave it; returns the number of records still complete."""
+    kept = 0
+    for segment in sorted(Path(directory).glob("*.pkl")):
+        raw = segment.read_bytes()[: segment.stat().st_size // 2]
+        segment.write_bytes(raw)
+        kept += len(list(_records(raw)))
+    return kept
 
 
 class TestCacheCorruptionMidRun:
-    def test_torn_entries_invalidated_and_recomputed(self, tmp_path):
+    def test_torn_records_recomputed(self, tmp_path):
         cache = activate_sim_cache(tmp_path / "cache")
         first = _fig8(jobs=1)
         assert cache.stores > 0
-        torn = _tear_entries(cache.directory)
-        assert torn == cache.stores
+        kept = _tear_segments(cache.directory)
+        assert 0 < kept < cache.stores
 
+        resumed = SimCache(cache.directory)  # the restarted process
+        set_sim_cache(resumed)
         second = _fig8(jobs=1)
         assert second == first
-        assert cache.invalidations >= torn  # every tear detected
+        assert resumed.hits == kept  # complete records served
+        assert resumed.misses == cache.stores - kept  # the rest recomputed
+        assert resumed.invalidations == 0  # nothing torn was indexed

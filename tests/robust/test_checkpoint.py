@@ -19,7 +19,14 @@ from repro.perf import (
     pool_size,
     set_sim_cache,
 )
-from repro.perf.simcache import SimCache
+from repro.perf.simcache import SimCache, _records
+
+
+def _records_on_disk(directory) -> int:
+    return sum(
+        len(list(_records(path.read_bytes())))
+        for path in directory.glob("*.pkl")
+    )
 
 
 @dataclass(frozen=True)
@@ -102,7 +109,7 @@ class TestCtrlCMidPoolSweep:
             parallel_map(jobs, max_workers=2)
         assert pool_generation() == generation + 1  # the pool path ran
         assert pool_size() == 0
-        assert len(list(cache.directory.glob("*/*.pkl"))) == 3
+        assert _records_on_disk(cache.directory) == 3
 
         resumed = SimCache(tmp_path / "ckpt")
         set_sim_cache(resumed)
@@ -159,4 +166,4 @@ class TestResumeFromPartialSweep:
         assert kill_one_worker.exists()
         assert chaotic == reference
         # Each result was checkpointed exactly once, lost ones included.
-        assert cache.stores == len(list(cache.directory.glob("*/*.pkl")))
+        assert cache.stores == _records_on_disk(cache.directory)

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.errors import WorkloadError
+from repro.soc.configs import soc_by_name
+from repro.soc.engine import CoRunEngine
 from repro.workloads.roofline import (
     calibrator,
     calibrator_for_bandwidth,
@@ -78,3 +80,21 @@ class TestBandwidthInversion:
         low, _ = calibrator_for_bandwidth(xavier_engine, "gpu", 30.0)
         high, _ = calibrator_for_bandwidth(xavier_engine, "gpu", 90.0)
         assert high.op_intensity < low.op_intensity
+
+    def test_repeated_search_is_memoized(self, monkeypatch):
+        engine = CoRunEngine(soc_by_name("xavier-agx"))
+        first = calibrator_for_bandwidth(engine, "cpu", 42.0)
+        demand = engine.standalone_demand
+        calls = []
+
+        def counting_demand(kernel, pu_name):
+            calls.append((kernel, pu_name))
+            return demand(kernel, pu_name)
+
+        monkeypatch.setattr(engine, "standalone_demand", counting_demand)
+        assert calibrator_for_bandwidth(engine, "cpu", 42.0) == first
+        assert calls == []  # no standalone profile consulted
+        calibrator_for_bandwidth(engine, "cpu", 42.0, tolerance=0.001)
+        assert calls  # another tolerance is another search
+        fresh = CoRunEngine(soc_by_name("xavier-agx"))
+        assert calibrator_for_bandwidth(fresh, "cpu", 42.0) == first
