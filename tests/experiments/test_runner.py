@@ -1,5 +1,8 @@
 """Experiment runner CLI and CSV export."""
 
+import json
+import re
+
 import pytest
 
 from repro.experiments.runner import (
@@ -116,3 +119,63 @@ class TestCollectSeries:
         count = save_result_csvs("fig6", run_fig6(steps=4), tmp_path)
         assert count == 1
         assert (tmp_path / "fig6_main.csv").exists()
+
+
+def _printed_counters(out):
+    """The counter rows of the last ``metrics`` table printed to ``out``."""
+    lines = out.splitlines()
+    header = max(
+        i for i, line in enumerate(lines)
+        if line.split() == ["metric", "kind", "value"]
+    )
+    counters = {}
+    for line in lines[header + 2:]:
+        cells = line.split()
+        if len(cells) != 3:
+            break
+        if cells[1] == "counter":
+            counters[cells[0]] = float(cells[2])
+    return counters
+
+
+class TestPooledExperimentsObservability:
+    def test_metrics_trace_and_sim_cache_agree(self, tmp_path, capsys):
+        """Several experiments under ``--jobs 2`` with ``--metrics``,
+        ``--trace`` and ``--sim-cache``: the printed counters, the
+        ``sim-cache:`` line, the records on disk and the trace file all
+        describe the same run."""
+        import repro.perf.simcache as simcache_module
+        from repro.experiments import common
+        from repro.obs import validate_chrome_trace
+        from repro.perf import shutdown_pool
+
+        trace = tmp_path / "trace.json"
+        cache_dir = tmp_path / "cache"
+        shutdown_pool()  # fresh workers hold no calibrations in memory
+        common.clear_caches()
+        argv = [
+            "fig2", "fig6", "--jobs", "2", "--metrics",
+            "--trace", str(trace), "--sim-cache", str(cache_dir),
+        ]
+        try:
+            assert main(argv) == 0
+        finally:
+            shutdown_pool()
+        captured = capsys.readouterr()
+
+        counters = _printed_counters(captured.out)
+        stores = re.search(r"sim-cache: .* (\d+) store\(s\)", captured.err)
+        assert stores is not None, captured.err
+        on_disk = sum(
+            len(list(simcache_module._records(path.read_bytes())))
+            for path in cache_dir.glob("*.pkl")
+        )
+        assert on_disk >= 1
+        assert counters["perf.simcache.stores"] == int(stores.group(1))
+        assert counters["perf.simcache.stores"] == on_disk
+        assert counters["soc.coruns"] > 0
+
+        payload = json.loads(trace.read_text())
+        assert validate_chrome_trace(payload) == []
+        assert any(e["pid"] >= 10 for e in payload["traceEvents"])
+        assert payload["otherData"]["metrics"]["counters"] == counters

@@ -197,3 +197,27 @@ class TestSerialParallelDeterminism:
         pids = {e["pid"] for e in payload["traceEvents"]}
         # At least one worker pid row beyond the coordinator's 1/2.
         assert any(pid >= 10 for pid in pids)
+
+
+class TestWorkerClocks:
+    def test_workers_ship_no_harness_records(self):
+        """Workers pin their own ``--jobs`` to 1, so nothing they run
+        opens a harness-clock span: every shipped record is on the
+        simulated clock and needs no alignment."""
+        from repro.experiments.fig8_11 import run_validation
+
+        session = ObsSession(trace=True, metrics=False)
+        obs_runtime.activate(session)
+        try:
+            run_validation(
+                "fig8", steps=3, benchmarks=("cfd", "bfs"), jobs=2
+            )
+        finally:
+            obs_runtime.deactivate()
+        shipped = [
+            record
+            for trace in session.worker_traces
+            for record in trace.events + trace.spans
+        ]
+        assert shipped, "pool shipped no worker records"
+        assert [r for r in shipped if r.clock == HARNESS_CLOCK] == []
