@@ -35,10 +35,12 @@ failed write makes the next store start a new segment, and a cache
 inherited across ``fork`` checks the writer pid and opens a segment of
 its own. The cache is advisory in *both* directions: a complete record
 that fails to unpickle or carries another key or schema version counts
-as an invalidation and is recomputed (the new record supersedes it in
-this cache's index), and a store that fails at the OS level (disk full,
-read-only directory) degrades to "not cached" — counted as a store
-failure, never a crashed sweep.
+as an invalidation and is dropped from the index, and the lookup falls
+back to the key's other complete records before it misses (so one
+damaged record never hides a good one, whichever segment it sits in);
+a store that fails at the OS level (disk full, read-only directory)
+degrades to "not cached" — counted as a store failure, never a crashed
+sweep.
 
 Hit/miss/store/invalidation counts live on the cache object and are
 mirrored into the active observability session's metrics registry
@@ -58,7 +60,7 @@ import os
 import pickle
 import struct
 from pathlib import Path
-from typing import Any, Dict, Iterator, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 CACHE_DIR_NAME = ".sim-cache"
 CACHE_SCHEMA_VERSION = 2
@@ -105,6 +107,23 @@ def _records(data: bytes) -> Iterator[Tuple[str, bytes, int]]:
         pos = end
 
 
+def _result_of(blob: bytes, key: str) -> Tuple[bool, Any]:
+    """``(True, result)`` if ``blob`` is an intact current record of
+    ``key``; ``(False, None)`` if it is stale, foreign or corrupt."""
+    try:
+        payload = pickle.loads(blob)
+    except Exception:  # noqa: BLE001 - any corruption is a recompute
+        return False, None
+    if (
+        isinstance(payload, dict)
+        and payload.get("version") == CACHE_SCHEMA_VERSION
+        and payload.get("key") == key
+        and "result" in payload
+    ):
+        return True, payload["result"]
+    return False, None
+
+
 def code_fingerprint() -> str:
     """sha256 over every ``repro`` source plus the code version.
 
@@ -142,8 +161,9 @@ class SimCache:
         self.invalidations = 0
         self.store_failures = 0
         self._fingerprint = code_fingerprint()
-        #: Payload of the newest complete record seen for each key.
-        self._index: Dict[str, bytes] = {}
+        #: Payloads of the complete records seen for each key, in scan
+        #: order; lookups try the last one first.
+        self._index: Dict[str, List[bytes]] = {}
         #: Bytes of each segment (by path) already indexed or written.
         self._scanned: Dict[str, int] = {}
         #: This cache's own segment and the pid that created it; a
@@ -202,7 +222,7 @@ class SimCache:
                 continue
             consumed = 0
             for key, blob, consumed in _records(data):
-                self._index[key] = blob
+                self._index.setdefault(key, []).append(blob)
             self._scanned[path] = start + consumed
 
     def _segment_fd(self) -> int:
@@ -233,35 +253,33 @@ class SimCache:
     # Lookup / store
     # ------------------------------------------------------------------
     def lookup(self, key: str) -> Tuple[bool, Any]:
-        """``(True, result)`` on a hit, ``(False, None)`` otherwise."""
-        blob = self._index.get(key)
-        if blob is None:
+        """``(True, result)`` on a hit, ``(False, None)`` otherwise.
+
+        A stale, foreign or corrupt record is dropped and the key's
+        next older record tried; a lookup that drops any counts one
+        invalidation.
+        """
+        blobs = self._index.get(key)
+        if not blobs:
             self._scan()
-            blob = self._index.get(key)
-        if blob is None:
-            self.misses += 1
-            self._mirror("misses")
-            return False, None
-        try:
-            payload = pickle.loads(blob)
-        except Exception:  # noqa: BLE001 - any corruption is a recompute
-            payload = None
-        if (
-            not isinstance(payload, dict)
-            or payload.get("version") != CACHE_SCHEMA_VERSION
-            or payload.get("key") != key
-            or "result" not in payload
-        ):
-            # Stale, foreign, or corrupt record: invalidate and recompute.
-            del self._index[key]
+            blobs = self._index.get(key, [])
+        found, result, dropped = False, None, False
+        while blobs and not found:
+            found, result = _result_of(blobs[-1], key)
+            if not found:
+                blobs.pop()
+                dropped = True
+        if dropped:
             self.invalidations += 1
-            self.misses += 1
             self._mirror("invalidations")
+        if not found:
+            self.misses += 1
             self._mirror("misses")
             return False, None
+        del blobs[:-1]  # older copies are never needed again
         self.hits += 1
         self._mirror("hits")
-        return True, payload["result"]
+        return True, result
 
     def store(self, key: str, result: Any) -> bool:
         """Persist ``result`` under ``key``.
@@ -298,7 +316,7 @@ class SimCache:
             self._mirror("store_failures")
             return False
         self._scanned[self._segment] += len(record)
-        self._index[key] = blob
+        self._index.setdefault(key, []).append(blob)
         self.stores += 1
         self._mirror("stores")
         return True
