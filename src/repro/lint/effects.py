@@ -17,9 +17,8 @@ repository rests on cannot be proven at that granularity:
 This module computes, bottom-up over every function of every linted
 file, a compact :class:`FunctionEffects` summary — ``self.*`` reads and
 writes, module-global writes with their source lines, calls into
-``repro.obs``, ``os``/``time``/``random`` escapes, and resolved call
-edges (local, cross-module via imports, and closed-world dynamic
-dispatch over ``*Job`` classes). :class:`Program` then runs the
+``repro.obs``, and resolved call edges (local, cross-module via
+imports, and closed-world dynamic dispatch over ``*Job`` classes). :class:`Program` then runs the
 interprocedural fixpoints the LINT014–LINT016 rules query: worker
 reachability, transitive same-class attribute effects, transitive
 impurity, and obs-returning classification.
@@ -50,7 +49,7 @@ from typing import (
     Tuple,
 )
 
-EFFECTS_SCHEMA_VERSION = 2
+EFFECTS_SCHEMA_VERSION = 3
 
 #: Class-body declaration naming fields deliberately *excluded* from a
 #: Job's ``signature()`` (LINT014): fields that cannot change ``run()``
@@ -84,10 +83,6 @@ MUTATOR_METHODS: FrozenSet[str] = frozenset(
 )
 
 _FUNCTION_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
-
-#: Modules whose call results count as environment escapes, keyed by
-#: canonical module name (summary labels are ``module.attr``).
-_ENV_MODULES: Tuple[str, ...] = ("os", "time", "random", "secrets", "uuid")
 
 #: Builtin exception -> parent class, for handler-absorption checks
 #: (``except LookupError:`` absorbs a raised ``KeyError``). Exception
@@ -167,7 +162,6 @@ class FunctionEffects:
     global_reads: Set[str] = field(default_factory=set)
     global_writes: Dict[str, int] = field(default_factory=dict)
     obs_calls: Set[str] = field(default_factory=set)
-    env_escapes: Set[str] = field(default_factory=set)
     calls: Set[str] = field(default_factory=set)
     return_calls: Set[str] = field(default_factory=set)
     returns_obs: bool = False
@@ -195,7 +189,6 @@ class FunctionEffects:
             "global_reads": sorted(self.global_reads),
             "global_writes": dict(sorted(self.global_writes.items())),
             "obs_calls": sorted(self.obs_calls),
-            "env_escapes": sorted(self.env_escapes),
             "calls": sorted(self.calls),
             "return_calls": sorted(self.return_calls),
             "returns_obs": self.returns_obs,
@@ -220,7 +213,6 @@ class FunctionEffects:
                 str(k): int(v) for k, v in payload["global_writes"].items()
             },
             obs_calls=set(payload["obs_calls"]),
-            env_escapes=set(payload["env_escapes"]),
             calls=set(payload["calls"]),
             return_calls=set(payload["return_calls"]),
             returns_obs=bool(payload["returns_obs"]),
@@ -505,10 +497,6 @@ class _FunctionScanner:
             target = _import_target_module(ref)
             if target is not None and _is_obs_module(target):
                 self.fx.obs_calls.add(ref)
-            if target is not None:
-                env = _env_escape_label(ref)
-                if env is not None:
-                    self.fx.env_escapes.add(env)
         return ref
 
     # -- the scan ------------------------------------------------------
@@ -642,17 +630,6 @@ def _import_target_module(ref: str) -> Optional[str]:
 
 def _is_obs_module(module: str) -> bool:
     return module == "repro.obs" or module.startswith("repro.obs.")
-
-
-def _env_escape_label(ref: str) -> Optional[str]:
-    module = _import_target_module(ref)
-    if module is None:
-        return None
-    root = module.split(".", 1)[0]
-    if root not in _ENV_MODULES:
-        return None
-    attr = ref.rsplit(":", 1)[-1]
-    return f"{module}.{attr}" if attr != module else module
 
 
 # ----------------------------------------------------------------------
