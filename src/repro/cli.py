@@ -3,8 +3,7 @@
 Commands
 --------
 - ``platforms`` — list built-in SoC configurations.
-- ``profile`` — standalone-profile a workload suite on a PU, or (with
-  an experiment name) run the deterministic sim-clock profiler.
+- ``profile`` — standalone-profile a workload suite on a PU.
 - ``calibrate`` — construct a PU's PCCS parameters and print them.
 - ``predict`` — predict co-run relative speed for (demand, external).
 - ``experiment`` — run paper experiments (delegates to the runner).
@@ -42,8 +41,6 @@ def _cmd_platforms(_args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    if args.experiment:
-        return _cmd_profile_experiment(args)
     engine = CoRunEngine(soc_by_name(args.soc))
     if args.pu == "dla":
         suite = dnn_suite()
@@ -60,56 +57,6 @@ def _cmd_profile(args) -> int:
             [name, fmt(profile.total_seconds * 1e3, 2), fmt(profile.avg_demand)]
         )
     print(table.render())
-    return 0
-
-
-def _cmd_profile_experiment(args) -> int:
-    """Deterministic sim-clock profiler: ``pccs profile <experiment>``.
-
-    Runs the experiment under a trace-only session, merges any
-    worker-shipped buffers, and aggregates the *sim-clock* spans into
-    cumulative/self time per phase. The output is a pure function of
-    the simulation (host timing is excluded), so repeated runs are
-    byte-identical — and the profiled run's artifacts are bit-identical
-    to an unprofiled run's, both asserted by ``tests/obs/test_profile.py``.
-    """
-    from repro.experiments.runner import get_runner
-    from repro.obs import runtime as obs_runtime
-    from repro.obs.profile import build_profile
-    from repro.obs.runtime import ObsSession
-    from repro.obs.stitch import align_workers, merged_buffer
-    from repro.perf.executor import (
-        default_max_workers,
-        set_default_max_workers,
-    )
-
-    try:
-        runner = get_runner(args.experiment)
-    except KeyError as exc:
-        print(f"pccs profile: {exc.args[0]}", file=sys.stderr)
-        return 2
-    previous = default_max_workers()
-    set_default_max_workers(args.jobs)
-    session = ObsSession(trace=True, metrics=False)
-    obs_runtime.activate(session)
-    try:
-        runner()
-    finally:
-        obs_runtime.deactivate()
-        set_default_max_workers(previous)
-    workers = align_workers(session.worker_traces, session.anchor)
-    buffer = merged_buffer(session.tracer.buffer, workers)
-    profile = build_profile(buffer)
-    if args.flamegraph:
-        Path(args.flamegraph).write_text(
-            profile.collapsed_stacks() + "\n", encoding="utf-8"
-        )
-        print(f"profile: collapsed stacks -> {args.flamegraph}")
-    print(profile.top_table(args.top))
-    print(
-        f"profile: {profile.span_count} sim-clock span(s), "
-        f"{profile.total_ns / 1e6:.3f} ms simulated"
-    )
     return 0
 
 
@@ -213,7 +160,7 @@ def _cmd_trace(args) -> int:
         obs_runtime.deactivate()
         set_default_max_workers(previous_workers)
     buffer = session.tracer.buffer
-    workers = align_workers(session.worker_traces, session.anchor)
+    workers = align_workers(session.worker_traces)
     snapshot = session.metrics.snapshot()
     manifest = build_manifest(
         experiment=args.experiment,
@@ -381,49 +328,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "profile",
-        help=(
-            "standalone-profile a suite, or profile an experiment's "
-            "simulated time"
-        ),
-        description=(
-            "Without an experiment name: print standalone kernel "
-            "profiles for a workload suite (--soc/--pu). With one: run "
-            "the deterministic sim-clock profiler — cumulative/self "
-            "time per simulation phase, optionally as collapsed stacks "
-            "for flamegraph tooling. Profiled runs are bit-identical "
-            "to unprofiled ones."
-        ),
-    )
-    p.add_argument(
-        "experiment",
-        nargs="?",
-        default=None,
-        help="experiment to profile (omit for suite profiling)",
+        help="standalone-profile a workload suite on a PU",
     )
     p.add_argument("--soc", default="xavier-agx")
     p.add_argument("--pu", default="gpu", choices=["cpu", "gpu", "dla"])
-    p.add_argument(
-        "--flamegraph",
-        metavar="FILE",
-        help="write collapsed stacks (flamegraph.pl / speedscope input)",
-    )
-    p.add_argument(
-        "--top",
-        type=int,
-        default=10,
-        metavar="N",
-        help="rows in the hottest-phases table (default: 10)",
-    )
-    p.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help=(
-            "worker processes for the profiled experiment's sweeps; "
-            "the profile is identical to --jobs 1"
-        ),
-    )
     p.set_defaults(func=_cmd_profile)
 
     p = sub.add_parser("calibrate", help="construct PCCS parameters")

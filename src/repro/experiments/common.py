@@ -18,7 +18,7 @@ _PARAMS: Dict[Tuple[str, str], PCCSParameters] = {}
 #: per-process caches of deterministic constructions — every process
 #: that builds an engine or calibration for the same SoC gets an
 #: identical object, so coordinator/worker divergence is benign (each
-#: side just pays its own warm-up, which the pool initializer exploits).
+#: side just builds its own on first use and keeps it).
 _PROCESS_LOCAL_STATE = ("_ENGINES", "_PARAMS")
 
 

@@ -207,6 +207,8 @@ def main(argv=None) -> int:
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
 
+    from repro.obs import runtime as obs_runtime
+    from repro.obs.runtime import ObsSession
     from repro.perf import (
         ExperimentJob,
         Stopwatch,
@@ -226,24 +228,21 @@ def main(argv=None) -> int:
     if cache_dir:
         activate_sim_cache(cache_dir)
     recovery_before = recovery_counters()
+    # One session for both paths: pool workers ship each chunk's
+    # metrics and trace records into it, and jobs run in this process
+    # record into it directly.
+    session = None
+    if args.trace or args.metrics:
+        session = ObsSession(trace=bool(args.trace), metrics=args.metrics)
+        obs_runtime.activate(session)
     try:
         if args.jobs > 1 and len(names) > 1:
-            from repro.perf.timing import monotonic_anchor
-
-            # Anchor for stitching worker harness clocks onto this
-            # process's timeline; each ExperimentJob ships its whole
-            # session back as a WorkerTrace (the coordinator activates
-            # no session here, so the chunk-level shipping in the pool
-            # sees a disabled tracer and stays out of the way).
-            coordinator_anchor = monotonic_anchor()
             outcomes = parallel_map(
                 [
                     ExperimentJob(
                         name,
                         out_dir=str(out_dir) if out_dir else None,
                         csv=args.csv,
-                        metrics=args.metrics,
-                        trace=bool(args.trace),
                         sim_cache_dir=cache_dir,
                     )
                     for name in names
@@ -257,28 +256,7 @@ def main(argv=None) -> int:
                 print(f"==== {outcome.name} ({outcome.elapsed:.1f}s) ====")
                 print(outcome.report)
                 print()
-            merged = None
-            if args.metrics:
-                from repro.obs import merge_snapshots, metrics_table
-
-                merged = merge_snapshots(
-                    [o.metrics_snapshot for o in outcomes]
-                )
-                print(metrics_table(merged))
-            if args.trace:
-                _export_outcome_traces(
-                    outcomes, names, args, coordinator_anchor, merged
-                )
-            return 0
-
-        session = None
-        if args.trace or args.metrics:
-            from repro.obs import runtime as obs_runtime
-            from repro.obs.runtime import ObsSession
-
-            session = ObsSession(trace=bool(args.trace), metrics=args.metrics)
-            obs_runtime.activate(session)
-        try:
+        else:
             for name in names:
                 watch = Stopwatch()
                 span = None
@@ -303,15 +281,12 @@ def main(argv=None) -> int:
                     (out_dir / f"{name}.txt").write_text(report + "\n")
                     if args.csv:
                         save_result_csvs(name, result, out_dir)
-        finally:
-            if session is not None:
-                from repro.obs import runtime as obs_runtime
-
-                obs_runtime.deactivate()
         if session is not None:
             _export_session(session, names, args)
         return 0
     finally:
+        if session is not None:
+            obs_runtime.deactivate()
         set_default_max_workers(previous_default)
         recovery_after = recovery_counters()
         recovered = {
@@ -349,43 +324,11 @@ def _export_session(session, names, args) -> None:
             session.tracer.buffer,
             manifest=manifest,
             metrics=snapshot,
-            workers=align_workers(session.worker_traces, session.anchor),
+            workers=align_workers(session.worker_traces),
         )
         print(f"trace: wrote {args.trace}")
     if args.metrics and snapshot is not None:
         print(metrics_table(snapshot))
-
-
-def _export_outcome_traces(
-    outcomes, names, args, coordinator_anchor, snapshot
-) -> None:
-    """Stitch per-experiment worker traces and write the trace file.
-
-    The multi-experiment ``--jobs`` path: each outcome's trace is one
-    whole experiment; the outcome's position stamps the deterministic
-    ordering key before alignment.
-    """
-    from repro.obs import align_workers, build_manifest, write_chrome_trace
-    from repro.obs.events import TraceBuffer
-
-    traces = [
-        outcome.trace.with_first_index(index)
-        for index, outcome in enumerate(outcomes)
-        if outcome.trace is not None
-    ]
-    manifest = build_manifest(
-        experiment="+".join(names),
-        config={"names": list(names), "jobs": args.jobs},
-        wall_seconds=max((o.elapsed for o in outcomes), default=0.0),
-    )
-    write_chrome_trace(
-        args.trace,
-        TraceBuffer(),
-        manifest=manifest,
-        metrics=snapshot,
-        workers=align_workers(traces, coordinator_anchor),
-    )
-    print(f"trace: wrote {args.trace}")
 
 
 if __name__ == "__main__":

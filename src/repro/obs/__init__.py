@@ -6,7 +6,7 @@
   :class:`NullTracer` default, so instrumented hot paths pay one
   ``if tracer.enabled`` check when tracing is off;
 - :mod:`repro.obs.metrics` — counters/gauges/histograms with
-  deterministic ordering and multiprocess snapshot merging;
+  deterministic ordering and multiprocess snapshot absorption;
 - :mod:`repro.obs.export` — Chrome trace-event JSON (Perfetto /
   ``about:tracing``), JSONL/CSV dumps, and terminal summary tables;
 - :mod:`repro.obs.manifest` — run-provenance manifests (config hash,
@@ -14,9 +14,7 @@
 - :mod:`repro.obs.runtime` — process-wide session management so cached
   engines pick tracing up without constructor threading;
 - :mod:`repro.obs.stitch` — cross-process trace stitching: worker pool
-  buffers aligned onto the coordinator's timeline;
-- :mod:`repro.obs.profile` — deterministic sim-clock profiler
-  (cumulative/self time per phase, collapsed-stack flamegraph output);
+  buffers grouped into one process row per worker;
 
 Invariants: traced and untraced runs are bit-identical (asserted by
 the determinism harness), and every record carries simulated time —
@@ -35,7 +33,6 @@ from repro.obs.export import (
     validate_chrome_trace,
     write_chrome_trace,
 )
-from repro.obs.profile import Profile, ProfileNode, build_profile
 from repro.obs.stitch import (
     StitchedWorker,
     WorkerTrace,
@@ -51,7 +48,6 @@ from repro.obs.metrics import (
     MetricsSnapshot,
     NULL_METRICS,
     NullMetricsRegistry,
-    merge_snapshots,
 )
 from repro.obs.runtime import (
     ObsSession,
@@ -75,8 +71,6 @@ __all__ = [
     "NullMetricsRegistry",
     "NullTracer",
     "ObsSession",
-    "Profile",
-    "ProfileNode",
     "RunManifest",
     "Span",
     "StitchedWorker",
@@ -87,12 +81,10 @@ __all__ = [
     "active",
     "align_workers",
     "build_manifest",
-    "build_profile",
     "config_hash",
     "deactivate",
     "ensure_valid_chrome_trace",
     "hit_rates_table",
-    "merge_snapshots",
     "merged_buffer",
     "metrics_table",
     "session",

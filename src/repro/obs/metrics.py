@@ -5,10 +5,10 @@ Built for the multiprocess experiment pipeline:
 - **deterministic ordering** — exports and snapshots list instruments
   sorted by name, never by dict insertion or hash order;
 - **mergeable** — :class:`MetricsSnapshot` is a frozen, picklable value
-  object with a :meth:`MetricsSnapshot.merge` that is associative and
-  commutative (counters and histograms add; gauges keep the maximum),
-  so aggregating worker snapshots in any order yields the same result
-  as a serial run;
+  object, and :meth:`MetricsRegistry.absorb` folds one into a live
+  registry (counters and histograms add; gauges keep the maximum), so
+  absorbing worker snapshots in any order yields the same result as a
+  serial run;
 - **cheap when off** — :class:`NullMetricsRegistry` mirrors the API
   with no-ops, and hot paths guard on ``registry.enabled`` exactly like
   the tracer.
@@ -17,7 +17,7 @@ Built for the multiprocess experiment pipeline:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from repro.errors import ObsError
 
@@ -103,39 +103,6 @@ class MetricsSnapshot:
         Tuple[str, Tuple[float, ...], Tuple[int, ...], float], ...
     ] = ()
 
-    def merge(self, other: "MetricsSnapshot") -> "MetricsSnapshot":
-        """Combine two snapshots (associative and commutative)."""
-        counters: Dict[str, float] = dict(self.counters)
-        for name, value in other.counters:
-            counters[name] = counters.get(name, 0.0) + value
-        gauges: Dict[str, float] = dict(self.gauges)
-        for name, value in other.gauges:
-            gauges[name] = max(gauges[name], value) if name in gauges else value
-        hists: Dict[str, Tuple[Tuple[float, ...], List[int], float]] = {
-            name: (edges, list(counts), total_sum)
-            for name, edges, counts, total_sum in self.histograms
-        }
-        for name, edges, counts, total_sum in other.histograms:
-            if name not in hists:
-                hists[name] = (edges, list(counts), total_sum)
-                continue
-            mine = hists[name]
-            if mine[0] != edges:
-                raise ObsError(
-                    f"histogram {name!r} bucket edges differ across "
-                    "snapshots; merge requires identical edges"
-                )
-            merged = [a + b for a, b in zip(mine[1], counts)]
-            hists[name] = (edges, merged, mine[2] + total_sum)
-        return MetricsSnapshot(
-            counters=tuple(sorted(counters.items())),
-            gauges=tuple(sorted(gauges.items())),
-            histograms=tuple(
-                (name, edges, tuple(counts), total_sum)
-                for name, (edges, counts, total_sum) in sorted(hists.items())
-            ),
-        )
-
     def counter_value(self, name: str) -> float:
         for key, value in self.counters:
             if key == name:
@@ -220,11 +187,12 @@ class MetricsRegistry:
     def absorb(self, snapshot: MetricsSnapshot) -> None:
         """Fold a worker's snapshot into this live registry.
 
-        The in-place dual of :meth:`MetricsSnapshot.merge`, with the
-        same semantics (counters and histogram buckets add, gauges keep
-        the maximum). The persistent worker pool uses it to ship
-        per-chunk snapshots back into the coordinator's session, so
-        counters under the pool path equal the serial path exactly.
+        The one merge rule for metrics: counters and histogram buckets
+        add, gauges keep the maximum, so absorbing snapshots in any
+        order gives the same registry. The persistent worker pool uses
+        it to ship per-chunk snapshots back into the coordinator's
+        session, so counters under the pool path equal the serial path
+        exactly.
         """
         for name, value in snapshot.counters:
             self.counter(name).inc(value)
@@ -288,17 +256,6 @@ _NULL_HISTOGRAM = _NullHistogram()
 NULL_METRICS = NullMetricsRegistry()
 
 
-def merge_snapshots(
-    snapshots: Sequence[Optional[MetricsSnapshot]],
-) -> MetricsSnapshot:
-    """Fold any number of (possibly ``None``) snapshots into one."""
-    merged = MetricsSnapshot()
-    for snap in snapshots:
-        if snap is not None:
-            merged = merged.merge(snap)
-    return merged
-
-
 __all__ = [
     "Counter",
     "Gauge",
@@ -307,5 +264,4 @@ __all__ = [
     "MetricsSnapshot",
     "NULL_METRICS",
     "NullMetricsRegistry",
-    "merge_snapshots",
 ]

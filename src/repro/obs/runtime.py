@@ -17,8 +17,8 @@ returned and every guard is false — the zero-overhead contract. The
 lookup itself happens once per *simulation*, never per event step.
 
 Sessions are plain process state (no thread-locals): the experiment
-pipeline parallelises with processes, and a worker that should collect
-metrics activates its own session inside the job.
+pipeline parallelises with processes, and a pool worker runs each
+chunk under a session of its own (:mod:`repro.perf.pool`).
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from repro.obs.metrics import (
     NullMetricsRegistry,
 )
 from repro.obs.tracer import NULL_TRACER, NullTracer, Tracer
-from repro.perf.timing import Stopwatch, monotonic_anchor
+from repro.perf.timing import Stopwatch
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.stitch import WorkerTrace
@@ -46,12 +46,10 @@ class ObsSession:
     ``watch`` anchors harness-clock records: harness spans report
     seconds since session activation (via the sanctioned
     :class:`~repro.perf.timing.Stopwatch`), keeping raw host-clock
-    values out of every record. ``anchor`` is the session start on the
-    absolute monotonic clock — never recorded itself, only differenced
-    against worker anchors when stitching cross-process traces
-    (:mod:`repro.obs.stitch`). ``worker_traces`` accumulates the
+    values out of every record. ``worker_traces`` accumulates the
     buffers worker processes ship back alongside their metrics
-    snapshots; exporters align them via :func:`~repro.obs.stitch.align_workers`.
+    snapshots; exporters group them per worker via
+    :func:`~repro.obs.stitch.align_workers`.
     """
 
     def __init__(
@@ -64,7 +62,6 @@ class ObsSession:
             MetricsRegistry() if metrics else NULL_METRICS
         )
         self.watch = Stopwatch()
-        self.anchor = monotonic_anchor()
         self.worker_traces: "List[WorkerTrace]" = []
 
     @property
@@ -84,10 +81,10 @@ _DEFAULT = ObsSession(trace=False, metrics=False)
 _STACK: list = []
 
 #: Fork-safety declaration (LINT016): the session stack is deliberately
-#: per-process. Workers activate their own metrics-only sessions and
-#: ship immutable snapshots back; the coordinator merges snapshots, so
-#: worker-side pushes never needing to be visible coordinator-side is
-#: the design, not an accident.
+#: per-process. Each pool chunk runs under a worker-side session and
+#: ships an immutable snapshot and trace back; the coordinator absorbs
+#: them, so worker-side pushes never needing to be visible
+#: coordinator-side is the design, not an accident.
 _PROCESS_LOCAL_STATE = ("_STACK",)
 
 
@@ -99,11 +96,11 @@ def active() -> ObsSession:
 def activate(session: ObsSession) -> None:
     """Push ``session`` as the process-wide active session.
 
-    Sessions nest: an :class:`repro.perf.jobs.ExperimentJob` running
-    through the in-process ``parallel_map`` fallback activates its own
-    metrics session inside the coordinator's; engines see the innermost
-    one and the outer session receives the inner counts when the job's
-    snapshot is merged — the same flow as the multiprocess path.
+    Sessions nest and engines see the innermost one. A job that
+    ``parallel_map`` runs in-process (``--jobs 1``, or the re-run after
+    a worker loss) records straight into the coordinator's session,
+    which the pool path reaches by absorbing each chunk's snapshot and
+    trace.
     """
     _STACK.append(session)
 

@@ -3,30 +3,22 @@
 The worker pool (:mod:`repro.perf.pool`) runs simulations in other
 processes, and each worker buffers its spans/events in its own
 :class:`~repro.obs.events.TraceBuffer`. This module defines the value
-objects that carry those buffers back to the coordinator and the clock
-alignment that places them on one coherent timeline:
+objects that carry those buffers back to the coordinator and the
+grouping that gives each worker one process row:
 
-- :class:`WorkerTrace` — one shipped buffer: the records plus the
-  anchors needed to align it (picklable: records are frozen dataclasses
-  of builtins, so the payload rides the same pipe as
-  :class:`~repro.obs.metrics.MetricsSnapshot`);
-- :func:`align_workers` — groups chunks by worker process, shifts
-  harness-clock records onto the coordinator's timeline, and yields
+- :class:`WorkerTrace` — one shipped buffer (picklable: records are
+  frozen dataclasses of builtins, so the payload rides the same pipe
+  as :class:`~repro.obs.metrics.MetricsSnapshot`);
+- :func:`align_workers` — groups chunks by worker process and yields
   one :class:`StitchedWorker` per worker in deterministic order.
 
-**Clock alignment.** Simulated time is absolute per simulation, so
-sim-clock records need no adjustment — a worker's ``corun`` span at
-sim t=0 means the same thing as the coordinator's. Harness-clock
-records are *relative* to their session's start, and every process
-starts its session at a different moment. Each process therefore
-records an absolute monotonic **anchor**
-(:func:`repro.perf.timing.monotonic_anchor`) when its session begins:
-each chunk (or job) session records its own activation anchor, and the
-coordinator's :class:`~repro.obs.runtime.ObsSession` records one at
-construction. The stitcher shifts every worker harness record by
-``chunk_anchor - coordinator_anchor``, which is exactly the offset
-between the two session starts on the shared monotonic clock. Raw
-anchor values never appear in any record — only differences do.
+Records are exported as shipped, with no clock alignment. Simulated
+time is absolute per simulation, so a worker's ``corun`` span at sim
+t=0 means the same thing as the coordinator's. Harness-clock records
+come only from the coordinator (the runner's experiment spans and
+``parallel_map``'s dispatch span): a worker pins its own ``--jobs``
+default to 1, so it never opens a dispatch span
+(``tests/obs/test_stitch.py`` checks this on a pooled sweep).
 
 Determinism: which OS process runs which chunk varies run to run, so
 workers are *ordered* by the smallest job index they executed (the
@@ -37,10 +29,10 @@ traces are therefore stable up to pid/tid relabeling, which
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Tuple
 
-from repro.obs.events import Event, HARNESS_CLOCK, Span, TraceBuffer
+from repro.obs.events import Event, Span, TraceBuffer
 
 
 @dataclass(frozen=True)
@@ -53,9 +45,6 @@ class WorkerTrace:
         OS pid of the emitting worker — groups chunks from the same
         warm worker under one stitched process row. Never used for
         ordering (pids are not deterministic across runs).
-    anchor:
-        Monotonic anchor of the chunk/job session that produced these
-        records; harness times are relative to it.
     first_index:
         Smallest job index this buffer covers — the deterministic
         ordering key for stitched output.
@@ -64,24 +53,17 @@ class WorkerTrace:
     """
 
     worker_pid: int
-    anchor: float
     first_index: int
     events: Tuple[Event, ...]
     spans: Tuple[Span, ...]
 
-    def with_first_index(self, index: int) -> "WorkerTrace":
-        """Copy with the coordinator-assigned ordering key."""
-        return replace(self, first_index=index)
-
 
 @dataclass(frozen=True)
 class StitchedWorker:
-    """One worker's aligned records, ready for export.
+    """One worker's records, ready for export.
 
     ``ordinal`` is the 1-based deterministic worker number (ordered by
     first job index); exporters derive the Chrome-trace pid from it.
-    Harness-clock record times are already on the coordinator's
-    timeline.
     """
 
     ordinal: int
@@ -97,35 +79,14 @@ def buffer_from_session(
     return tuple(session_buffer.events), tuple(session_buffer.spans)
 
 
-def _shift_harness(records: Iterable, offset: float) -> List:
-    """Shift harness-clock records by ``offset`` seconds (sim untouched)."""
-    shifted = []
-    for record in records:
-        if record.clock != HARNESS_CLOCK:
-            shifted.append(record)
-        elif isinstance(record, Span):
-            shifted.append(
-                replace(
-                    record,
-                    start=record.start + offset,
-                    end=record.end + offset,
-                )
-            )
-        else:
-            shifted.append(replace(record, time=record.time + offset))
-    return shifted
-
-
 def align_workers(
     worker_traces: Iterable[WorkerTrace],
-    coordinator_anchor: float,
 ) -> Tuple[StitchedWorker, ...]:
-    """Group, align, and deterministically order shipped worker traces.
+    """Group and deterministically order shipped worker traces.
 
     Chunks from the same OS process merge into one
-    :class:`StitchedWorker`; workers are ordered by the smallest
-    ``first_index`` they executed; harness-clock records are shifted by
-    each chunk's ``anchor - coordinator_anchor``.
+    :class:`StitchedWorker`, in job-index order; workers are ordered by
+    the smallest ``first_index`` they executed.
     """
     by_pid: Dict[int, List[WorkerTrace]] = {}
     for trace in worker_traces:
@@ -139,9 +100,8 @@ def align_workers(
         events: List[Event] = []
         spans: List[Span] = []
         for chunk in sorted(chunks, key=lambda c: c.first_index):
-            offset = chunk.anchor - coordinator_anchor
-            events.extend(_shift_harness(chunk.events, offset))
-            spans.extend(_shift_harness(chunk.spans, offset))
+            events.extend(chunk.events)
+            spans.extend(chunk.spans)
         stitched.append(
             StitchedWorker(
                 ordinal=ordinal,
@@ -160,9 +120,9 @@ def merged_buffer(
     """Coordinator + worker records as one flat buffer.
 
     The consumer-friendly shape for analyses that do not care which
-    process emitted a record — the profiler aggregates over it, and the
-    span-set determinism test compares serial and stitched runs through
-    it.
+    process emitted a record — ``pccs trace``'s summary and flat dumps
+    read it, and the span-set determinism test compares serial and
+    stitched runs through it.
     """
     merged = TraceBuffer(
         events=list(buffer.events), spans=list(buffer.spans)

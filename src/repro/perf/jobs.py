@@ -28,8 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
-from repro.obs.metrics import MetricsSnapshot
-from repro.obs.stitch import WorkerTrace
 from repro.perf.timing import Stopwatch
 from repro.workloads.kernel import KernelSpec
 
@@ -88,26 +86,19 @@ class PressureSweepJob:
 class ExperimentOutcome:
     """What an :class:`ExperimentJob` sends back to the coordinator.
 
-    ``metrics_snapshot`` is a plain-tuple value object
-    (:class:`repro.obs.metrics.MetricsSnapshot`), so the outcome stays
-    picklable (LINT012) and the coordinator can fold snapshots from any
-    number of workers with :func:`repro.obs.metrics.merge_snapshots`.
-    ``trace`` (when the job ran with ``trace=True``) is the job's whole
-    span/event buffer as a :class:`repro.obs.stitch.WorkerTrace` — the
-    coordinator stamps the job index via
-    :meth:`~repro.obs.stitch.WorkerTrace.with_first_index` before
-    stitching, since the worker does not know it. ``sim_cache_counts``
-    are the job's own cache's :meth:`~repro.perf.simcache.SimCache.counts`
-    (empty without a cache), which the coordinator folds into its cache
-    so the runner's ``sim-cache:`` line counts every process.
+    ``sim_cache_counts`` are the job's own cache's
+    :meth:`~repro.perf.simcache.SimCache.counts` (empty without a
+    cache), which the coordinator folds into its cache so the runner's
+    ``sim-cache:`` line counts every process. Metrics and trace records
+    need no field here: they reach the coordinator through the pool's
+    chunk session (:func:`repro.perf.pool.map_on_pool`), or straight
+    into its own session when the job runs in-process.
     """
 
     name: str
     report: str
     elapsed: float
     csv_count: int = 0
-    metrics_snapshot: Optional[MetricsSnapshot] = None
-    trace: Optional[WorkerTrace] = None
     sim_cache_counts: Tuple[int, ...] = ()
 
 
@@ -129,21 +120,11 @@ class ExperimentJob:
     and only the unfinished ones are recomputed — re-running the
     experiment body itself is cheap, idempotent rendering on top of
     those results.
-
-    With ``metrics=True`` the worker activates its own observability
-    session and returns the registry snapshot in the outcome; with
-    ``trace=True`` the session also buffers spans/events, shipped back
-    as the outcome's :class:`~repro.obs.stitch.WorkerTrace`. The job
-    owns its whole session (rather than riding the pool chunk session)
-    because one experiment is the natural stitching unit when whole
-    experiments are the jobs being fanned out.
     """
 
     name: str
     out_dir: Optional[str] = None
     csv: bool = False
-    metrics: bool = False
-    trace: bool = False
     sim_cache_dir: Optional[str] = None
 
     def describe(self) -> str:
@@ -169,38 +150,12 @@ class ExperimentJob:
         return replace(outcome, sim_cache_counts=cache.counts())
 
     def _run(self) -> ExperimentOutcome:
-        import os
         from pathlib import Path
 
         from repro.experiments.runner import get_runner, save_result_csvs
 
         watch = Stopwatch()
-        snapshot: Optional[MetricsSnapshot] = None
-        trace: Optional[WorkerTrace] = None
-        if self.metrics or self.trace:
-            from repro.obs import runtime as obs_runtime
-            from repro.obs.runtime import ObsSession
-            from repro.obs.stitch import buffer_from_session
-
-            session = ObsSession(trace=self.trace, metrics=self.metrics)
-            obs_runtime.activate(session)
-            try:
-                result = get_runner(self.name)()
-            finally:
-                obs_runtime.deactivate()
-            if self.metrics:
-                snapshot = session.metrics.snapshot()
-            if self.trace:
-                events, spans = buffer_from_session(session.tracer.buffer)
-                trace = WorkerTrace(
-                    worker_pid=os.getpid(),
-                    anchor=session.anchor,
-                    first_index=0,
-                    events=events,
-                    spans=spans,
-                )
-        else:
-            result = get_runner(self.name)()
+        result = get_runner(self.name)()
         report = result.render()
         elapsed = watch.stop()
         csv_count = 0
@@ -215,6 +170,4 @@ class ExperimentJob:
             report=report,
             elapsed=elapsed,
             csv_count=csv_count,
-            metrics_snapshot=snapshot,
-            trace=trace,
         )

@@ -10,11 +10,11 @@ process-global pool alive for the whole run:
   :func:`shutdown_pool`); consecutive sweeps reuse the same warm
   workers;
 - **warm workers** — the pool initializer pins the worker's own
-  ``--jobs`` default to 1 (no nested pools) and seeds the shared engine
-  registry (:func:`repro.experiments.common.engine_for`) for
-  :data:`DEFAULT_WARM_SOCS`, so standalone profiles and steady-state
-  resolve caches accumulate across every job a worker ever runs instead
-  of being rebuilt from zero per call;
+  ``--jobs`` default to 1 (no nested pools); the shared engine
+  registry (:func:`repro.experiments.common.engine_for`) builds each
+  engine on a worker's first use and keeps it, so standalone profiles
+  and steady-state resolve caches accumulate across every job a worker
+  ever runs instead of being rebuilt from zero per call;
 - **chunked, order-preserving submission** — jobs are grouped into
   adaptively sized chunks (fewer pickles and IPC round trips than one
   future per job) and results are reassembled in input order;
@@ -39,7 +39,9 @@ process-global pool alive for the whole run:
   them back as a :class:`repro.obs.stitch.WorkerTrace` riding the same
   outcome payload as the metrics snapshot; the coordinator absorbs them
   into its session for cross-process stitching
-  (:func:`repro.obs.stitch.align_workers`).
+  (:func:`repro.obs.stitch.align_workers`). This chunk session is the
+  only way a worker's metrics and trace records reach the coordinator,
+  whatever the job.
 
 Results are bit-identical to the serial path by contract: jobs are
 pure, deterministic float math and do not depend on which process (or
@@ -78,12 +80,6 @@ from repro.obs.stitch import WorkerTrace, buffer_from_session
 
 if TYPE_CHECKING:
     from repro.obs.runtime import ObsSession
-
-#: SoC names whose engines the pool initializer pre-seeds in every
-#: worker. Construction is cheap; the payoff is that the shared
-#: registry exists before the first job, so profiles and resolve-cache
-#: entries persist for the worker's whole lifetime.
-DEFAULT_WARM_SOCS: Tuple[str, ...] = ("xavier-agx", "snapdragon-855")
 
 #: Target chunks per worker: small enough to amortise IPC, large enough
 #: to keep every worker busy when job costs are uneven.
@@ -139,10 +135,6 @@ def _warm_worker() -> None:
 
     # This worker is the unit of parallelism — never fork a nested pool.
     set_default_max_workers(1)
-    from repro.experiments.common import engine_for
-
-    for name in DEFAULT_WARM_SOCS:
-        engine_for(name)
 
 
 def _run_chunk(
@@ -196,7 +188,6 @@ def _run_chunk(
         events, spans = buffer_from_session(session.tracer.buffer)
         trace = WorkerTrace(
             worker_pid=os.getpid(),
-            anchor=session.anchor,
             first_index=min(index for index, _ in indexed_jobs),
             events=events,
             spans=spans,
@@ -411,7 +402,6 @@ def map_on_pool(
 
 
 __all__ = [
-    "DEFAULT_WARM_SOCS",
     "get_pool",
     "map_on_pool",
     "pool_generation",

@@ -18,20 +18,6 @@ def wall_clock_seconds() -> float:
     return time.perf_counter()
 
 
-def monotonic_anchor() -> float:
-    """Absolute reading of the sanctioned monotonic clock.
-
-    Raw readings never land in records — they anchor *relative* harness
-    times: the coordinator and each pool worker record an anchor, and
-    the difference between two anchors is the per-process clock offset
-    the trace stitcher (:mod:`repro.obs.stitch`) uses to place worker
-    harness spans on the coordinator's timeline. On the platforms this
-    repo targets the reading is comparable across processes of the same
-    host (CLOCK_MONOTONIC-backed), which is all stitching needs.
-    """
-    return time.perf_counter()
-
-
 class Stopwatch:
     """Elapsed-time helper for harness reporting.
 
@@ -58,4 +44,4 @@ class Stopwatch:
         return wall_clock_seconds() - self._start
 
 
-__all__ = ["Stopwatch", "monotonic_anchor", "wall_clock_seconds"]
+__all__ = ["Stopwatch", "wall_clock_seconds"]

@@ -1,12 +1,11 @@
 """Multiprocess metric aggregation: serial == parallel, any partition.
 
 Each job runs a self-contained DRAM simulation under its own metrics
-session and returns the snapshot — exactly the shape
-:class:`repro.perf.jobs.ExperimentJob` ships back to the coordinator.
-Because snapshot merging is associative and commutative, folding the
-per-job snapshots must give the same totals whether the jobs ran in
-this process (``parallel_map`` fallback), across worker processes, or
-all inside one shared session.
+session and returns the snapshot — the same shape a pool chunk ships
+back to the coordinator. Because absorbing snapshots is associative
+and commutative, folding the per-job snapshots must give the same
+totals whether the jobs ran in this process (``parallel_map``
+fallback), across worker processes, or all inside one shared session.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from dataclasses import dataclass
 
 from repro.dram.system import CMPSystem
 from repro.obs import runtime as obs_runtime
-from repro.obs.metrics import MetricsSnapshot, merge_snapshots
+from repro.obs.metrics import MetricsRegistry, MetricsSnapshot
 from repro.obs.runtime import ObsSession
 from repro.perf import parallel_map
 
@@ -56,14 +55,21 @@ def _jobs():
     return [DramMetricsJob(*config) for config in _CONFIGS]
 
 
+def _absorbed(snapshots) -> MetricsSnapshot:
+    registry = MetricsRegistry()
+    for snapshot in snapshots:
+        registry.absorb(snapshot)
+    return registry.snapshot()
+
+
 class TestMergeEquivalence:
     def test_serial_and_parallel_map_agree(self):
         serial = parallel_map(_jobs(), max_workers=1)
         parallel = parallel_map(_jobs(), max_workers=2)
-        assert merge_snapshots(serial) == merge_snapshots(parallel)
+        assert _absorbed(serial) == _absorbed(parallel)
 
     def test_per_job_sessions_match_one_shared_session(self):
-        per_job = merge_snapshots(parallel_map(_jobs(), max_workers=1))
+        per_job = _absorbed(parallel_map(_jobs(), max_workers=1))
         shared = ObsSession(trace=False, metrics=True)
         obs_runtime.activate(shared)
         try:
@@ -85,26 +91,3 @@ class TestMergeEquivalence:
         assert snapshot.counter_value("dram.requests") > 0
         histogram_names = [name for name, *_ in snapshot.histograms]
         assert "dram.latency_ns" in histogram_names
-
-
-class TestExperimentJobSnapshot:
-    def test_metrics_flag_returns_mergeable_snapshot(self):
-        from repro.experiments import common
-        from repro.perf.jobs import ExperimentJob
-
-        # Cold caches, as in a fresh worker process: fig6 then really
-        # co-runs its calibration sweeps instead of reusing memoised
-        # PCCS parameters from earlier tests.
-        common.clear_caches()
-        outcome = ExperimentJob("fig6", metrics=True).run()
-        snapshot = outcome.metrics_snapshot
-        assert snapshot is not None
-        assert snapshot.counter_value("soc.coruns") > 0
-        assert snapshot.counter_value("soc.epochs") > 0
-        # Outcomes must survive the pipe back to the coordinator.
-        assert pickle.loads(pickle.dumps(outcome)) == outcome
-
-    def test_metrics_off_ships_no_snapshot(self):
-        from repro.perf.jobs import ExperimentJob
-
-        assert ExperimentJob("fig6").run().metrics_snapshot is None

@@ -1,4 +1,4 @@
-"""Metrics registry: bucket edges, deterministic snapshots, merging."""
+"""Metrics registry: bucket edges, deterministic snapshots, absorbing."""
 
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
     MetricsSnapshot,
     NULL_METRICS,
-    merge_snapshots,
 )
 
 
@@ -119,6 +118,8 @@ class TestSnapshot:
 
 
 class TestMerge:
+    """``MetricsRegistry.absorb`` is the one rule for merging snapshots."""
+
     def _snap(self, c, g, h_counts, h_sum):
         return MetricsSnapshot(
             counters=(("c", float(c)),),
@@ -126,9 +127,16 @@ class TestMerge:
             histograms=(("h", (1.0, 2.0), tuple(h_counts), float(h_sum)),),
         )
 
+    @staticmethod
+    def _absorbed(*snapshots):
+        registry = MetricsRegistry()
+        for snapshot in snapshots:
+            registry.absorb(snapshot)
+        return registry.snapshot()
+
     def test_counters_add_gauges_max_histograms_bucketwise(self):
-        merged = self._snap(2, 5, (1, 0, 2), 7).merge(
-            self._snap(3, 4, (0, 4, 1), 11)
+        merged = self._absorbed(
+            self._snap(2, 5, (1, 0, 2), 7), self._snap(3, 4, (0, 4, 1), 11)
         )
         assert merged.counters == (("c", 5.0),)
         assert merged.gauges == (("g", 5.0),)
@@ -136,35 +144,31 @@ class TestMerge:
 
     def test_merge_is_commutative(self):
         a, b = self._snap(2, 5, (1, 0, 2), 7), self._snap(3, 4, (0, 4, 1), 11)
-        assert a.merge(b) == b.merge(a)
+        assert self._absorbed(a, b) == self._absorbed(b, a)
 
     def test_merge_is_associative(self):
         a = self._snap(1, 1, (1, 0, 0), 1)
         b = self._snap(2, 9, (0, 1, 0), 2)
         c = self._snap(4, 3, (0, 0, 1), 4)
-        assert a.merge(b).merge(c) == a.merge(b.merge(c))
+        assert self._absorbed(self._absorbed(a, b), c) == self._absorbed(
+            a, self._absorbed(b, c)
+        )
 
     def test_disjoint_names_union(self):
         left = MetricsSnapshot(counters=(("only.left", 1.0),))
         right = MetricsSnapshot(counters=(("only.right", 2.0),))
-        merged = left.merge(right)
+        merged = self._absorbed(left, right)
         assert merged.counters == (("only.left", 1.0), ("only.right", 2.0))
 
     def test_mismatched_histogram_edges_rejected(self):
-        left = MetricsSnapshot(histograms=(("h", (1.0,), (0, 1), 2.0),))
-        right = MetricsSnapshot(histograms=(("h", (2.0,), (1, 0), 1.0),))
-        with pytest.raises(ObsError):
-            left.merge(right)
-
-    def test_merge_snapshots_skips_none(self):
-        merged = merge_snapshots(
-            [None, self._snap(1, 2, (1, 0, 0), 1), None,
-             self._snap(2, 1, (0, 1, 0), 2)]
+        registry = MetricsRegistry()
+        registry.absorb(
+            MetricsSnapshot(histograms=(("h", (1.0,), (0, 1), 2.0),))
         )
-        assert merged.counter_value("c") == 3.0
-
-    def test_merge_snapshots_empty_input(self):
-        assert merge_snapshots([]) == MetricsSnapshot()
+        with pytest.raises(ObsError):
+            registry.absorb(
+                MetricsSnapshot(histograms=(("h", (2.0,), (1, 0), 1.0),))
+            )
 
 
 class TestNullRegistry:

@@ -1,11 +1,12 @@
-"""Cross-process trace stitching: alignment, ordering, determinism.
+"""Cross-process trace stitching: grouping, ordering, determinism.
 
-The unit tests pin the alignment algebra (harness records shift by
-``chunk_anchor - coordinator_anchor``, sim records never move, workers
-order by first job index — never by pid). The integration tests run
-the same simulations serially and through the warm worker pool and
-require the merged sim-clock span set to be *identical* — the
-stitched trace is the serial trace, just attributed to more pids.
+The unit tests pin the grouping rules (chunks of one pid merge in job
+index order, sim records never move, workers order by first job index
+— never by pid). The integration tests run the same simulations
+serially and through the warm worker pool and require the merged
+sim-clock span set to be *identical* — the stitched trace is the
+serial trace, just attributed to more pids — and require that workers
+ship no harness-clock records, which is why no clock alignment exists.
 """
 
 from __future__ import annotations
@@ -65,9 +66,9 @@ def _sim_event(name, time, **args):
                  args=freeze_args(args), clock=SIM_CLOCK)
 
 
-def _harness_event(time):
-    return Event(name="h", time=time, track="t", category="c",
-                 args=(), clock=HARNESS_CLOCK)
+def _sim_span(start, end):
+    return Span(name="ss", start=start, end=end, track="t",
+                category="c", args=(), clock=SIM_CLOCK, depth=0)
 
 
 def _harness_span(start, end):
@@ -75,52 +76,34 @@ def _harness_span(start, end):
                 category="c", args=(), clock=HARNESS_CLOCK, depth=0)
 
 
-def _trace(pid, anchor, first_index, events=(), spans=()):
-    return WorkerTrace(worker_pid=pid, anchor=anchor,
-                       first_index=first_index, events=tuple(events),
-                       spans=tuple(spans))
+def _trace(pid, first_index, events=(), spans=()):
+    return WorkerTrace(worker_pid=pid, first_index=first_index,
+                       events=tuple(events), spans=tuple(spans))
 
 
 class TestAlignWorkers:
     def test_orders_by_first_index_not_pid(self):
-        high_pid_first_job = _trace(99999, 1.0, 0)
-        low_pid_later_job = _trace(11, 1.0, 1)
-        stitched = align_workers(
-            [low_pid_later_job, high_pid_first_job], coordinator_anchor=1.0
-        )
+        high_pid_first_job = _trace(99999, 0)
+        low_pid_later_job = _trace(11, 1)
+        stitched = align_workers([low_pid_later_job, high_pid_first_job])
         assert [w.os_pid for w in stitched] == [99999, 11]
         assert [w.ordinal for w in stitched] == [1, 2]
 
     def test_chunks_from_one_pid_merge_in_index_order(self):
-        second = _trace(7, 1.0, 3, events=[_sim_event("b", 0.0)])
-        first = _trace(7, 1.0, 0, events=[_sim_event("a", 0.0)])
-        (worker,) = align_workers([second, first], coordinator_anchor=1.0)
+        second = _trace(7, 3, events=[_sim_event("b", 0.0)])
+        first = _trace(7, 0, events=[_sim_event("a", 0.0)])
+        (worker,) = align_workers([second, first])
         assert [e.name for e in worker.events] == ["a", "b"]
 
-    def test_harness_records_shift_by_anchor_delta(self):
-        trace = _trace(
-            7, anchor=10.0, first_index=0,
-            events=[_harness_event(1.0)], spans=[_harness_span(0.5, 2.5)],
-        )
-        (worker,) = align_workers([trace], coordinator_anchor=4.0)
-        # Worker session started 6s after the coordinator's.
-        assert worker.events[0].time == 7.0
-        assert worker.spans[0].start == 6.5
-        assert worker.spans[0].end == 8.5
-
     def test_sim_records_are_never_shifted(self):
-        trace = _trace(7, 10.0, 0, events=[_sim_event("e", 1.25)])
-        (worker,) = align_workers([trace], coordinator_anchor=4.0)
-        assert worker.events[0].time == 1.25
-
-    def test_with_first_index_stamps_a_copy(self):
-        trace = _trace(7, 1.0, 0)
-        stamped = trace.with_first_index(5)
-        assert stamped.first_index == 5
-        assert trace.first_index == 0
+        event = _sim_event("e", 1.25)
+        span = _sim_span(0.5, 2.5)
+        (worker,) = align_workers([_trace(7, 0, [event], [span])])
+        assert worker.events == (event,)
+        assert worker.spans == (span,)
 
     def test_worker_traces_are_picklable(self):
-        trace = _trace(7, 2.0, 0, events=[_sim_event("e", 0.0, k=1)],
+        trace = _trace(7, 0, events=[_sim_event("e", 0.0, k=1)],
                        spans=[_harness_span(0.0, 1.0)])
         assert pickle.loads(pickle.dumps(trace)) == trace
 
@@ -176,7 +159,7 @@ class TestSerialParallelDeterminism:
             parallel_map(_jobs(), max_workers=max_workers)
         finally:
             obs_runtime.deactivate()
-        workers = align_workers(session.worker_traces, session.anchor)
+        workers = align_workers(session.worker_traces)
         return session, workers
 
     def test_pooled_span_set_matches_serial(self):
