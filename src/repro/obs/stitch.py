@@ -72,13 +72,6 @@ class StitchedWorker:
     spans: Tuple[Span, ...]
 
 
-def buffer_from_session(
-    session_buffer: TraceBuffer,
-) -> Tuple[Tuple[Event, ...], Tuple[Span, ...]]:
-    """Freeze a live buffer into the picklable shipping shape."""
-    return tuple(session_buffer.events), tuple(session_buffer.spans)
-
-
 def align_workers(
     worker_traces: Iterable[WorkerTrace],
 ) -> Tuple[StitchedWorker, ...]:
@@ -137,6 +130,5 @@ __all__ = [
     "StitchedWorker",
     "WorkerTrace",
     "align_workers",
-    "buffer_from_session",
     "merged_buffer",
 ]

@@ -76,7 +76,7 @@ from typing import (
 
 from repro.errors import JobFailedError, SimulationError
 from repro.obs.metrics import MetricsSnapshot
-from repro.obs.stitch import WorkerTrace, buffer_from_session
+from repro.obs.stitch import WorkerTrace
 
 if TYPE_CHECKING:
     from repro.obs.runtime import ObsSession
@@ -185,12 +185,12 @@ def _run_chunk(
     )
     trace = None
     if session is not None and collect_trace:
-        events, spans = buffer_from_session(session.tracer.buffer)
+        buffer = session.tracer.buffer
         trace = WorkerTrace(
             worker_pid=os.getpid(),
             first_index=min(index for index, _ in indexed_jobs),
-            events=events,
-            spans=spans,
+            events=tuple(buffer.events),
+            spans=tuple(buffer.spans),
         )
     return _ChunkOutcome(
         results=tuple(results),
