@@ -131,23 +131,32 @@ class ExperimentJob:
         return f"experiment:{self.name}"
 
     def run(self) -> ExperimentOutcome:
-        from repro.perf.executor import set_default_max_workers
+        from repro.perf.executor import (
+            default_max_workers,
+            set_default_max_workers,
+        )
         from repro.perf.simcache import SimCache, set_sim_cache
 
         # This job is the unit of parallelism: never fork a nested pool
-        # (the forked child inherits the parent's --jobs default).
+        # (the forked child inherits the parent's --jobs default). The
+        # caller's default comes back afterwards, so a job run in-process
+        # leaves later parallel_map calls as they were.
+        workers = default_max_workers()
         set_default_max_workers(1)
-        if self.sim_cache_dir is None:
-            return self._run()
-        # A cache object of the job's own, so its counts ship back in
-        # the outcome and are counted once whichever process ran it.
-        cache = SimCache(self.sim_cache_dir)
-        previous = set_sim_cache(cache)
         try:
-            outcome = self._run()
+            if self.sim_cache_dir is None:
+                return self._run()
+            # A cache object of the job's own, so its counts ship back in
+            # the outcome and are counted once whichever process ran it.
+            cache = SimCache(self.sim_cache_dir)
+            previous = set_sim_cache(cache)
+            try:
+                outcome = self._run()
+            finally:
+                set_sim_cache(previous)
+            return replace(outcome, sim_cache_counts=cache.counts())
         finally:
-            set_sim_cache(previous)
-        return replace(outcome, sim_cache_counts=cache.counts())
+            set_default_max_workers(workers)
 
     def _run(self) -> ExperimentOutcome:
         from pathlib import Path

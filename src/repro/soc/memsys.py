@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import SimulationError
 from repro.soc.spec import MCBehavior
@@ -141,6 +141,70 @@ def time_per_gb(
             * compute_weight
         )
     return base
+
+
+def _allocate_pair(
+    capacity: float,
+    guarantee_fraction: float,
+    cap: float,
+    t0: float,
+    t1: float,
+    w0: float,
+    w1: float,
+) -> Tuple[float, float]:
+    """:meth:`SharedMemorySystem._allocate` for two streams, on scalars.
+
+    Both streams have the cap ``cap``. The float operations are
+    ``_allocate``'s, in its order, so the grants are the same bits: a
+    two-term ``sum()`` is written ``a + b`` (the two round alike on
+    every supported Python) and a one-term one is its term, each
+    ``done`` test reads ``remaining`` before any update, updates run in
+    index order, and each ``min``/``max`` is the comparison that
+    returns the built-in's operand.
+    """
+    floor_level = guarantee_fraction * capacity
+    f0 = floor_level if floor_level < t0 else t0
+    f1 = floor_level if floor_level < t1 else t1
+    total_floors = f0 + f1
+    if total_floors >= capacity:
+        scale = capacity / total_floors if total_floors > 0 else 0.0
+        return f0 * scale, f1 * scale
+    a0 = f0
+    a1 = f1
+    remaining = capacity - total_floors
+    s0 = t0 - f0
+    s0 = w0 * (_EPS_BW if _EPS_BW > s0 else s0)
+    s1 = t1 - f1
+    s1 = w1 * (_EPS_BW if _EPS_BW > s1 else s1)
+    capped = (cap if cap < t0 else t0, cap if cap < t1 else t1)
+    for l0, l1 in (capped, (t0, t1)):
+        h0 = l0 - a0 > _EPS_BW
+        h1 = l1 - a1 > _EPS_BW
+        while (h0 or h1) and remaining > _EPS_BW:
+            if h0 and h1:
+                total_w = s0 + s1
+            else:
+                total_w = s0 if h0 else s1
+            d0 = h0 and l0 - a0 <= remaining * s0 / total_w
+            d1 = h1 and l1 - a1 <= remaining * s1 / total_w
+            if d0 or d1:
+                if d0:
+                    remaining -= l0 - a0
+                    a0 = l0
+                    h0 = False
+                if d1:
+                    remaining -= l1 - a1
+                    a1 = l1
+                    h1 = False
+            else:
+                if h0:
+                    a0 += remaining * s0 / total_w
+                if h1:
+                    a1 += remaining * s1 / total_w
+                remaining = 0.0
+        if remaining <= _EPS_BW:
+            break
+    return a0, a1
 
 
 class SharedMemorySystem:
@@ -312,9 +376,12 @@ class SharedMemorySystem:
 
         The evaluation inlines those three rules operation for
         operation: every product and quotient keeps their association
-        order, every ``sum()`` stays a ``sum()`` (from Python 3.12 it
-        rounds differently from a ``+=`` loop), and each ``min``/``max``
-        is the comparison that returns the operand the built-in would.
+        order, every ``sum()`` over three or more floats stays a
+        ``sum()`` (from Python 3.12 it rounds differently from a ``+=``
+        loop), and each ``min``/``max`` is the comparison that returns
+        the operand the built-in would. Two streams, the pairwise
+        co-runs of every sweep, are allocated by :func:`_allocate_pair`
+        on scalars; any other count by :meth:`_allocate`.
 
         Raises :class:`SimulationError` for a stream the solver cannot
         handle: demand must be finite and >= 0; ``max_bw``,
@@ -366,6 +433,7 @@ class SharedMemorySystem:
         cap = b.cap_fraction * capacity if len(active) > 1 else math.inf
         caps = [cap] * n
         weights = [s.arbitration_weight for s in streams]
+        guarantee = b.guarantee_fraction
         base_latency = b.base_latency_ns
         queue_factor = b.queue_factor
         queue_saturation = b.queue_saturation
@@ -374,7 +442,7 @@ class SharedMemorySystem:
         latency = base_latency
         targets = [0.0] * n
         bursts = [s.burst_bw for s in streams]
-        grants = [0.0] * n
+        grants: Sequence[float] = [0.0] * n
         for _ in range(_FIXED_POINT_ITERS):
             for (
                 i, demand, top, max_bw, l_sat, sensitivity,
@@ -406,8 +474,16 @@ class SharedMemorySystem:
                 rate = 1.0 / t
                 targets[i] = demand if demand < rate else rate
                 bursts[i] = burst
-            grants = self._allocate(capacity, targets, caps, weights)
-            rho = sum(grants) / capacity if capacity > 0 else 1.0
+            if n == 2:
+                grants = _allocate_pair(
+                    capacity, guarantee, cap,
+                    targets[0], targets[1], weights[0], weights[1],
+                )
+                total = grants[0] + grants[1]
+            else:
+                grants = self._allocate(capacity, targets, caps, weights)
+                total = sum(grants)
+            rho = total / capacity if capacity > 0 else 1.0
             # The loaded_latency_ns rule, its clamp to [0, max_utilization]
             # inlined.
             rho = rho if rho < max_utilization else max_utilization

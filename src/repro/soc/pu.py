@@ -20,7 +20,12 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from repro.errors import SimulationError
-from repro.soc.memsys import SharedMemorySystem, StreamDemand, time_per_gb
+from repro.soc.memsys import (
+    _LINES_PER_GB,
+    SharedMemorySystem,
+    StreamDemand,
+    time_per_gb,
+)
 from repro.soc.spec import PUSpec
 from repro.units import CACHELINE_BYTES
 from repro.workloads.kernel import KernelSpec, Phase
@@ -124,19 +129,30 @@ def profile_phase(
 
     max_bw = pu.max_bw
     overlap = pu.overlap
+    serial = 1.0 - overlap
     exposure = pu.latency_exposure
     sensitivity = pu.latency_sensitivity
     l_sat = pu.mlp_lines * CACHELINE_BYTES / max_bw
-    max_utilization = mem.behavior.max_utilization
+    behavior = mem.behavior
+    base_latency = behavior.base_latency_ns
+    queue_factor = behavior.queue_factor
+    queue_saturation = behavior.queue_saturation
+    max_utilization = behavior.max_utilization
     # The first two operands of min(max_bw, capacity, pu_burst_bw(L)).
     top = min(max_bw, capacity)
     burst = top
-    latency = mem.behavior.base_latency_ns
+    latency = base_latency
     rate = 1.0 / time_per_gb(tc, burst, overlap, exposure, latency)
     for _ in range(_STANDALONE_ITERS):
+        # The loaded_latency_ns rule at min(rate / capacity,
+        # max_utilization), inlined. Its clamp to [0, max_utilization]
+        # subsumes that min, for NaN too.
         rho = rate / capacity
-        rho = max_utilization if max_utilization < rho else rho
-        latency = mem.loaded_latency_ns(rho)
+        rho = rho if rho < max_utilization else max_utilization
+        rho = rho if rho > 0.0 else 0.0
+        latency = base_latency * (
+            1.0 + queue_factor * rho / (1.0 - queue_saturation * rho)
+        )
         # SharedMemorySystem.pu_burst_bw at this latency and the
         # three-way min, inlined.
         target_burst = top
@@ -148,7 +164,15 @@ def profile_phase(
             _STANDALONE_DAMPING * burst
             + (1.0 - _STANDALONE_DAMPING) * target_burst
         )
-        rate = 1.0 / time_per_gb(tc, burst, overlap, exposure, latency)
+        # The time_per_gb rule at (burst, L), inlined.
+        if burst <= 0:
+            raise SimulationError("burst bandwidth must be positive")
+        t_mem = 1.0 / burst
+        t_sum = tc + t_mem
+        t = serial * t_sum + overlap * (t_mem if t_mem > tc else tc)
+        if exposure > 0 and latency > 0:
+            t += exposure * latency * 1e-9 * _LINES_PER_GB * (tc / t_sum)
+        rate = 1.0 / t
     seconds = phase.traffic_bytes / 1e9 / rate
     return PhaseProfile(
         name=phase.name,

@@ -11,6 +11,7 @@ from repro.perf import (
     parallel_map,
     set_default_max_workers,
 )
+from repro.perf.jobs import ExperimentJob
 
 
 @dataclass(frozen=True)
@@ -119,3 +120,14 @@ class TestDefaultMaxWorkers:
     def test_rejects_non_positive(self):
         with pytest.raises(SimulationError):
             set_default_max_workers(0)
+
+    def test_experiment_job_restores_the_default(self):
+        """An experiment job pins nested maps to serial only while it
+        runs; an in-process run must not leave the caller serial."""
+        previous = default_max_workers()
+        try:
+            set_default_max_workers(4)
+            ExperimentJob("fig2").run()
+            assert default_max_workers() == 4
+        finally:
+            set_default_max_workers(previous)

@@ -4,12 +4,15 @@ import math
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import SimulationError
+from repro.soc.configs import snapdragon_855, xavier_agx
 from repro.soc.memsys import (
+    _EPS_BW,
     SharedMemorySystem,
     StreamDemand,
+    _allocate_pair,
     time_per_gb,
 )
 from repro.soc.spec import MCBehavior
@@ -133,6 +136,119 @@ class TestLatency:
     def test_zero_latency_rejected(self, mem):
         with pytest.raises(SimulationError):
             mem.pu_burst_bw(100.0, 300.0, 1.0, 0.0)
+
+
+@st.composite
+def allocations(draw, sizes=st.integers(1, 4)):
+    """One fairness allocation as ``resolve`` poses it: one to four
+    targets, a capacity, weights, a shared cap, and either SoC's
+    controller or drawn guarantee and cap fractions."""
+    n = draw(sizes)
+    if draw(st.booleans()):
+        behavior = draw(
+            st.sampled_from([xavier_agx().mc, snapdragon_855().mc])
+        )
+    else:
+        # Half the drawn floors are large enough that two of them can
+        # exceed the capacity.
+        guarantee = draw(
+            st.one_of(
+                st.floats(0.0, 0.5, exclude_min=True),
+                st.floats(0.5, 1.0, exclude_max=True),
+            )
+        )
+        behavior = MCBehavior(
+            guarantee_fraction=guarantee,
+            cap_fraction=draw(st.floats(guarantee, 1.0)),
+        )
+    targets = draw(
+        st.lists(
+            st.one_of(
+                st.floats(0.0, 300.0), st.sampled_from([0.0, 5e-10, 5e-9])
+            ),
+            min_size=n,
+            max_size=n,
+        )
+    )
+    # Mostly within a factor of two of the total target, as in resolve,
+    # where the effective bandwidth and the demands are of one scale;
+    # all-zero targets make it 0.
+    capacity = draw(
+        st.one_of(
+            st.floats(0.05, 2.0).map(lambda r: r * sum(targets)),
+            st.floats(1e-3, 300.0),
+        )
+    )
+    weights = draw(
+        st.lists(
+            st.one_of(st.just(1.0), st.floats(0.01, 100.0)),
+            min_size=n,
+            max_size=n,
+        )
+    )
+    capped = n > 1 and draw(st.booleans())
+    cap = behavior.cap_fraction * capacity if capped else math.inf
+    return behavior, capacity, targets, cap, weights
+
+
+ALLOCATION = settings(max_examples=400, derandomize=True, deadline=None)
+
+
+class TestAllocation:
+    @ALLOCATION
+    @given(allocations())
+    def test_fairness_invariants(self, case):
+        """The allocation ``resolve`` runs (the pair function for two
+        targets, ``_allocate`` otherwise) keeps grants within targets
+        and capacity, meets guarantee floors when they fit, and hands a
+        saturated bus out in full."""
+        behavior, capacity, targets, cap, weights = case
+        n = len(targets)
+        if n == 2:
+            grants = _allocate_pair(
+                capacity, behavior.guarantee_fraction, cap,
+                *targets, *weights,
+            )
+        else:
+            mem = SharedMemorySystem(PEAK, behavior)
+            grants = mem._allocate(capacity, targets, [cap] * n, weights)
+        assert len(grants) == n
+        for g, t in zip(grants, targets):
+            assert 0.0 <= g <= t
+        assert sum(grants) <= capacity * (1 + 1e-12)
+        floor_level = behavior.guarantee_fraction * capacity
+        floors = [min(t, floor_level) for t in targets]
+        if sum(floors) < capacity:
+            for g, f in zip(grants, floors):
+                assert g >= f
+        if sum(targets) >= capacity:
+            assert sum(grants) >= capacity - n * _EPS_BW
+
+    @ALLOCATION
+    @given(allocations(sizes=st.just(2)))
+    # Both streams finish in the capped fill and the capped one then
+    # takes the rest, so its grant shows the order of the two updates
+    # of ``remaining``.
+    @example((
+        MCBehavior(guarantee_fraction=0.1, cap_fraction=0.268),
+        126.5, [18.2, 126.6], 0.268 * 126.5, [2.0, 0.5],
+    ))
+    # The two floors exceed the capacity and are scaled down to it.
+    @example((
+        MCBehavior(guarantee_fraction=0.6, cap_fraction=0.8),
+        50.0, [40.0, 45.0], 0.8 * 50.0, [1.0, 1.0],
+    ))
+    def test_pair_function_is_allocate_bit_for_bit(self, case):
+        """For two targets the scalar allocation returns ``_allocate``'s
+        bits."""
+        behavior, capacity, targets, cap, weights = case
+        mem = SharedMemorySystem(PEAK, behavior)
+        assert list(
+            _allocate_pair(
+                capacity, behavior.guarantee_fraction, cap,
+                *targets, *weights,
+            )
+        ) == mem._allocate(capacity, targets, [cap, cap], weights)
 
 
 class TestResolve:

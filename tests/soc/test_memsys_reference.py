@@ -1,18 +1,29 @@
 """Differential test of the co-run and standalone solvers.
 
-``SharedMemorySystem.resolve`` (with ``_allocate``) and ``profile_phase``
-inline the documented rules (``pu_burst_bw``, ``time_per_gb``,
-``loaded_latency_ns``) to save interpreter work. The inlined code must
+To save interpreter work, ``SharedMemorySystem.resolve`` inlines the
+documented rules (``pu_burst_bw``, ``time_per_gb``,
+``loaded_latency_ns``) and allocates two streams with ``_allocate_pair``
+on scalars, any other count with ``_allocate``; ``profile_phase``
+inlines all three rules in its loop too (``loaded_latency_ns`` read from
+``mem.behavior``, ``pu_burst_bw`` with the three-way ``min``,
+``time_per_gb`` with its error and exposure term), calling
+``time_per_gb`` only for its starting rate. The inlined code must
 return the same bits, so each result is compared with ``==`` against
 the verbatim earlier code in ``reference_memsys.py``: ``StreamGrant`` and
-``PhaseProfile`` equality is exact float equality on every field.
+``PhaseProfile`` equality is exact float equality on every field. The
+drawn stream sets reach every branch of ``_allocate_pair`` but the
+``else`` arm of its ``total_floors > 0`` guard, which needs a capacity
+<= 0. They reach its floors-exceed-capacity scale only at a guarantee
+fraction of 0.5, where the scale is 1; ``TestAllocation`` in
+``test_memsys.py`` checks that scale.
 
 Both sides run in this interpreter, so the comparison holds on every
 supported Python. A digest recorded on one version would not: from 3.12,
 ``sum()`` over three or more floats rounds differently.
 
 The first change that alters solver results on purpose (ROADMAP item 1,
-the root-find) deletes this test and ``reference_memsys.py``.
+the root-find) deletes this test and ``reference_memsys.py``. The
+allocation tests in ``test_memsys.py`` do not use the copy and stay.
 """
 
 from __future__ import annotations
@@ -184,8 +195,9 @@ def partitioned_engine():
 @DIFFERENTIAL
 @given(data=st.data())
 def test_partitioned_engine_matches_reference(partitioned_engine, data):
-    """``profile_phase`` still asks a ``PartitionedMemorySystem`` for its
-    loaded latency; profiles and per-controller grants are unchanged."""
+    """``profile_phase`` reads a ``PartitionedMemorySystem``'s
+    ``behavior`` where the copy asks it for its loaded latency; profiles
+    and per-controller grants are unchanged."""
     engine = partitioned_engine
     streams = []
     for pu in engine.soc.pus:

@@ -1,6 +1,7 @@
 """Multi-memory-controller extension (paper Section 5)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.soc.configs import xavier_agx
@@ -10,7 +11,8 @@ from repro.soc.multimc import (
     PartitionedMemorySystem,
     split_socs_memory,
 )
-from repro.workloads.kernel import single_phase_kernel
+from repro.soc.pu import profile_phase
+from repro.workloads.kernel import Phase, single_phase_kernel
 from repro.workloads.roofline import calibrator_for_bandwidth, max_demand_kernel
 
 
@@ -110,6 +112,27 @@ class TestPartitionedBehaviour:
             )
         grants = partitioned_engine.memory.resolve(streams)
         assert [g.name for g in grants] == ["cpu", "gpu", "dla"]
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_profiles_like_its_partition(self, partitioned_engine, data):
+        """``profile_phase`` reads the loaded-latency constants from
+        ``memory.behavior``; on a partitioned system every PU must still
+        profile a phase exactly as on its own controller's model."""
+        memory = partitioned_engine.memory
+        for pu in partitioned_engine.soc.pus:
+            traffic = data.draw(st.floats(1e6, 2e9))
+            phase = Phase(
+                name="p",
+                flops=data.draw(st.floats(0.0, 200.0)) * traffic,
+                traffic_bytes=traffic,
+                locality=data.draw(
+                    st.one_of(st.just(1.0), st.floats(0.05, 1.0))
+                ),
+            )
+            assert profile_phase(pu, phase, memory) == profile_phase(
+                pu, phase, memory.system_for(pu.name)
+            )
 
     def test_effective_bw_rejects_mixed_partitions(self, partitioned_engine):
         from repro.soc.pu import stream_for_phase
