@@ -17,6 +17,7 @@ import os
 import time
 
 from repro.dram.cores import CoreConfig, staggered_base
+from repro.dram.queue import ScanQueue
 from repro.dram.system import CMPSystem
 from repro.dram.timing import DDR4_3200
 from repro.experiments import common
@@ -92,9 +93,10 @@ def test_bench_perf_fast_path(save_report, tmp_path):
                    cache_warm_result):
         assert result == seed_result  # every layer is bit-identical
 
-    # 5. DRAM inner loop: indexed ChannelQueue vs the seed's list queue.
+    # 5. DRAM inner loop: indexed ChannelQueue vs the per-request scans
+    # of the seed's list queue.
     t0 = time.perf_counter()
-    dram_slow = CMPSystem(policy="frfcfs", queue_factory=list).run(
+    dram_slow = CMPSystem(policy="frfcfs", queue_factory=ScanQueue).run(
         _dram_cores()
     )
     dram_slow_s = time.perf_counter() - t0

@@ -41,24 +41,26 @@ class AddressMapper:
         self.bank_bits = _log2(timing.banks_per_channel, "banks_per_channel")
         lines_per_row = timing.row_bytes // 64
         self.column_bits = _log2(lines_per_row, "row_bytes/64")
-        # Each field is (address >> its low bit) & its mask.
-        self._channel_mask = timing.channels - 1
-        self._column_shift = self.LINE_BITS + self.channel_bits
-        self._column_mask = lines_per_row - 1
-        self._bank_shift = self._column_shift + self.column_bits
-        self._bank_mask = timing.banks_per_channel - 1
-        self._row_shift = self._bank_shift + self.bank_bits
+        # Each field is (address >> its low bit) & its mask. The bit
+        # layout is defined here only: CMPSystem.run decodes with these
+        # shifts and masks inline.
+        self.channel_mask = timing.channels - 1
+        self.column_shift = self.LINE_BITS + self.channel_bits
+        self.column_mask = lines_per_row - 1
+        self.bank_shift = self.column_shift + self.column_bits
+        self.bank_mask = timing.banks_per_channel - 1
+        self.row_shift = self.bank_shift + self.bank_bits
 
     def decode(self, address: int) -> DecodedAddress:
         """Map a byte address to its DRAM coordinates."""
         if address < 0:
             raise ConfigurationError(f"address must be >= 0, got {address}")
-        row = address >> self._row_shift
+        row = address >> self.row_shift
         return DecodedAddress(
-            (address >> self.LINE_BITS) & self._channel_mask,
-            ((address >> self._bank_shift) ^ row) & self._bank_mask,
+            (address >> self.LINE_BITS) & self.channel_mask,
+            ((address >> self.bank_shift) ^ row) & self.bank_mask,
             row,
-            (address >> self._column_shift) & self._column_mask,
+            (address >> self.column_shift) & self.column_mask,
         )
 
     @property

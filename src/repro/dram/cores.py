@@ -10,7 +10,7 @@ the paper drives its CMP study with.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import ConfigurationError
@@ -55,11 +55,25 @@ class CoreConfig:
             raise ConfigurationError("burst_lines must be positive")
         if not 0 <= self.write_fraction <= 0.5:
             raise ConfigurationError("write_fraction must be in [0, 0.5]")
+        if self.address_base is not None and self.address_base < 0:
+            raise ConfigurationError(
+                f"address_base must be >= 0, got {self.address_base}"
+            )
         if self.trace is not None and len(self.trace) < self.total_requests:
             raise ConfigurationError(
                 "trace shorter than total_requests "
                 f"({len(self.trace)} < {self.total_requests})"
             )
+
+    @property
+    def write_period(self) -> int:
+        """Issue indices per write: every ``period``-th access is one.
+
+        0 when the core never writes.
+        """
+        if self.write_fraction <= 0:
+            return 0
+        return max(int(round(1.0 / self.write_fraction)), 2)
 
     def is_write_index(self, issue_index: int) -> bool:
         """Deterministic write interleaving at the configured fraction.
@@ -67,10 +81,8 @@ class CoreConfig:
         Writes are *posted*: they occupy DRAM bandwidth but do not block
         the core (no MSHR slot, no completion wait).
         """
-        if self.write_fraction <= 0:
-            return False
-        period = max(int(round(1.0 / self.write_fraction)), 2)
-        return issue_index % period == period - 1
+        period = self.write_period
+        return period > 0 and issue_index % period == period - 1
 
     @property
     def interval_ns(self) -> float:

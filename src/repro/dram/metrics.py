@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List
+from typing import Iterable, List, Sequence, Tuple
 
 from repro.errors import AnalysisError
 
@@ -28,15 +28,20 @@ class DramMetrics:
 
     def latency_percentile(self, q: float) -> float:
         """The q-th latency percentile in ns (q in [0, 100])."""
-        if not 0 <= q <= 100:
-            raise AnalysisError(f"percentile must be in [0, 100], got {q}")
+        return self.latency_percentiles((q,))[0]
+
+    def latency_percentiles(self, qs: Sequence[float]) -> Tuple[float, ...]:
+        """:meth:`latency_percentile` of each q, from one sort."""
+        for q in qs:
+            if not 0 <= q <= 100:
+                raise AnalysisError(f"percentile must be in [0, 100], got {q}")
         if not self.latencies_ns:
-            return 0.0
+            return tuple(0.0 for _ in qs)
         ordered = sorted(self.latencies_ns)
-        index = min(
-            int(round(q / 100.0 * (len(ordered) - 1))), len(ordered) - 1
+        last = len(ordered) - 1
+        return tuple(
+            ordered[min(int(round(q / 100.0 * last)), last)] for q in qs
         )
-        return ordered[index]
 
     @property
     def row_hit_rate(self) -> float:

@@ -27,13 +27,16 @@ the same for the whole group. Any selection that minimises
 ``(rank[core], miss, arrival_ns, req_id)`` over the ready requests (or
 over all of them if none is ready) is therefore attained at a head:
 :meth:`ChannelQueue.best_head` looks at one request per group instead of
-the whole queue. ``CMPSystem(queue_factory=list)`` runs the per-request
-scans instead and is the reference the tests compare against.
+the whole queue.
+
+:class:`ScanQueue` is a plain list with the same selection methods,
+answered by scanning every request. ``CMPSystem(queue_factory=ScanQueue)``
+runs those scans and is the reference the tests compare against.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple, Union
 
 from repro.dram.bank import ChannelState
 from repro.dram.request import Request
@@ -43,14 +46,19 @@ from repro.errors import SimulationError
 class ChannelQueue:
     """Request container used as one channel's queue."""
 
-    __slots__ = ("_requests", "_groups", "_heads", "_cores", "_last")
+    __slots__ = (
+        "_requests", "_groups", "_heads", "_cores", "_last_arrival",
+        "_last_id",
+    )
 
     def __init__(self) -> None:
         self._requests: Dict[int, Request] = {}
         self._groups: Dict[Tuple[int, int, int], Dict[int, Request]] = {}
         self._heads: Dict[Tuple[int, int, int], Request] = {}
         self._cores: Dict[int, Dict[int, Request]] = {}
-        self._last: Tuple[float, int] = (float("-inf"), -1)
+        # (arrival_ns, req_id) of the last append.
+        self._last_arrival = float("-inf")
+        self._last_id = -1
 
     def __len__(self) -> int:
         return len(self._requests)
@@ -61,13 +69,17 @@ class ChannelQueue:
     def append(self, request: Request) -> None:
         """Queue ``request``; it must sort after every earlier append."""
         req_id = request.req_id
-        key = (request.arrival_ns, req_id)
-        if key <= self._last:
+        arrival = request.arrival_ns
+        last_arrival = self._last_arrival
+        if arrival < last_arrival or (
+            arrival == last_arrival and req_id <= self._last_id
+        ):
             raise SimulationError(
-                f"request {req_id} at {request.arrival_ns} ns appended after "
-                f"request {self._last[1]} at {self._last[0]} ns"
+                f"request {req_id} at {arrival} ns appended after "
+                f"request {self._last_id} at {last_arrival} ns"
             )
-        self._last = key
+        self._last_arrival = arrival
+        self._last_id = req_id
         self._requests[req_id] = request
         group_key = (request.bank, request.row, request.core)
         group = self._groups.get(group_key)
@@ -152,11 +164,17 @@ class ChannelQueue:
         limit = now + window_ns
         best = fallback = None
         best_key = fallback_key = None
+        # The rank of the best ready head so far: a head ranked worse
+        # can neither beat it nor serve as the fallback.
+        best_rank = float("inf")
         # lint: disable=LINT001 — append()'s order check makes each
         # group's head its oldest request, and heads are compared on the
         # total (rank, miss, arrival_ns, req_id) key, unique by req_id, so
         # group order never decides.
         for (bank_index, row, core), head in self._heads.items():
+            head_rank = rank[core]
+            if head_rank > best_rank:
+                continue
             bank = banks[bank_index]
             # The preparation rule of BankState.prep_time, inlined.
             open_row = bank.open_row
@@ -168,10 +186,76 @@ class ChannelQueue:
                 miss, prep = True, conflict
             arrival = head.arrival_ns
             ready_at = bank.ready_at
-            key = (rank[core], miss, arrival, head.req_id)
+            key = (head_rank, miss, arrival, head.req_id)
             if (ready_at if ready_at > arrival else arrival) + prep <= limit:
                 if best_key is None or key < best_key:
-                    best, best_key = head, key
+                    best, best_key, best_rank = head, key, head_rank
             elif best_key is None and (fallback_key is None or key < fallback_key):
                 fallback, fallback_key = head, key
         return best if best is not None else fallback
+
+
+class ScanQueue(list):
+    """A channel queue as a plain list of requests, in any order.
+
+    Answers :class:`ChannelQueue`'s selection methods by scanning every
+    request, with no index to keep up; a policy selects the same request
+    from either.
+    """
+
+    __slots__ = ()
+
+    def oldest(self) -> Request:
+        """The earliest-arrived request (lowest ``req_id`` on a tie)."""
+        return min(self, key=lambda r: (r.arrival_ns, r.req_id))
+
+    def by_core(self) -> Dict[int, Dict[int, Request]]:
+        """Each core's requests keyed by ``req_id``, oldest first."""
+        cores: Dict[int, Dict[int, Request]] = {}
+        for r in sorted(self, key=lambda r: (r.arrival_ns, r.req_id)):
+            cores.setdefault(r.core, {})[r.req_id] = r
+        return cores
+
+    def open_row_hits(self, channel: ChannelState) -> List[Request]:
+        """Every request whose bank has its row open."""
+        return [r for r in self if channel.is_row_hit(r)]
+
+    def ready(
+        self, channel: ChannelState, now: float, window_ns: float
+    ) -> List[Request]:
+        """Requests whose data burst could start by ``now + window_ns``,
+        or all of them if none could.
+
+        Real controllers only issue *ready* commands; thread-priority
+        rules apply among them. Restricting selection to the ready subset
+        (when non-empty) lets bank preparation overlap the bus instead of
+        stalling it. FCFS deliberately does not use this — head-of-line
+        blocking is its defining flaw.
+        """
+        ready = [
+            r
+            for r in self
+            if channel.earliest_data_start(r, now) <= now + window_ns
+        ]
+        return ready if ready else list(self)
+
+    def best_head(
+        self,
+        channel: ChannelState,
+        now: float,
+        rank: Sequence[float],
+        window_ns: float,
+    ) -> Request:
+        """The minimum of ``(rank[core], miss, arrival_ns, req_id)`` over
+        :meth:`ready`: the best-ranked core's, row hits first, then the
+        oldest."""
+        return min(
+            self.ready(channel, now, window_ns),
+            key=lambda r: (
+                rank[r.core], not channel.is_row_hit(r), r.arrival_ns, r.req_id
+            ),
+        )
+
+
+RequestQueue = Union[ChannelQueue, ScanQueue]
+"""What a scheduling policy selects from."""

@@ -13,11 +13,10 @@ scaled down to the microsecond runs this simulator executes.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from repro.dram.bank import ChannelState
+from repro.dram.queue import RequestQueue
 from repro.dram.request import Request
-from repro.dram.schedulers.base import Scheduler
+from repro.dram.schedulers.base import READY_WINDOW_NS, Scheduler
 
 _QUANTUM_NS = 10_000.0
 _DECAY = 0.875
@@ -41,16 +40,16 @@ class AtlasScheduler(Scheduler):
             self._next_quantum += _QUANTUM_NS
 
     def select(
-        self, queue: Sequence[Request], channel: ChannelState, now: float
+        self, queue: RequestQueue, channel: ChannelState, now: float
     ) -> Request:
         if now >= self._next_quantum:
             self._tick(now)
         # now - arrival never grows with arrival, so if any request is
         # over the threshold the oldest one is, and it is the oldest over.
-        oldest = self.oldest(queue)
+        oldest = queue.oldest()
         if now - oldest.arrival_ns > _OVER_THRESHOLD_NS:
             return oldest
-        return self.best_head(queue, channel, now, self.attained)
+        return queue.best_head(channel, now, self.attained, READY_WINDOW_NS)
 
     def on_dispatch(self, request: Request, now: float) -> None:
         if now >= self._next_quantum:

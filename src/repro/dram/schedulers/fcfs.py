@@ -7,9 +7,8 @@ the proportional slowdown curves of Fig. 5(a).
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from repro.dram.bank import ChannelState
+from repro.dram.queue import RequestQueue
 from repro.dram.request import Request
 from repro.dram.schedulers.base import Scheduler
 
@@ -20,6 +19,6 @@ class FCFSScheduler(Scheduler):
     name = "fcfs"
 
     def select(
-        self, queue: Sequence[Request], channel: ChannelState, now: float
+        self, queue: RequestQueue, channel: ChannelState, now: float
     ) -> Request:
-        return self.oldest(queue)
+        return queue.oldest()

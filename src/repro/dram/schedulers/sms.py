@@ -18,9 +18,10 @@ bank. Fixing it changes results, so it is left as is.
 from __future__ import annotations
 
 import random
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro.dram.bank import ChannelState
+from repro.dram.queue import RequestQueue
 from repro.dram.request import Request
 from repro.dram.schedulers.base import Scheduler
 
@@ -40,17 +41,17 @@ class SMSScheduler(Scheduler):
         self._rr_pointer = 0
 
     def select(
-        self, queue: Sequence[Request], channel: ChannelState, now: float
+        self, queue: RequestQueue, channel: ChannelState, now: float
     ) -> Request:
-        by_core = self.by_core(queue)
+        by_core = queue.by_core()
 
         # Stick with the active batch while it still has requests queued.
         active = by_core.get(self._active_core)
         if active:
             # lint: disable=LINT001 — ChannelQueue.append's order check
-            # (and by_core()'s sort of a plain sequence) keeps a core's
-            # requests in (arrival_ns, req_id) order, so the first match
-            # is the minimum of that total key.
+            # (and ScanQueue.by_core()'s sort) keeps a core's requests in
+            # (arrival_ns, req_id) order, so the first match is the
+            # minimum of that total key.
             for r in active.values():
                 if r.row == self._active_row:
                     return r

@@ -19,11 +19,11 @@ first quantum every core is in the latency cluster, so every rank is -1.
 from __future__ import annotations
 
 import random
-from typing import Sequence
 
 from repro.dram.bank import ChannelState
+from repro.dram.queue import RequestQueue
 from repro.dram.request import Request
-from repro.dram.schedulers.base import Scheduler
+from repro.dram.schedulers.base import READY_WINDOW_NS, Scheduler
 
 _QUANTUM_NS = 10_000.0
 _CLUSTER_THRESHOLD = 0.15  # latency cluster's share of total traffic
@@ -67,11 +67,11 @@ class TCMScheduler(Scheduler):
             self._next_quantum += _QUANTUM_NS
 
     def select(
-        self, queue: Sequence[Request], channel: ChannelState, now: float
+        self, queue: RequestQueue, channel: ChannelState, now: float
     ) -> Request:
         if now >= self._next_quantum:
             self._tick(now)
-        return self.best_head(queue, channel, now, self.rank)
+        return queue.best_head(channel, now, self.rank, READY_WINDOW_NS)
 
     def on_dispatch(self, request: Request, now: float) -> None:
         if now >= self._next_quantum:

@@ -19,7 +19,7 @@ from repro.dram.cores import CoreConfig, CoreState, staggered_base
 from repro.dram.metrics import DramMetrics
 from repro.dram.queue import ChannelQueue
 from repro.dram.request import Request
-from repro.dram.schedulers import make_scheduler
+from repro.dram.schedulers import Scheduler, make_scheduler
 from repro.dram.timing import DDR4_3200, DramTiming
 from repro.errors import SimulationError
 from repro.obs import runtime as obs_runtime
@@ -171,9 +171,10 @@ class CMPSystem:
     queue_factory:
         Channel queue container. The default :class:`ChannelQueue`
         keeps requests in arrival order, grouped by (bank, row, core),
-        so schedulers select from group heads; ``list`` makes them scan
-        every request instead (the reference the equivalence tests
-        compare against — results are bit-identical).
+        so schedulers select from group heads;
+        :class:`~repro.dram.queue.ScanQueue` makes them scan every
+        request instead (the reference the equivalence tests compare
+        against — results are bit-identical).
     tracer:
         Explicit tracer override; by default each :meth:`run` resolves
         the active :mod:`repro.obs.runtime` session. Tracing records the
@@ -287,8 +288,31 @@ class CMPSystem:
         heappush, heappop = heapq.heappush, heapq.heappop
         tie = itertools.count().__next__
         next_request_id = itertools.count().__next__
-        decode = self.mapper.decode
-        select, on_dispatch = scheduler.select, scheduler.on_dispatch
+        select = scheduler.select
+        # The base hook does nothing; only an override is called.
+        on_dispatch = (
+            scheduler.on_dispatch
+            if type(scheduler).on_dispatch is not Scheduler.on_dispatch
+            else None
+        )
+        # Each request's access, hoisted per core. A trace core replays
+        # its records (CoreState.next_access); a synthetic core's i-th
+        # access is at its first address + 64 i, which successive
+        # take_address calls return, and a write when i % period ==
+        # period - 1 (CoreConfig.is_write_index).
+        core_records = [
+            None if c.trace is None else c.trace.records for c in cores
+        ]
+        write_periods = [c.write_period for c in cores]
+        first_addresses = [s.next_address for s in states]
+        # AddressMapper.decode's shifts and masks. Addresses are never
+        # negative (CoreConfig and TraceRecord reject negative ones), so
+        # the inlined decode skips decode's sign check.
+        mapper = self.mapper
+        line_bits = mapper.LINE_BITS
+        channel_mask = mapper.channel_mask
+        bank_shift, bank_mask = mapper.bank_shift, mapper.bank_mask
+        row_shift = mapper.row_shift
 
         for state in states:
             state.gen_pending = True
@@ -304,7 +328,8 @@ class CMPSystem:
                 state.gen_pending = False
                 config = state.config
                 total = config.total_requests
-                if state.issued >= total:
+                issued = state.issued
+                if issued >= total:
                     continue
                 if now + 1e-12 < state.next_gen_ns:
                     # Woken early (completion/buffer space): respect the
@@ -313,31 +338,42 @@ class CMPSystem:
                     heappush(events, (state.next_gen_ns, tie(), _GEN, payload))
                     continue
                 mshr = config.mshr
-                first = state.issued
-                stop = min(first + config.burst_lines, total)
-                touched = set()
+                inflight = state.inflight
+                records = core_records[payload]
+                period = write_periods[payload]
+                first_address = first_addresses[payload]
+                first = issued
+                stop = first + config.burst_lines
+                if stop > total:
+                    stop = total
+                # Channels to wake, in the order first touched; each is
+                # marked scheduled as it joins.
+                wake = []
                 # Each pass through the loop either blocks the core or
                 # issues a request, which unblocks it; the loop runs at
                 # least once, so unblocking once here is the same.
-                state.blocked = False
-                while state.issued < stop:
-                    # Only reads take an MSHR; writes are posted. The
-                    # write lookup has no side effects, so it runs only
-                    # when the MSHRs are full and its answer matters.
-                    if state.inflight >= mshr:
-                        if config.trace is not None:
-                            is_write = config.trace.records[state.issued].is_write
-                        else:
-                            is_write = config.is_write_index(state.issued)
-                        if not is_write:
-                            state.blocked = True
-                            break
+                blocked = False
+                while issued < stop:
+                    if records is None:
+                        address = first_address + 64 * issued
+                        is_write = (
+                            period > 0 and issued % period == period - 1
+                        )
+                    else:
+                        record = records[issued]
+                        address = record.address
+                        is_write = record.is_write
+                    # Only reads take an MSHR; writes are posted.
+                    if inflight >= mshr and not is_write:
+                        blocked = True
+                        break
                     if buffer_used >= buffer_cap:
-                        state.blocked = True
+                        blocked = True
                         buffer_waiters.add(state)
                         break
-                    address, is_write = state.next_access()
-                    ch, bank, row, _ = decode(address)
+                    ch = (address >> line_bits) & channel_mask
+                    row = address >> row_shift
+                    bank = ((address >> bank_shift) ^ row) & bank_mask
                     request = Request(
                         next_request_id(), payload, ch, bank, row, now, is_write
                     )
@@ -358,28 +394,31 @@ class CMPSystem:
                             ),
                         )
                     buffer_used += 1
-                    state.issued += 1
+                    issued += 1
                     if not is_write:
-                        state.inflight += 1
-                    touched.add(ch)
-                # Sorted so the wake order (and thus heap tie-break
-                # counters) never depends on set iteration order.
-                for ch in sorted(touched):
+                        inflight += 1
                     if not serve_scheduled[ch]:
                         serve_scheduled[ch] = True
-                        bus_free = channels[ch].bus_free_at
-                        heappush(events, (
-                            bus_free if bus_free > now else now, tie(),
-                            _SERVE, ch,
-                        ))
-                issued_now = state.issued - first
+                        wake.append(ch)
+                state.issued = issued
+                state.inflight = inflight
+                state.blocked = blocked
+                # In channel order, so the heap tie-break counters never
+                # depend on the order the burst touched the channels.
+                wake.sort()
+                for ch in wake:
+                    bus_free = channels[ch].bus_free_at
+                    heappush(events, (
+                        bus_free if bus_free > now else now, tie(), _SERVE, ch
+                    ))
+                issued_now = issued - first
                 if issued_now:
                     next_gen = state.next_gen_ns
                     state.next_gen_ns = next_gen = (
                         (next_gen if next_gen > now else now)
                         + issued_now * config.interval_ns
                     )
-                    if state.issued < total and not state.blocked:
+                    if issued < total and not blocked:
                         state.gen_pending = True
                         heappush(events, (next_gen, tie(), _GEN, payload))
             elif kind == _SERVE:
@@ -420,7 +459,8 @@ class CMPSystem:
                 queued[ch] -= 1
                 buffer_used -= 1
                 completion = channel.dispatch(request, now)
-                on_dispatch(request, now)
+                if on_dispatch is not None:
+                    on_dispatch(request, now)
                 if trace_on:
                     tracer.emit_event(
                         "sched.select",
@@ -524,6 +564,7 @@ class CMPSystem:
             )
             for s in states
         )
+        p50, p99 = metrics.latency_percentiles((50.0, 99.0))
         return SimResult(
             policy=self.policy_name,
             elapsed_ns=elapsed,
@@ -531,8 +572,8 @@ class CMPSystem:
             row_hit_rate=metrics.row_hit_rate,
             effective_bw_gbps=metrics.effective_bw_gbps(elapsed),
             mean_latency_ns=metrics.mean_latency_ns,
-            p50_latency_ns=metrics.latency_percentile(50.0),
-            p99_latency_ns=metrics.latency_percentile(99.0),
+            p50_latency_ns=p50,
+            p99_latency_ns=p99,
         )
 
     # ------------------------------------------------------------------

@@ -143,9 +143,11 @@ def _write_at(index: int, fraction: float) -> bool:
 def trace_core_config(trace: MemoryTrace, mshr: int = 16, burst_lines: int = 16):
     """A :class:`~repro.dram.cores.CoreConfig` replaying this trace.
 
-    The returned config carries the trace addresses via a replaying
-    address source (see :class:`TraceAddressSource`); plug it into
-    :meth:`CMPSystem.run` like any other core.
+    The returned config carries the trace itself: the core issues its
+    records in order, each record's address and write flag in place of
+    the sequential stream (:meth:`CoreState.next_access`), at the
+    trace's demand rate. Plug it into :meth:`CMPSystem.run` like any
+    other core.
     """
     from repro.dram.cores import CoreConfig
 

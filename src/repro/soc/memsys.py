@@ -172,10 +172,8 @@ def _allocate_pair(
     a0 = f0
     a1 = f1
     remaining = capacity - total_floors
-    s0 = t0 - f0
-    s0 = w0 * (_EPS_BW if _EPS_BW > s0 else s0)
-    s1 = t1 - f1
-    s1 = w1 * (_EPS_BW if _EPS_BW > s1 else s1)
+    s0 = w0 * (t0 - f0)
+    s1 = w1 * (t1 - f1)
     capped = (cap if cap < t0 else t0, cap if cap < t1 else t1)
     for l0, l1 in (capped, (t0, t1)):
         h0 = l0 - a0 > _EPS_BW
@@ -328,11 +326,10 @@ class SharedMemorySystem:
             return [f * scale for f in floors]
         alloc = list(floors)
         remaining = capacity - total_floors
-        # weight * max(excess demand, _EPS_BW): fixed for the whole call.
-        share_w = [
-            w * (_EPS_BW if _EPS_BW > t - f else t - f)
-            for w, t, f in zip(weights, targets, floors)
-        ]
+        # weight * excess demand, fixed for the whole call. Only a hungry
+        # stream's weight is read, and its excess is above _EPS_BW: its
+        # limit is at most its target and its grant at least its floor.
+        share_w = [w * (t - f) for w, t, f in zip(weights, targets, floors)]
         capped = [c if c < t else t for t, c in zip(targets, caps)]
         # The capped fill, then the same fill with caps released when
         # capacity is left over: the controller does not idle the bus for

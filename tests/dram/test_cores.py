@@ -26,6 +26,22 @@ class TestCoreConfig:
         with pytest.raises(ConfigurationError):
             CoreConfig(**base)
 
+    def test_negative_address_base_rejected(self):
+        """Rejected when built, not at the run's first access."""
+        with pytest.raises(ConfigurationError):
+            CoreConfig(5.0, 100, address_base=-64)
+        assert CoreConfig(5.0, 100, address_base=0).address_base == 0
+
+    @pytest.mark.parametrize("fraction", [0.0, 0.1, 0.25, 0.3, 0.5])
+    def test_write_period_drives_is_write_index(self, fraction):
+        cfg = CoreConfig(5.0, 100, write_fraction=fraction)
+        period = cfg.write_period
+        writes = [i for i in range(100) if cfg.is_write_index(i)]
+        if fraction == 0:
+            assert period == 0 and writes == []
+        else:
+            assert writes == list(range(period - 1, 100, period))
+
 
 class TestStaggeredBase:
     def test_disjoint_windows(self):

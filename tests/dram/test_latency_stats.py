@@ -15,10 +15,23 @@ class TestPercentiles:
         assert m.latency_percentile(0.0) == 10.0
         assert m.latency_percentile(50.0) == 30.0
         assert m.latency_percentile(100.0) == 50.0
+        assert m.latency_percentiles((0.0, 50.0, 100.0)) == (10.0, 30.0, 50.0)
 
     def test_bad_percentile_rejected(self):
         with pytest.raises(ValueError):
             DramMetrics().latency_percentile(150.0)
+        with pytest.raises(ValueError):
+            DramMetrics().latency_percentiles((50.0, -1.0))
+
+    @pytest.mark.parametrize(
+        "latencies", [[], [40.0, 10.0, 50.0, 30.0, 20.0]]
+    )
+    def test_one_sort_agrees_with_single_percentiles(self, latencies):
+        m = DramMetrics(latencies_ns=latencies)
+        qs = (0.0, 10.0, 50.0, 62.5, 99.0, 100.0)
+        assert m.latency_percentiles(qs) == tuple(
+            m.latency_percentile(q) for q in qs
+        )
 
     def test_simulation_reports_percentiles(self):
         system = CMPSystem()

@@ -7,9 +7,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.dram.bank import ChannelState
 from repro.dram.cores import CoreConfig, CoreState
-from repro.dram.queue import ChannelQueue
+from repro.dram.queue import ChannelQueue, ScanQueue
 from repro.dram.request import Request
-from repro.dram.schedulers.base import Scheduler
+from repro.dram.schedulers.base import READY_WINDOW_NS
 from repro.dram.system import BufferWaitQueue, CMPSystem
 from repro.dram.timing import DDR4_3200
 from repro.errors import SimulationError
@@ -72,13 +72,13 @@ class TestChannelQueue:
         assert [r.req_id for r in hits] == [0, 1, 6, 7]
         heads = queue.open_row_hits(channel)
         assert {r.req_id for r in heads} == {0, 1}
-        assert Scheduler.oldest(heads) is Scheduler.oldest(hits)
+        assert ScanQueue(heads).oldest() is ScanQueue(hits).oldest()
         # removing a head advances its group to the next request
         queue.remove(requests[0])
         hits.remove(requests[0])
         heads = queue.open_row_hits(channel)
         assert {r.req_id for r in heads} == {1, 6}
-        assert Scheduler.oldest(heads) is Scheduler.oldest(hits)
+        assert ScanQueue(heads).oldest() is ScanQueue(hits).oldest()
         # removing a group's last request drops the group
         queue.remove(requests[6])
         assert {r.req_id for r in queue.open_row_hits(channel)} == {1}
@@ -91,19 +91,19 @@ class TestChannelQueue:
         channel.bank(0).open_row = 1
         # the index answers with one head per open-row (bank, row, core)
         # group: ids 1 (core 1), 3 (core 0) and 5 (core 2)
-        heads = Scheduler.row_hits(queue, channel)
+        heads = queue.open_row_hits(channel)
         assert sorted(r.req_id for r in heads) == [1, 3, 5]
-        # plain sequences still take the scan path and return every hit
-        scan = Scheduler.row_hits(list(queue), channel)
+        # a ScanQueue takes the scan path and returns every hit
+        scan = ScanQueue(queue).open_row_hits(channel)
         assert sorted(r.req_id for r in scan) == [1, 3, 5]
-        assert Scheduler.oldest(heads) is Scheduler.oldest(scan)
+        assert ScanQueue(heads).oldest() is ScanQueue(scan).oldest()
         # a second core-0 hit queues behind its group's head, id 3
         queue.append(make_request(6, bank=0, row=1, core=0))
-        heads = Scheduler.row_hits(queue, channel)
-        scan = Scheduler.row_hits(list(queue), channel)
+        heads = queue.open_row_hits(channel)
+        scan = ScanQueue(queue).open_row_hits(channel)
         assert sorted(r.req_id for r in heads) == [1, 3, 5]
         assert sorted(r.req_id for r in scan) == [1, 3, 5, 6]
-        assert Scheduler.oldest(heads) is Scheduler.oldest(scan)
+        assert ScanQueue(heads).oldest() is ScanQueue(scan).oldest()
 
     def test_append_rejects_out_of_order(self):
         queue = ChannelQueue()
@@ -168,8 +168,8 @@ def test_best_head_matches_per_request_scan(snapshot):
     queue = ChannelQueue()
     for r in requests:
         queue.append(r)
-    assert Scheduler.best_head(queue, channel, now, rank) is (
-        Scheduler.best_head(requests, channel, now, rank)
+    assert queue.best_head(channel, now, rank, READY_WINDOW_NS) is (
+        ScanQueue(requests).best_head(channel, now, rank, READY_WINDOW_NS)
     )
 
 
@@ -178,7 +178,7 @@ def test_best_head_matches_per_request_scan(snapshot):
 def test_head_upkeep_under_removal(data):
     """Arrival-ordered appends interleaved with removals of any queued
     request, head or not: after every step the stored group heads give
-    the answers of the per-request scans over ``list(queue)``. Few
+    the answers of the per-request scans over ``ScanQueue(queue)``. Few
     banks, rows and cores keep groups long, so removals often leave a
     group behind a removed non-head."""
     channel, _, rank, now = data.draw(channel_snapshots())
@@ -200,18 +200,18 @@ def test_head_upkeep_under_removal(data):
                 core=data.draw(st.integers(0, 2)),
             ))
             next_id += 1
-        scan = list(queue)
+        scan = ScanQueue(queue)
         if not scan:
             continue
-        assert Scheduler.best_head(queue, channel, now, rank) is (
-            Scheduler.best_head(scan, channel, now, rank)
+        assert queue.best_head(channel, now, rank, READY_WINDOW_NS) is (
+            scan.best_head(channel, now, rank, READY_WINDOW_NS)
         )
-        assert queue.oldest() is Scheduler.oldest(scan)
+        assert queue.oldest() is scan.oldest()
         heads = queue.open_row_hits(channel)
-        hits = Scheduler.row_hits(scan, channel)
+        hits = scan.open_row_hits(channel)
         assert bool(heads) == bool(hits)
         if hits:
-            assert Scheduler.oldest(heads) is Scheduler.oldest(hits)
+            assert ScanQueue(heads).oldest() is ScanQueue(hits).oldest()
 
 
 class TestBufferWaitQueue:
@@ -248,7 +248,7 @@ class TestFastQueueEquivalence:
     @pytest.mark.parametrize("policy", POLICIES)
     def test_bit_identical_to_list_queue(self, policy):
         fast = CMPSystem(policy=policy, seed=3).run(mixed_cores(6, REQUESTS))
-        slow = CMPSystem(policy=policy, seed=3, queue_factory=list).run(
+        slow = CMPSystem(policy=policy, seed=3, queue_factory=ScanQueue).run(
             mixed_cores(6, REQUESTS)
         )
         assert fast == slow
@@ -263,7 +263,7 @@ class TestFastQueueEquivalence:
     @given(data=st.data())
     def test_random_configs_match_list_queue(self, policy, data):
         sim = data.draw(sim_inputs(policy))
-        assert sim.run() == sim.run(queue_factory=list)
+        assert sim.run() == sim.run(queue_factory=ScanQueue)
 
     @pytest.mark.parametrize("policy", ("frfcfs", "tcm"))
     def test_blocked_core_wakeups_identical_with_tiny_buffer(self, policy):
@@ -275,7 +275,7 @@ class TestFastQueueEquivalence:
             mixed_cores(8, REQUESTS)
         )
         slow = CMPSystem(
-            timing=timing, policy=policy, queue_factory=list
+            timing=timing, policy=policy, queue_factory=ScanQueue
         ).run(mixed_cores(8, REQUESTS))
         assert fast == slow
         for core in fast.cores:
@@ -286,7 +286,7 @@ class TestFastQueueEquivalence:
         fast = CMPSystem(policy="frfcfs").run(
             mixed_cores(6, REQUESTS), stop_cores={0}
         )
-        slow = CMPSystem(policy="frfcfs", queue_factory=list).run(
+        slow = CMPSystem(policy="frfcfs", queue_factory=ScanQueue).run(
             mixed_cores(6, REQUESTS), stop_cores={0}
         )
         assert fast == slow

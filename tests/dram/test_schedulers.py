@@ -1,7 +1,7 @@
 """Scheduling policies: selection rules on crafted queues.
 
-Every policy test class runs twice: on plain lists (the per-request
-scans) and, through its ``...OnChannelQueue`` subclass, on a
+Every policy test class runs twice: on a :class:`ScanQueue` (the
+per-request scans) and, through its ``...OnChannelQueue`` subclass, on a
 :class:`ChannelQueue` built in ``(arrival_ns, req_id)`` order (the
 indexed path).
 """
@@ -9,7 +9,7 @@ indexed path).
 import pytest
 
 from repro.dram.bank import ChannelState
-from repro.dram.queue import ChannelQueue
+from repro.dram.queue import ChannelQueue, ScanQueue
 from repro.dram.request import Request
 from repro.dram.schedulers import (
     FAIRNESS_POLICIES,
@@ -17,6 +17,7 @@ from repro.dram.schedulers import (
     make_scheduler,
 )
 from repro.dram.schedulers.atlas import AtlasScheduler
+from repro.dram.schedulers.base import READY_WINDOW_NS
 from repro.dram.schedulers.fcfs import FCFSScheduler
 from repro.dram.schedulers.frfcfs import FRFCFSScheduler
 from repro.dram.schedulers.sms import SMSScheduler
@@ -52,7 +53,7 @@ def channel() -> ChannelState:
 @pytest.fixture()
 def queue_of():
     """How a test turns its requests into a channel queue."""
-    return list
+    return ScanQueue
 
 
 class OnChannelQueue:
@@ -260,20 +261,18 @@ class TestSMSOnChannelQueue(OnChannelQueue, TestSMS):
 
 class TestReadySubset:
     def test_prefers_ready_requests(self, channel):
-        from repro.dram.schedulers.base import Scheduler
-
         channel.dispatch(req(99, bank=0, row=7), 0.0)
         now = channel.bus_free_at
         blocked = req(0, bank=0, row=3, arrival=0.0)  # conflict: slow
         ready = req(1, bank=1, row=5, arrival=0.0)  # idle bank: fast
-        subset = Scheduler.ready_subset([blocked, ready], channel, now)
+        subset = ScanQueue([blocked, ready]).ready(
+            channel, now, READY_WINDOW_NS
+        )
         assert subset == [ready]
 
     def test_falls_back_to_all_when_none_ready(self, channel):
-        from repro.dram.schedulers.base import Scheduler
-
         channel.dispatch(req(99, bank=0, row=7), 0.0)
         now = channel.bus_free_at
         blocked = req(0, bank=0, row=3, arrival=0.0)
-        subset = Scheduler.ready_subset([blocked], channel, now)
+        subset = ScanQueue([blocked]).ready(channel, now, READY_WINDOW_NS)
         assert subset == [blocked]
