@@ -10,6 +10,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.errors import PredictionError
+from repro.units import left_sum
 
 
 def mean_abs_error(
@@ -23,7 +24,9 @@ def mean_abs_error(
         )
     if not predicted:
         raise PredictionError("cannot average zero errors")
-    return sum(abs(p - a) for p, a in zip(predicted, actual)) / len(predicted)
+    return left_sum(
+        abs(p - a) for p, a in zip(predicted, actual)
+    ) / len(predicted)
 
 
 def mean_abs_error_pct(

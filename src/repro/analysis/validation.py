@@ -17,6 +17,7 @@ from repro.core.model import PCCSModel
 from repro.errors import PredictionError
 from repro.profiling.pressure import sweep_pressure
 from repro.soc.engine import CoRunEngine
+from repro.units import left_sum
 from repro.workloads.kernel import KernelSpec
 from repro.workloads.roofline import pressure_levels
 
@@ -41,7 +42,7 @@ class ValidationScore:
 
     @property
     def mean_error(self) -> float:
-        return sum(k.mean_error for k in self.kernels) / len(self.kernels)
+        return left_sum(k.mean_error for k in self.kernels) / len(self.kernels)
 
     @property
     def worst_kernel(self) -> KernelScore:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Tuple
 
 from repro.errors import PredictionError
-from repro.units import clamp
+from repro.units import clamp, left_sum
 
 
 class GablesModel:
@@ -126,7 +126,7 @@ def gables_soc_attainable(
     """
     if not assignments:
         raise PredictionError("at least one PU assignment required")
-    total_fraction = sum(f for f, _ in assignments.values())
+    total_fraction = left_sum(f for f, _ in assignments.values())
     if abs(total_fraction - 1.0) > 1e-9:
         raise PredictionError(
             f"work fractions must sum to 1, got {total_fraction}"

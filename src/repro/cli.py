@@ -26,6 +26,7 @@ from repro.core.model import PCCSModel
 from repro.soc.configs import available_socs, soc_by_name
 from repro.soc.engine import CoRunEngine
 from repro.soc.spec import PUType
+from repro.units import left_sum
 from repro.workloads.dnn import dnn_suite
 from repro.workloads.rodinia import rodinia_suite
 
@@ -250,7 +251,7 @@ def _cmd_lint(args) -> int:
             profile.items(), key=lambda item: (-item[1], item[0])
         ):
             table.add_row([rule_id, f"{seconds:.4f}"])
-        total = sum(profile.values())
+        total = left_sum(profile.values())
         table.add_row(["total", f"{total:.4f}"])
         print(table.render(), file=sys.stderr)
     if cache is not None:

@@ -26,6 +26,7 @@ from typing import List, Optional, Sequence
 
 from repro.core.parameters import PCCSParameters
 from repro.errors import CalibrationError
+from repro.units import left_sum
 
 
 @dataclass(frozen=True)
@@ -252,7 +253,7 @@ def construct_parameters(
             "no normal-region calibrator shows a notable reduction; "
             "external-pressure sweep does not reach contention"
         )
-    tbwdc = sum(onset_points) / len(onset_points)
+    tbwdc = left_sum(onset_points) / len(onset_points)
 
     # Step 4: contention balance point, averaged over normal-region rows.
     flat_points: List[float] = []
@@ -265,7 +266,7 @@ def construct_parameters(
             "no normal-region calibrator curve flattens; external sweep "
             "must extend beyond the contention balance point"
         )
-    cbp = sum(flat_points) / len(flat_points)
+    cbp = left_sum(flat_points) / len(flat_points)
 
     # Step 5: average reduction rate inside the normal region, estimated
     # by inverting the model's flat-level formula per row:

@@ -14,6 +14,7 @@ from typing import Sequence, Tuple
 
 from repro.core.model import PCCSModel
 from repro.errors import PredictionError
+from repro.units import left_sum
 
 
 def predict_multiphase(
@@ -48,7 +49,7 @@ def predict_multiphase(
         )
     if not phase_demands:
         raise PredictionError("at least one phase required")
-    total_weight = sum(phase_weights)
+    total_weight = left_sum(phase_weights)
     if abs(total_weight - 1.0) > 1e-6:
         raise PredictionError(
             f"phase weights must sum to 1, got {total_weight}"
@@ -80,7 +81,7 @@ def predict_average_bw(
         raise PredictionError(
             "phase_demands and phase_weights must have equal length"
         )
-    avg = sum(d * w for d, w in zip(phase_demands, phase_weights))
+    avg = left_sum(d * w for d, w in zip(phase_demands, phase_weights))
     return model.relative_speed(avg, external_bw)
 
 

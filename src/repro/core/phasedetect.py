@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from repro.errors import PredictionError
+from repro.units import left_sum
 
 _EPS = 1e-9
 
@@ -93,7 +94,7 @@ def detect_phases(
                     )
                 )
             start = cut
-            total = float(sum(samples[start : i + 1]))
+            total = float(left_sum(samples[start : i + 1]))
             count = i + 1 - start
             deviants = 0
     phases.append(

@@ -15,6 +15,7 @@ from repro.core.model import PCCSModel
 from repro.core.multiphase import phase_inputs_from_profile, predict_multiphase
 from repro.errors import PredictionError
 from repro.soc.engine import CoRunEngine
+from repro.units import left_sum
 from repro.workloads.kernel import KernelSpec
 
 
@@ -89,7 +90,7 @@ def predict_placement(
         model = models.get(pu_name)
         if model is None:
             raise PredictionError(f"no slowdown model for PU {pu_name!r}")
-        external = sum(d for n, d in demands.items() if n != pu_name)
+        external = left_sum(d for n, d in demands.items() if n != pu_name)
         profile = engine.profile(kernel, pu_name)
         if multiphase and kernel.is_multiphase and isinstance(model, PCCSModel):
             phase_demands, weights = phase_inputs_from_profile(profile)

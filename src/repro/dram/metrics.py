@@ -14,8 +14,9 @@ class DramMetrics:
 
     ``latencies_ns`` lists every dispatched request's queueing latency
     in dispatch order, and ``sum_queue_latency_ns`` is their running sum
-    in that order. The engine adds as it goes rather than calling
-    ``sum()``, which rounds differently from Python 3.12 on.
+    in that order. The engine adds as it goes, left to right as
+    :func:`repro.units.left_sum` does, rather than calling ``sum()``,
+    which rounds differently from Python 3.12 on.
     """
 
     row_hits: int = 0

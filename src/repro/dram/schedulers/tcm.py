@@ -24,6 +24,7 @@ from repro.dram.bank import ChannelState
 from repro.dram.queue import RequestQueue
 from repro.dram.request import Request
 from repro.dram.schedulers.base import READY_WINDOW_NS, Scheduler
+from repro.units import left_sum
 
 _QUANTUM_NS = 10_000.0
 _CLUSTER_THRESHOLD = 0.15  # latency cluster's share of total traffic
@@ -43,7 +44,7 @@ class TCMScheduler(Scheduler):
         self._next_quantum = _QUANTUM_NS
 
     def _reclassify(self) -> None:
-        total = sum(self.quantum_bytes)
+        total = left_sum(self.quantum_bytes)
         order = sorted(range(self.n_cores), key=lambda c: self.quantum_bytes[c])
         self.latency_cluster = set()
         acc = 0.0

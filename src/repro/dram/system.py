@@ -23,6 +23,7 @@ from repro.dram.schedulers import Scheduler, make_scheduler
 from repro.dram.timing import DDR4_3200, DramTiming
 from repro.errors import SimulationError
 from repro.obs import runtime as obs_runtime
+from repro.units import left_sum
 
 _GEN, _SERVE, _COMPLETE = 0, 1, 2
 
@@ -149,8 +150,8 @@ class SimResult:
         finish = max(finishes) if all(f is not None for f in finishes) else None
         return GroupResult(
             cores=tuple(indices),
-            demand_gbps=sum(c.demand_gbps for c in members),
-            achieved_gbps=sum(c.achieved_gbps for c in members),
+            demand_gbps=left_sum(c.demand_gbps for c in members),
+            achieved_gbps=left_sum(c.achieved_gbps for c in members),
             finish_ns=finish,
         )
 
@@ -216,7 +217,9 @@ class CMPSystem:
             ends once every listed core finished; other cores act as
             background pressure and may be left unfinished.
         max_ns:
-            Simulated-time guard.
+            Simulated-time guard: the run stops at the first event
+            later than ``max_ns`` without processing it, and reports
+            ``max_ns`` as its elapsed time.
         """
         if not cores:
             raise SimulationError("at least one core required")
@@ -322,6 +325,9 @@ class CMPSystem:
         while events:
             now, _, kind, payload = heappop(events)
             if now > max_ns:
+                # The guard stops the run before this event happens, so
+                # the simulated time that elapsed is max_ns.
+                now = max_ns
                 break
             if kind == _GEN:
                 state = states[payload]

@@ -24,6 +24,7 @@ from repro.experiments.common import (
     pccs_model_for,
 )
 from repro.profiling.pressure import sweep_pressure
+from repro.units import left_sum
 from repro.workloads.dnn import dnn_model
 from repro.workloads.roofline import pressure_levels
 
@@ -59,11 +60,15 @@ class Fig12Result:
 
     @property
     def pccs_avg_error(self) -> float:
-        return sum(n.pccs_error for n in self.networks) / len(self.networks)
+        return left_sum(n.pccs_error for n in self.networks) / len(
+            self.networks
+        )
 
     @property
     def gables_avg_error(self) -> float:
-        return sum(n.gables_error for n in self.networks) / len(self.networks)
+        return left_sum(n.gables_error for n in self.networks) / len(
+            self.networks
+        )
 
     def network(self, name: str) -> DLAValidation:
         for n in self.networks:

@@ -28,6 +28,7 @@ from repro.experiments.common import (
 )
 from repro.perf import PressureSweepJob, parallel_map
 from repro.soc.spec import PUType
+from repro.units import left_sum
 from repro.workloads.rodinia import CPU_VALIDATION_SET, RODINIA_NAMES, rodinia_kernel
 from repro.workloads.roofline import pressure_levels
 
@@ -77,11 +78,13 @@ class RodiniaValidationResult:
 
     @property
     def pccs_avg_error(self) -> float:
-        return sum(b.pccs_error for b in self.benchmarks) / len(self.benchmarks)
+        return left_sum(b.pccs_error for b in self.benchmarks) / len(
+            self.benchmarks
+        )
 
     @property
     def gables_avg_error(self) -> float:
-        return sum(b.gables_error for b in self.benchmarks) / len(
+        return left_sum(b.gables_error for b in self.benchmarks) / len(
             self.benchmarks
         )
 

@@ -26,6 +26,7 @@ from repro.errors import UnknownKeyError
 from repro.experiments.common import engine_for, pccs_model_for
 from repro.profiling.pressure import sweep_pressure
 from repro.soc.spec import PUType
+from repro.units import left_sum
 from repro.workloads.rodinia import rodinia_kernel
 from repro.workloads.roofline import pressure_levels
 
@@ -146,7 +147,7 @@ def run_table10(
         )
 
     def avg(name: str) -> float:
-        return sum(errors[name]) / len(errors[name])
+        return left_sum(errors[name]) / len(errors[name])
 
     # PCCS's calibrator campaign: one rela-matrix per PU (rows x cols),
     # independent of application count.

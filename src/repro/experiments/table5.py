@@ -18,6 +18,7 @@ from repro.core.scaling import bandwidth_ratio, scale_parameters, scaling_errors
 from repro.experiments.common import engine_for, pccs_params_for
 from repro.soc.engine import CoRunEngine
 from repro.soc.frequency import soc_with_memory_frequency
+from repro.units import left_sum
 
 DEFAULT_FREQUENCIES: Tuple[float, ...] = (1066.0, 1333.0, 1600.0)
 
@@ -46,7 +47,7 @@ class Table5Result:
         for c in self.comparisons:
             keys.update(c.errors)
         return {
-            k: sum(c.errors[k] for c in self.comparisons if k in c.errors)
+            k: left_sum(c.errors[k] for c in self.comparisons if k in c.errors)
             / sum(1 for c in self.comparisons if k in c.errors)
             for k in sorted(keys)
         }
@@ -54,7 +55,7 @@ class Table5Result:
     @property
     def overall_average_error(self) -> float:
         avg = self.average_errors()
-        return sum(avg.values()) / len(avg)
+        return left_sum(avg.values()) / len(avg)
 
     def render(self) -> str:
         table = TextTable(

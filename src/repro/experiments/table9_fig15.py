@@ -25,6 +25,7 @@ from repro.experiments.common import (
     pccs_model_for,
 )
 from repro.soc.spec import PUType
+from repro.units import left_sum
 from repro.workloads.rodinia import rodinia_kernel
 
 DEFAULT_FREQUENCIES: Tuple[float, ...] = (
@@ -83,7 +84,7 @@ class Table9Fig15Result:
             c.pccs_error if model == "pccs" else c.gables_error
             for c in self.cells
         ]
-        return sum(errors) / len(errors)
+        return left_sum(errors) / len(errors)
 
     def render(self) -> str:
         table = TextTable(

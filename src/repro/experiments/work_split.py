@@ -32,6 +32,7 @@ from repro.experiments.common import (
     pccs_model_for,
 )
 from repro.soc.spec import PUType
+from repro.units import left_sum
 from repro.workloads.rodinia import rodinia_kernel
 
 
@@ -67,7 +68,7 @@ class WorkSplitResult:
         curve = (
             self.pccs_predicted if family == "pccs" else self.gables_predicted
         )
-        return sum(
+        return left_sum(
             abs(p - m) for p, m in zip(curve, self.measured)
         ) / len(self.measured)
 
@@ -131,7 +132,7 @@ def _predicted_makespan(engine, family_models, placements, demands):
     stretched = {}
     standalone = {}
     for pu, kernel in placements.items():
-        external = sum(d for name, d in demands.items() if name != pu)
+        external = left_sum(d for name, d in demands.items() if name != pu)
         rs = family_models[pu].relative_speed(demands[pu], external)
         standalone[pu] = engine.standalone_seconds(kernel, pu)
         stretched[pu] = standalone[pu] / rs

@@ -14,6 +14,7 @@ from typing import Dict, Mapping, Tuple
 from repro.core.workflow import SlowdownModel, predict_placement
 from repro.errors import UnknownKeyError
 from repro.soc.engine import CoRunEngine
+from repro.units import left_sum
 from repro.workloads.kernel import KernelSpec
 
 
@@ -97,4 +98,4 @@ def average_errors(
     for workload in results:
         for r in workload.per_pu:
             sums.setdefault(r.pu_name, []).append(r.error(model_name))
-    return {pu: sum(v) / len(v) for pu, v in sums.items()}
+    return {pu: left_sum(v) / len(v) for pu, v in sums.items()}

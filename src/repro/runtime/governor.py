@@ -19,6 +19,7 @@ from repro.core.explorer import DesignExplorer, FrequencyExplorer
 from repro.core.workflow import SlowdownModel
 from repro.errors import PredictionError
 from repro.soc.spec import SoCSpec
+from repro.units import left_sum
 from repro.workloads.kernel import KernelSpec
 
 
@@ -111,5 +112,5 @@ class QoSGovernor:
         if not decisions:
             raise PredictionError("no decisions to score")
         top = max(self.frequencies_mhz)
-        used = sum((d.frequency_mhz / top) ** 3 for d in decisions)
+        used = left_sum((d.frequency_mhz / top) ** 3 for d in decisions)
         return used / len(decisions)

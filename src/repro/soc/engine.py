@@ -11,7 +11,7 @@ validated against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.obs import runtime as obs_runtime
@@ -26,6 +26,14 @@ from repro.soc.spec import SoCSpec
 from repro.workloads.kernel import KernelSpec
 
 _MIN_RATE = 1e-12
+
+
+def _rates(grants: Tuple[StreamGrant, ...]) -> Tuple[float, ...]:
+    """The rate each stream advances at: its grant, floored at
+    ``_MIN_RATE`` (the comparison ``max(granted, _MIN_RATE)`` makes)."""
+    return tuple([
+        _MIN_RATE if _MIN_RATE > g.granted else g.granted for g in grants
+    ])
 
 
 class ResolveCacheStats:
@@ -64,64 +72,15 @@ class ResolveCacheStats:
         return self.hits / self.calls if self.calls else 0.0
 
 
-@dataclass
-class _StreamState:
-    """Mutable progress of one placed kernel during co-run simulation."""
+class _Placement(NamedTuple):
+    """What ``corun`` reads of one kernel placed on one PU."""
 
-    pu_name: str
     profile: StandaloneProfile
-    looping: bool
-    phase_index: int = 0
-    bytes_left: float = 0.0
-    bytes_done: float = 0.0
-    loops_done: int = 0
-    finished_at: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        self.bytes_left = self.profile.phases[0].traffic_bytes
-
-    @property
-    def current_phase(self):
-        return self.profile.phases[self.phase_index]
-
-    @property
-    def finished(self) -> bool:
-        return self.finished_at is not None
-
-    def standalone_seconds_done(self) -> float:
-        """Standalone time equivalent of the work completed so far."""
-        done = self.loops_done * self.profile.total_seconds
-        for i, phase in enumerate(self.profile.phases):
-            if i < self.phase_index:
-                done += phase.seconds
-        phase = self.current_phase
-        fraction = 1.0 - self.bytes_left / phase.traffic_bytes
-        return done + fraction * phase.seconds
-
-    def advance(self, n_bytes: float, now: float) -> bool:
-        """Consume ``n_bytes`` of the current phase, rolling phases over.
-
-        Returns whether the current phase ended: the state moved to the
-        next phase, started its next loop, or finished.
-        """
-        self.bytes_left -= n_bytes
-        self.bytes_done += n_bytes
-        if self.bytes_left > 1e-3:
-            return False
-        self.phase_index += 1
-        if self.phase_index < len(self.profile.phases):
-            self.bytes_left = self.current_phase.traffic_bytes
-            return True
-        if self.looping:
-            self.loops_done += 1
-            self.phase_index = 0
-            self.bytes_left = self.current_phase.traffic_bytes
-        else:
-            if self.finished_at is None:
-                self.finished_at = now
-            self.phase_index = len(self.profile.phases) - 1
-            self.bytes_left = 0.0
-        return True
+    #: Per phase: its co-run stream, that stream's interned id and the
+    #: phase's traffic in bytes.
+    streams: Tuple[StreamDemand, ...]
+    stream_ids: Tuple[int, ...]
+    traffic: Tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -197,11 +156,11 @@ class CoRunEngine:
         :class:`repro.soc.multimc.PartitionedMemorySystem` for multi-MC
         designs. Defaults to the single-controller model.
     resolve_cache:
-        Memoise ``memory.resolve`` on the active stream signature. The
-        steady state is a pure function of the competing stream demands,
-        and the active (PU, phase) set only changes at phase boundaries,
-        so event steps between boundaries re-request identical
-        signatures. Disable (``False``) to force a fresh fixed-point
+        Memoise ``memory.resolve`` on the active stream signature, the
+        tuple of the epoch's interned stream ids. The steady state is a
+        pure function of the competing stream demands, and the active
+        (PU, phase) set only changes at phase boundaries, so event steps
+        between boundaries re-request identical signatures. Disable (``False``) to force a fresh fixed-point
         solve per event step when debugging the memory model; results
         are bit-identical either way. Statistics are exposed via
         :attr:`resolve_stats` (a view over :attr:`metrics`).
@@ -227,14 +186,27 @@ class CoRunEngine:
             else SharedMemorySystem(soc.peak_bw, soc.mc)
         )
         self._profiles: Dict[Tuple[str, KernelSpec], StandaloneProfile] = {}
+        #: What ``corun`` reads of each placed (PU, kernel), built on its
+        #: first placement: the profile, and per phase its co-run stream,
+        #: that stream's id and its traffic.
+        self._placements: Dict[Tuple[str, KernelSpec], _Placement] = {}
+        #: Every co-run stream this engine has built, each interned once
+        #: to a small int. Equal streams share an id, so a tuple of ids
+        #: is equal exactly when the tuple of streams would be.
+        self._stream_ids: Dict[StreamDemand, int] = {}
         #: :func:`repro.workloads.roofline.calibrator_for_bandwidth`
         #: results by (PU, target_bw, traffic_gb, tolerance): a pure
         #: function of this engine's standalone profiles.
         self.calibrators: Dict[
             Tuple[str, float, float, float], Tuple[KernelSpec, float]
         ] = {}
+        #: Grants and the rates ``corun`` advances at, by the tuple of
+        #: the epoch's active stream ids.
         self._resolve_cache: Optional[
-            Dict[Tuple[StreamDemand, ...], Tuple[StreamGrant, ...]]
+            Dict[
+                Tuple[int, ...],
+                Tuple[Tuple[StreamGrant, ...], Tuple[float, ...]],
+            ]
         ] = {} if resolve_cache else None
         self.metrics = MetricsRegistry()
         self.resolve_stats = ResolveCacheStats(self.metrics)
@@ -275,26 +247,23 @@ class CoRunEngine:
             self._resolve_cache.clear()
             self.resolve_stats._clears.inc()
 
-    def _resolve(
-        self, streams: List[StreamDemand]
-    ) -> Tuple[StreamGrant, ...]:
-        """``memory.resolve``, memoised on the active stream signature.
-
-        ``StreamDemand`` is a frozen dataclass fully determined by the
-        owning PU and the phase profile, so the tuple of active streams
-        *is* the (PU, phase) signature of the event step.
-        """
-        if self._resolve_cache is None:
-            return tuple(self.memory.resolve(streams))
-        key = tuple(streams)
-        grants = self._resolve_cache.get(key)
-        if grants is None:
-            grants = tuple(self.memory.resolve(streams))
-            self._resolve_cache[key] = grants
-            self.resolve_stats._misses.inc()
-        else:
-            self.resolve_stats._hits.inc()
-        return grants
+    def _placement(self, pu_name: str, kernel: KernelSpec) -> _Placement:
+        """The table entry of ``kernel`` on the named PU (built once)."""
+        key = (pu_name, kernel)
+        entry = self._placements.get(key)
+        if entry is None:
+            profile = self.profile(kernel, pu_name)
+            pu = self.soc.pu(pu_name)
+            streams = tuple(stream_for_phase(pu, p) for p in profile.phases)
+            ids = self._stream_ids
+            entry = _Placement(
+                profile,
+                streams,
+                tuple(ids.setdefault(s, len(ids)) for s in streams),
+                tuple(p.traffic_bytes for p in profile.phases),
+            )
+            self._placements[key] = entry
+        return entry
 
     # ------------------------------------------------------------------
     # Tracing helpers (only reached when a tracer is enabled)
@@ -303,13 +272,12 @@ class CoRunEngine:
         self,
         tracer,
         soc_track: str,
-        pu_tracks: Dict[str, str],
+        tracks: List[str],
         now: float,
         dt: float,
         step: int,
-        runnable: List[str],
         grants: Tuple[StreamGrant, ...],
-        misses_before: int,
+        resolve_hit: bool,
     ) -> None:
         """Emit one epoch span plus per-PU arbitration events.
 
@@ -317,9 +285,8 @@ class CoRunEngine:
         ``emit_*`` API with alphabetically ordered arg tuples and the
         track strings interned once per corun — no dict build or sort
         per emission. Epoch spans sit at depth 1 under the long-lived
-        ``corun`` span.
+        ``corun`` span. ``tracks`` are the runnable PUs' tracks.
         """
-        resolve_hit = self.resolve_stats.misses == misses_before
         tracer.emit_span(
             "epoch",
             start=now,
@@ -327,7 +294,7 @@ class CoRunEngine:
             track=soc_track,
             category="soc",
             args=(
-                ("active", len(runnable)),
+                ("active", len(tracks)),
                 ("resolve_hit", resolve_hit),
                 ("step", step),
             ),
@@ -343,16 +310,16 @@ class CoRunEngine:
                 end=now,
                 track=soc_track,
                 category="soc",
-                args=(("streams", len(runnable)),),
+                args=(("streams", len(tracks)),),
                 depth=2,
             )
-        for name, grant in zip(runnable, grants):
+        for track, grant in zip(tracks, grants):
             # The fairness decision of this epoch: a capped stream was
             # held below its demand by the allocator's max-min filling.
             tracer.emit_event(
                 "grant",
                 time=now,
-                track=pu_tracks[name],
+                track=track,
                 category="soc",
                 args=(
                     ("capped", grant.granted + _MIN_RATE < grant.demand),
@@ -409,24 +376,27 @@ class CoRunEngine:
         if not victims:
             raise SimulationError("at least one non-looping kernel required")
 
-        states = {
-            name: _StreamState(
-                pu_name=name,
-                profile=self.profile(kernel, name),
-                looping=name in loop_set,
-            )
-            for name, kernel in placements.items()
-        }
         order = list(placements)
-        # One co-run stream per (PU, phase): what the resolve cache keys
-        # on, built once per corun instead of once per epoch.
-        phase_streams: Dict[str, List[StreamDemand]] = {}
-        for name in order:
-            pu = self.soc.pu(name)
-            phase_streams[name] = [
-                stream_for_phase(pu, phase)
-                for phase in states[name].profile.phases
-            ]
+        n = len(order)
+        entries = [
+            self._placement(name, kernel)
+            for name, kernel in placements.items()
+        ]
+        loops = [name in loop_set for name in order]
+        streams_of = [entry.streams for entry in entries]
+        ids_of = [entry.stream_ids for entry in entries]
+        traffic_of = [entry.traffic for entry in entries]
+        # Each placement's progress, by its index in ``order``: its
+        # phase, the bytes left in that phase, the bytes done, the whole
+        # loops done and when it finished (None while it runs).
+        phase_at = [0] * n
+        bytes_left = [traffic[0] for traffic in traffic_of]
+        bytes_done = [0.0] * n
+        loops_done = [0] * n
+        finished_at: List[Optional[float]] = [None] * n
+        live = list(range(n))
+        finished_victims = 0
+        stop_at_first = until == "first"
 
         # Observability: resolved once per corun (not per step), so the
         # disabled path costs one lookup here and an `if` per emission.
@@ -438,13 +408,9 @@ class CoRunEngine:
         soc_track = f"soc.{self.soc.name}"
         # Track strings interned once per corun so per-epoch emissions
         # never re-format them (satellite of the obs v2 overhead work).
-        pu_tracks = (
-            {n: f"pu.{n}" for n in order} if trace_on else {}
-        )
+        tracks = [f"pu.{name}" for name in order] if trace_on else []
         steps = 0
         phase_transitions = 0
-        hits_before = self.resolve_stats.hits
-        misses_before = self.resolve_stats.misses
         corun_span = None
         if trace_on:
             corun_span = tracer.span(
@@ -456,76 +422,115 @@ class CoRunEngine:
                 until=until,
             )
 
+        cache = self._resolve_cache
+        resolve = self.memory.resolve
+        hits = misses = 0
         now = 0.0
         timeline = []
-        while now < max_seconds:
-            active = [
-                n for n in order if not states[n].finished
-            ]
-            runnable = [n for n in active if states[n].bytes_left > 0]
-            if not runnable:
-                break
-            streams = [
-                phase_streams[n][states[n].phase_index] for n in runnable
-            ]
-            if trace_on:
-                step_misses = self.resolve_stats.misses
-            grants = self._resolve(streams)
-            rates = {
-                n: max(g.granted, _MIN_RATE) for n, g in zip(runnable, grants)
-            }
-            if record_timeline:
-                timeline.append(
-                    TimelineSample(
-                        time=now,
-                        granted=tuple(sorted(rates.items())),
+        try:
+            while now < max_seconds:
+                runnable = [i for i in live if bytes_left[i] > 0]
+                if not runnable:
+                    break
+                # The traced ``resolve_hit`` is the cache test's outcome;
+                # with the cache off there is no test and no miss.
+                hit = True
+                if cache is None:
+                    grants = tuple(resolve(
+                        [streams_of[i][phase_at[i]] for i in runnable]
+                    ))
+                    rates = _rates(grants)
+                else:
+                    key = tuple([ids_of[i][phase_at[i]] for i in runnable])
+                    cached = cache.get(key)
+                    if cached is None:
+                        grants = tuple(resolve(
+                            [streams_of[i][phase_at[i]] for i in runnable]
+                        ))
+                        rates = _rates(grants)
+                        cache[key] = (grants, rates)
+                        hit = False
+                        misses += 1
+                    else:
+                        hits += 1
+                        grants, rates = cached
+                if record_timeline:
+                    timeline.append(
+                        TimelineSample(
+                            time=now,
+                            granted=tuple(sorted(
+                                zip([order[i] for i in runnable], rates)
+                            )),
+                        )
                     )
-                )
-            dt = min(
-                states[n].bytes_left / 1e9 / rates[n] for n in runnable
-            )
-            dt = min(dt, max_seconds - now)
-            if trace_on:
-                self._trace_epoch(
-                    tracer, soc_track, pu_tracks, now, dt, steps,
-                    runnable, grants, step_misses,
-                )
-            now += dt
-            steps += 1
-            for n in runnable:
-                state = states[n]
-                ended = state.advance(rates[n] * 1e9 * dt, now)
-                if ended and observing:
-                    # A runnable kernel is unfinished before its advance,
-                    # so a phase that ends either finishes the kernel or
-                    # moves it to another phase or loop.
-                    if state.finished:
+                dt = min([
+                    bytes_left[i] / 1e9 / rate
+                    for i, rate in zip(runnable, rates)
+                ])
+                dt = min(dt, max_seconds - now)
+                if trace_on:
+                    self._trace_epoch(
+                        tracer, soc_track, [tracks[i] for i in runnable],
+                        now, dt, steps, grants, hit,
+                    )
+                now += dt
+                steps += 1
+                for i, rate in zip(runnable, rates):
+                    n_bytes = rate * 1e9 * dt
+                    left = bytes_left[i] - n_bytes
+                    bytes_done[i] += n_bytes
+                    if left > 1e-3:
+                        bytes_left[i] = left
+                        continue
+                    # The phase ended: the kernel moves to its next
+                    # phase, starts its next loop or finishes.
+                    traffic = traffic_of[i]
+                    phase = phase_at[i] + 1
+                    if phase < len(traffic):
+                        phase_at[i] = phase
+                        bytes_left[i] = traffic[phase]
+                    elif loops[i]:
+                        loops_done[i] += 1
+                        phase_at[i] = 0
+                        bytes_left[i] = traffic[0]
+                    else:
+                        finished_at[i] = now
+                        bytes_left[i] = 0.0
+                        live.remove(i)
+                        finished_victims += 1
                         if trace_on:
                             tracer.emit_event(
                                 "kernel.finished",
                                 time=now,
-                                track=pu_tracks[n],
+                                track=tracks[i],
                                 category="soc",
-                                args=(("kernel", state.profile.kernel_name),),
+                                args=(
+                                    ("kernel", entries[i].profile.kernel_name),
+                                ),
                             )
-                    else:
+                        continue
+                    if observing:
                         phase_transitions += 1
                         if trace_on:
                             tracer.emit_event(
                                 "phase.transition",
                                 time=now,
-                                track=pu_tracks[n],
+                                track=tracks[i],
                                 category="soc",
                                 args=(
-                                    ("loops_done", state.loops_done),
-                                    ("phase", state.phase_index),
+                                    ("loops_done", loops_done[i]),
+                                    ("phase", phase_at[i]),
                                 ),
                             )
-            done_victims = [v for v in victims if states[v].finished]
-            if until == "first" and done_victims:
-                break
-            if until == "all" and len(done_victims) == len(victims):
-                break
+                if finished_victims and (
+                    stop_at_first or finished_victims == len(victims)
+                ):
+                    break
+        finally:
+            # Once per call, so the counters read what counting each
+            # epoch would give, also after a raise.
+            self.resolve_stats._hits.inc(hits)
+            self.resolve_stats._misses.inc(misses)
 
         if corun_span is not None:
             corun_span.note(steps=steps)
@@ -536,29 +541,33 @@ class CoRunEngine:
             metrics.counter("soc.coruns").inc()
             metrics.counter("soc.epochs").inc(steps)
             metrics.counter("soc.phase_transitions").inc(phase_transitions)
-            metrics.counter("soc.resolve_cache.hits").inc(
-                self.resolve_stats.hits - hits_before
-            )
-            metrics.counter("soc.resolve_cache.misses").inc(
-                self.resolve_stats.misses - misses_before
-            )
+            metrics.counter("soc.resolve_cache.hits").inc(hits)
+            metrics.counter("soc.resolve_cache.misses").inc(misses)
 
         outcomes = []
-        for name in order:
-            state = states[name]
-            elapsed = state.finished_at if state.finished else now
+        for i, name in enumerate(order):
+            profile = entries[i].profile
+            done_at = finished_at[i]
+            elapsed = done_at if done_at is not None else now
             elapsed = elapsed if elapsed and elapsed > 0 else now
-            achieved = state.bytes_done / 1e9 / elapsed if elapsed > 0 else 0.0
+            achieved = bytes_done[i] / 1e9 / elapsed if elapsed > 0 else 0.0
+            # The standalone time equivalent of the work done.
+            phase = phase_at[i]
+            done = loops_done[i] * profile.total_seconds
+            for before in profile.phases[:phase]:
+                done += before.seconds
+            current = profile.phases[phase]
+            fraction = 1.0 - bytes_left[i] / current.traffic_bytes
             outcomes.append(
                 PUOutcome(
                     pu_name=name,
-                    kernel_name=state.profile.kernel_name,
-                    finished=state.finished,
+                    kernel_name=profile.kernel_name,
+                    finished=done_at is not None,
                     elapsed=elapsed,
-                    standalone_seconds=state.profile.total_seconds,
-                    standalone_seconds_done=state.standalone_seconds_done(),
+                    standalone_seconds=profile.total_seconds,
+                    standalone_seconds_done=done + fraction * current.seconds,
                     avg_achieved_bw=achieved,
-                    avg_demand=state.profile.avg_demand,
+                    avg_demand=profile.avg_demand,
                 )
             )
         return CoRunResult(

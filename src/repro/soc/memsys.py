@@ -35,7 +35,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import SimulationError
 from repro.soc.spec import MCBehavior
-from repro.units import CACHELINE_BYTES, clamp
+from repro.units import CACHELINE_BYTES, clamp, left_sum
 
 _EPS_BW = 1e-9
 _FIXED_POINT_ITERS = 24
@@ -156,11 +156,10 @@ def _allocate_pair(
 
     Both streams have the cap ``cap``. The float operations are
     ``_allocate``'s, in its order, so the grants are the same bits: a
-    two-term ``sum()`` is written ``a + b`` (the two round alike on
-    every supported Python) and a one-term one is its term, each
-    ``done`` test reads ``remaining`` before any update, updates run in
-    index order, and each ``min``/``max`` is the comparison that
-    returns the built-in's operand.
+    two-term ``left_sum`` is written ``a + b`` and a one-term one is its
+    term, each ``done`` test reads ``remaining`` before any update,
+    updates run in index order, and each ``min``/``max`` is the
+    comparison that returns the built-in's operand.
     """
     floor_level = guarantee_fraction * capacity
     f0 = floor_level if floor_level < t0 else t0
@@ -235,7 +234,7 @@ class SharedMemorySystem:
         demand is to peak. Poor row locality of the mix lowers it further.
         """
         b = self.behavior
-        total = sum(s.demand for s in streams)
+        total = left_sum(s.demand for s in streams)
         if total <= _EPS_BW:
             return self.peak_bw * b.single_stream_efficiency
         demands = [s.demand for s in streams if s.demand > _EPS_BW]
@@ -252,7 +251,7 @@ class SharedMemorySystem:
             b.single_stream_efficiency - b.multi_stream_efficiency
         ) * mixing * pressure
         locality = (
-            sum(s.demand * s.locality for s in streams) / total
+            left_sum(s.demand * s.locality for s in streams) / total
         ) ** b.locality_exponent
         return self.peak_bw * eff * locality
 
@@ -320,7 +319,7 @@ class SharedMemorySystem:
         n = len(targets)
         floor_level = self.behavior.guarantee_fraction * capacity
         floors = [floor_level if floor_level < t else t for t in targets]
-        total_floors = sum(floors)
+        total_floors = left_sum(floors)
         if total_floors >= capacity:
             scale = capacity / total_floors if total_floors > 0 else 0.0
             return [f * scale for f in floors]
@@ -337,7 +336,7 @@ class SharedMemorySystem:
         for limits in (capped, targets):
             hungry = [i for i in range(n) if limits[i] - alloc[i] > _EPS_BW]
             while hungry and remaining > _EPS_BW:
-                total_w = sum([share_w[i] for i in hungry])
+                total_w = left_sum([share_w[i] for i in hungry])
                 done = [
                     i
                     for i in hungry
@@ -373,10 +372,10 @@ class SharedMemorySystem:
 
         The evaluation inlines those three rules operation for
         operation: every product and quotient keeps their association
-        order, every ``sum()`` over three or more floats stays a
-        ``sum()`` (from Python 3.12 it rounds differently from a ``+=``
-        loop), and each ``min``/``max`` is the comparison that returns
-        the operand the built-in would. Two streams, the pairwise
+        order, floats are added left to right with
+        :func:`repro.units.left_sum` (from Python 3.12 ``sum()``
+        rounds differently), and each ``min``/``max`` is the comparison
+        that returns the operand the built-in would. Two streams, the pairwise
         co-runs of every sweep, are allocated by :func:`_allocate_pair`
         on scalars; any other count by :meth:`_allocate`.
 
@@ -479,7 +478,7 @@ class SharedMemorySystem:
                 total = grants[0] + grants[1]
             else:
                 grants = self._allocate(capacity, targets, caps, weights)
-                total = sum(grants)
+                total = left_sum(grants)
             rho = total / capacity if capacity > 0 else 1.0
             # The loaded_latency_ns rule, its clamp to [0, max_utilization]
             # inlined.

@@ -22,6 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.errors import ConfigurationError, SimulationError
 from repro.soc.memsys import SharedMemorySystem, StreamDemand, StreamGrant
 from repro.soc.spec import MCBehavior
+from repro.units import left_sum
 
 
 @dataclass(frozen=True)
@@ -67,7 +68,7 @@ class PartitionedMemorySystem:
             raise SimulationError(f"peak_bw must be positive, got {peak_bw}")
         if not partitions:
             raise ConfigurationError("at least one partition required")
-        total = sum(p.peak_fraction for p in partitions)
+        total = left_sum(p.peak_fraction for p in partitions)
         if abs(total - 1.0) > 1e-9:
             raise ConfigurationError(
                 f"partition fractions must sum to 1, got {total}"

@@ -18,6 +18,7 @@ from repro.core.workflow import SlowdownModel
 from repro.errors import ConfigurationError, PredictionError
 from repro.soc.frequency import soc_with_pu_frequency
 from repro.soc.spec import PUSpec, PUType, SoCSpec
+from repro.units import left_sum
 
 # Reference dynamic power per PU type, in watts, at the reference clock
 # of the built-in Xavier configuration. First-order figures in line with
@@ -69,7 +70,7 @@ class PowerModel:
 
     def soc_power_w(self, soc: SoCSpec) -> float:
         """Total SoC power: PUs plus the memory subsystem."""
-        total = sum(self.pu_power_w(pu) for pu in soc.pus)
+        total = left_sum(self.pu_power_w(pu) for pu in soc.pus)
         return total + soc.peak_bw * self.memory_w_per_gbps
 
 

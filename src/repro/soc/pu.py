@@ -17,6 +17,7 @@ utilization determines latency, and latency bounds the burst bandwidth.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Tuple
 
 from repro.errors import SimulationError
@@ -27,7 +28,7 @@ from repro.soc.memsys import (
     time_per_gb,
 )
 from repro.soc.spec import PUSpec
-from repro.units import CACHELINE_BYTES
+from repro.units import CACHELINE_BYTES, left_sum
 from repro.workloads.kernel import KernelSpec, Phase
 
 _STANDALONE_ITERS = 40
@@ -71,21 +72,25 @@ class PhaseProfile:
 
 @dataclass(frozen=True)
 class StandaloneProfile:
-    """Standalone execution profile of a whole kernel on one PU."""
+    """Standalone execution profile of a whole kernel on one PU.
+
+    The totals are computed on first read and kept in the instance
+    dict, outside the fields, so ``repr`` and ``==`` do not see them.
+    """
 
     kernel_name: str
     pu_name: str
     phases: Tuple[PhaseProfile, ...]
 
-    @property
+    @cached_property
     def total_seconds(self) -> float:
-        return sum(p.seconds for p in self.phases)
+        return left_sum(p.seconds for p in self.phases)
 
-    @property
+    @cached_property
     def total_traffic_bytes(self) -> float:
-        return sum(p.traffic_bytes for p in self.phases)
+        return left_sum(p.traffic_bytes for p in self.phases)
 
-    @property
+    @cached_property
     def avg_demand(self) -> float:
         """Time-averaged bandwidth demand across phases (GB/s)."""
         return self.total_traffic_bytes / 1e9 / self.total_seconds
@@ -144,6 +149,11 @@ def profile_phase(
     latency = base_latency
     rate = 1.0 / time_per_gb(tc, burst, overlap, exposure, latency)
     for _ in range(_STANDALONE_ITERS):
+        # (burst, rate) is the whole state an iteration reads: it
+        # recomputes the latency from the rate. Once an iteration gives
+        # both back bit for bit, every later one would too.
+        last_burst = burst
+        last_rate = rate
         # The loaded_latency_ns rule at min(rate / capacity,
         # max_utilization), inlined. Its clamp to [0, max_utilization]
         # subsumes that min, for NaN too.
@@ -173,6 +183,8 @@ def profile_phase(
         if exposure > 0 and latency > 0:
             t += exposure * latency * 1e-9 * _LINES_PER_GB * (tc / t_sum)
         rate = 1.0 / t
+        if burst == last_burst and rate == last_rate:
+            break
     seconds = phase.traffic_bytes / 1e9 / rate
     return PhaseProfile(
         name=phase.name,

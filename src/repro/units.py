@@ -14,6 +14,7 @@ Conventions
 from __future__ import annotations
 
 import math
+from typing import Iterable
 
 from repro.errors import UnitsError
 
@@ -59,6 +60,21 @@ def clamp(value: float, lo: float, hi: float) -> float:
     if lo > hi:
         raise UnitsError(f"empty clamp range [{lo}, {hi}]")
     return max(lo, min(hi, value))
+
+
+def left_sum(terms: Iterable[float]) -> float:
+    """Add ``terms`` from left to right, starting at ``0``.
+
+    This is the arithmetic of the built-in ``sum()`` before Python 3.12.
+    From 3.12, ``sum()`` compensates float rounding and can give a
+    different last bit for three or more floats, so model code sums
+    floats with this helper to give the same bits on every supported
+    Python. Sums of integer counts may keep ``sum()``.
+    """
+    total: float = 0  # an int, as sum()'s start, for the same bits
+    for term in terms:
+        total += term
+    return total
 
 
 def approx_eq(

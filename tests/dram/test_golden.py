@@ -2,8 +2,11 @@
 
 ``golden_dram.json`` holds sha256(repr(SimResult)) for 60 small runs,
 recorded with the engine of commit 4f860c1, before the arrival-ordered
-channel queue replaced the swap-pop one. Any engine rewrite that claims
-unchanged results must reproduce every digest. A change that moves
+channel queue replaced the swap-pop one. The five ``*-max3000`` entries
+were re-recorded when a run stopped by ``max_ns`` began to report
+``max_ns`` as its elapsed time instead of the time of the first event
+it did not process. Any engine rewrite that claims unchanged results
+must reproduce every digest. A change that moves
 results on purpose re-records the file and says why:
 
     PYTHONPATH=src python -m tests.dram.test_golden

@@ -6,6 +6,8 @@ from repro.dram.cores import CoreConfig
 from repro.dram.system import CMPSystem
 from repro.errors import SimulationError
 
+from tests.dram.strategies import mixed_cores
+
 REQ = 400  # small runs keep the suite fast
 
 
@@ -84,7 +86,18 @@ class TestStopCores:
         system = CMPSystem()
         configs = system.group_configs(1.0, 2, 10_000_000)
         result = system.run(configs, max_ns=10_000.0)
-        assert result.elapsed_ns <= 11_000.0
+        assert result.elapsed_ns == 10_000.0
+
+    @pytest.mark.parametrize("max_ns", [3000.0, 500.0])
+    def test_truncated_run_elapses_max_ns(self, max_ns):
+        """The guard stops the run before the first event past
+        ``max_ns``, so no simulated time passes after ``max_ns`` and the
+        bandwidths divide by it."""
+        result = CMPSystem(policy="frfcfs").run(mixed_cores(6), max_ns=max_ns)
+        assert result.elapsed_ns == max_ns
+        assert any(core.finish_ns is None for core in result.cores)
+        for core in result.cores:
+            assert core.achieved_gbps == core.completed * 64.0 / max_ns
 
 
 class TestDeterminism:

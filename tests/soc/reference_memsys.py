@@ -4,6 +4,10 @@
 rewritten to do less interpreter work per iteration while producing the
 same bits. This module keeps the earlier code verbatim (docstrings cut
 short) so ``test_memsys_reference.py`` can compare the two with ``==``.
+Its float sums call :func:`repro.units.left_sum`, as the live solvers
+do, where the earlier code called ``sum()``: the two agree before
+Python 3.12, and the comparison stays one of the same arithmetic on
+every interpreter.
 
 The first change that alters solver results on purpose (ROADMAP item 1,
 the root-find) deletes this module together with that test.
@@ -18,7 +22,7 @@ from repro.errors import SimulationError
 from repro.soc.memsys import StreamDemand, StreamGrant
 from repro.soc.pu import PhaseProfile, compute_time_per_gb
 from repro.soc.spec import MCBehavior, PUSpec
-from repro.units import CACHELINE_BYTES, clamp
+from repro.units import CACHELINE_BYTES, clamp, left_sum
 from repro.workloads.kernel import Phase
 
 _EPS_BW = 1e-9
@@ -66,7 +70,7 @@ class ReferenceMemorySystem:
     def effective_bw(self, streams: Sequence[StreamDemand]) -> float:
         """Serviceable bandwidth for this mix of streams (GB/s)."""
         b = self.behavior
-        total = sum(s.demand for s in streams)
+        total = left_sum(s.demand for s in streams)
         if total <= _EPS_BW:
             return self.peak_bw * b.single_stream_efficiency
         demands = [s.demand for s in streams if s.demand > _EPS_BW]
@@ -77,7 +81,7 @@ class ReferenceMemorySystem:
             b.single_stream_efficiency - b.multi_stream_efficiency
         ) * mixing * pressure
         locality = (
-            sum(s.demand * s.locality for s in streams) / total
+            left_sum(s.demand * s.locality for s in streams) / total
         ) ** b.locality_exponent
         return self.peak_bw * eff * locality
 
@@ -117,7 +121,7 @@ class ReferenceMemorySystem:
             weights = [1.0] * n
         floor_level = self.behavior.guarantee_fraction * capacity
         floors = [min(t, floor_level) for t in targets]
-        total_floors = sum(floors)
+        total_floors = left_sum(floors)
         if total_floors >= capacity:
             scale = capacity / total_floors if total_floors > 0 else 0.0
             return [f * scale for f in floors]
@@ -131,7 +135,7 @@ class ReferenceMemorySystem:
                     i: weights[i] * max(targets[i] - floors[i], _EPS_BW)
                     for i in hungry
                 }
-                total_w = sum(share_w.values())
+                total_w = left_sum(share_w.values())
                 done = [
                     i
                     for i in hungry
@@ -202,7 +206,7 @@ class ReferenceMemorySystem:
                 [cap] * len(streams),
                 [s.arbitration_weight for s in streams],
             )
-            rho = sum(grants) / capacity if capacity > 0 else 1.0
+            rho = left_sum(grants) / capacity if capacity > 0 else 1.0
             new_latency = self.loaded_latency_ns(rho)
             latency = _DAMPING * latency + (1.0 - _DAMPING) * new_latency
         return [

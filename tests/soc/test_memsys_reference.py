@@ -17,9 +17,15 @@ drawn stream sets reach every branch of ``_allocate_pair`` but the
 fraction of 0.5, where the scale is 1; ``TestAllocation`` in
 ``test_memsys.py`` checks that scale.
 
-Both sides run in this interpreter, so the comparison holds on every
-supported Python. A digest recorded on one version would not: from 3.12,
-``sum()`` over three or more floats rounds differently.
+``profile_phase`` also leaves its 40-iteration loop once an iteration
+gives (burst, rate) back bit for bit; the copy runs all 40.
+``test_profile_phase_exits_at_its_exact_fixed_point`` pins a phase that
+leaves early and one that runs all 40 and counts the iterations run.
+
+Both sides run in this interpreter, and both add floats with
+:func:`repro.units.left_sum`, the arithmetic ``sum()`` had before Python
+3.12, so the comparison is of the same arithmetic on every supported
+Python, and a digest recorded on one version holds on the others.
 
 The first change that alters solver results on purpose (ROADMAP item 1,
 the root-find) deletes this test and ``reference_memsys.py``. The
@@ -37,6 +43,7 @@ from repro.soc.configs import snapdragon_855, xavier_agx
 from repro.soc.engine import CoRunEngine
 from repro.soc.memsys import SharedMemorySystem, StreamDemand
 from repro.soc.multimc import MCPartition, split_socs_memory
+from repro.soc import pu as pu_module
 from repro.soc.pu import profile_phase, stream_for_phase
 from repro.workloads.kernel import KernelSpec, Phase
 
@@ -209,4 +216,55 @@ def test_partitioned_engine_matches_reference(partitioned_engine, data):
         streams.append(stream_for_phase(pu, got))
     assert engine.memory.resolve(streams) == reference_partitioned_resolve(
         engine.memory, streams
+    )
+
+
+class _CountingRange:
+    """``range`` for one module's loops: counts the iterations run and
+    whether a loop ran out rather than breaking."""
+
+    def __init__(self):
+        self.iterations = 0
+        self.ran_out = False
+
+    def __call__(self, stop):
+        for i in range(stop):
+            self.iterations += 1
+            yield i
+        self.ran_out = True
+
+
+@pytest.mark.parametrize(
+    "pu_name, phase, iterations",
+    [
+        # The start is the fixed point: the first iteration repeats it.
+        ("dla", Phase("main", flops=5e8, traffic_bytes=1e9), 1),
+        # cfd's K2: (burst, rate) repeats at iteration 8.
+        (
+            "cpu",
+            Phase("K2", flops=3.5e8, traffic_bytes=1.25e8, locality=0.9),
+            8,
+        ),
+        # cfd's K1 never repeats exactly: all 40 run, none breaks.
+        (
+            "cpu",
+            Phase("K1", flops=1.5e8, traffic_bytes=1.25e8, locality=0.95),
+            40,
+        ),
+    ],
+)
+def test_profile_phase_exits_at_its_exact_fixed_point(
+    monkeypatch, pu_name, phase, iterations
+):
+    """The iterations ``profile_phase`` runs for three phases on the
+    Xavier, and its profile against the copy's, which runs all 40."""
+    soc = SOCS["xavier-agx"]
+    pu = soc.pu(pu_name)
+    counter = _CountingRange()
+    monkeypatch.setattr(pu_module, "range", counter, raising=False)
+    got = profile_phase(pu, phase, SharedMemorySystem(soc.peak_bw, soc.mc))
+    assert counter.iterations == iterations
+    assert counter.ran_out == (iterations == 40)
+    assert got == reference.profile_phase(
+        pu, phase, reference.ReferenceMemorySystem(soc.peak_bw, soc.mc)
     )
