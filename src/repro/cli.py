@@ -21,17 +21,15 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro.analysis.tables import TextTable, fmt
-from repro.core.calibration import build_pccs_parameters
-from repro.core.model import PCCSModel
-from repro.soc.configs import available_socs, soc_by_name
-from repro.soc.engine import CoRunEngine
-from repro.soc.spec import PUType
 from repro.units import left_sum
-from repro.workloads.dnn import dnn_suite
-from repro.workloads.rodinia import rodinia_suite
+
+# Model modules are imported by the subcommands that use them, so
+# ``pccs --help``, ``lint`` and ``graph`` load no simulator.
 
 
 def _cmd_platforms(_args) -> int:
+    from repro.soc.configs import available_socs, soc_by_name
+
     for name in available_socs():
         soc = soc_by_name(name)
         pus = ", ".join(
@@ -42,6 +40,12 @@ def _cmd_platforms(_args) -> int:
 
 
 def _cmd_profile(args) -> int:
+    from repro.soc.configs import soc_by_name
+    from repro.soc.engine import CoRunEngine
+    from repro.soc.spec import PUType
+    from repro.workloads.dnn import dnn_suite
+    from repro.workloads.rodinia import rodinia_suite
+
     engine = CoRunEngine(soc_by_name(args.soc))
     if args.pu == "dla":
         suite = dnn_suite()
@@ -62,6 +66,10 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
+    from repro.core.calibration import build_pccs_parameters
+    from repro.soc.configs import soc_by_name
+    from repro.soc.engine import CoRunEngine
+
     engine = CoRunEngine(soc_by_name(args.soc))
     params = build_pccs_parameters(engine, args.pu)
     print(params.summary())
@@ -74,11 +82,17 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_predict(args) -> int:
+    from repro.core.model import PCCSModel
+
     if args.params:
         from repro.core.io import load_parameters
 
         params = load_parameters(args.params)
     else:
+        from repro.core.calibration import build_pccs_parameters
+        from repro.soc.configs import soc_by_name
+        from repro.soc.engine import CoRunEngine
+
         engine = CoRunEngine(soc_by_name(args.soc))
         params = build_pccs_parameters(engine, args.pu)
     model = PCCSModel(params)

@@ -8,7 +8,7 @@ from repro.baselines.gables import GablesModel
 from repro.core.calibration import build_pccs_parameters
 from repro.core.model import PCCSModel
 from repro.core.parameters import PCCSParameters
-from repro.soc.configs import soc_by_name
+from repro.soc.configs import soc_by_name, spec_text
 from repro.soc.engine import CoRunEngine
 
 _ENGINES: Dict[str, CoRunEngine] = {}
@@ -33,9 +33,7 @@ def engine_for(soc_name: str) -> CoRunEngine:
 
 def _calibration_signature(soc_name: str, pu_name: str) -> str:
     """Content signature of one PU's calibration (simcache key input)."""
-    return repr(
-        ("calibration.v1", soc_name, repr(soc_by_name(soc_name)), pu_name)
-    )
+    return repr(("calibration.v1", soc_name, spec_text(soc_name), pu_name))
 
 
 def pccs_params_for(soc_name: str, pu_name: str) -> PCCSParameters:

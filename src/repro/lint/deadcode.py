@@ -10,7 +10,11 @@ A symbol (top-level function, class, or assigned module attribute) is
 - entry points declared in ``architecture.toml`` ``[deadcode]``
   (``"repro.cli:main"`` style — console scripts argparse dispatches);
 - top-level re-exports in ``__init__.py`` files (a package facade is a
-  deliberate public surface even without ``__all__``);
+  deliberate public surface even without ``__all__``), including the
+  entries of a PEP 562 lazy-export table (``_LAZY_EXPORTS``), each
+  resolved to its definition: an entry naming a module outside the
+  linted tree, or a name that module does not define at top level, is
+  a finding;
 - defs under unknown decorators (registration side effects);
 - references anywhere in the configured external root trees
   (``tests/``, ``examples/``, ``benchmarks/`` — a symbol only tests
@@ -64,9 +68,16 @@ _INERT_DECORATORS = frozenset(
     }
 )
 
+#: A package ``__init__``'s lazy re-exports: a dict literal mapping each
+#: defining module to a tuple of the names it exports, which the
+#: package's PEP 562 ``__getattr__`` imports on first access.
+LAZY_EXPORTS_DECLARATION = "_LAZY_EXPORTS"
+
 #: Module attributes the *linter itself* reads from source (so no code
 #: references them): never dead.
-_DECLARATION_NAMES = frozenset({PROCESS_LOCAL_DECLARATION})
+_DECLARATION_NAMES = frozenset(
+    {PROCESS_LOCAL_DECLARATION, LAZY_EXPORTS_DECLARATION}
+)
 
 _FUNCTION_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
 
@@ -90,6 +101,10 @@ class DeadCodeIndex:
     roots: Set[Ref] = field(default_factory=set)
     external_files: List[Tuple[str, str]] = field(default_factory=list)
     """(path, sha256) of every scanned external-root file (cache key)."""
+    export_findings: Dict[str, List[Tuple[int, str]]] = field(
+        default_factory=dict
+    )
+    """module -> (line, message) per unresolvable lazy-export entry."""
 
     _reachable: Optional[Set[Ref]] = None
 
@@ -299,6 +314,9 @@ def build_deadcode_index(
 
     for name, path, tree in parsed:
         _index_module(index, name, path, tree, known)
+    for name, path, tree in parsed:
+        if Path(path).name == "__init__.py":
+            _root_lazy_exports(index, name, tree, known)
 
     if contract is not None:
         for spec in contract.entry_points:
@@ -415,6 +433,78 @@ def _index_module(
     for entry in _entry_refs(tree):
         qual = entry.partition(":")[2]
         index.roots.add((module, qual.split(".", 1)[0]))
+
+
+def _str_constant(node: Optional[ast.expr]) -> Optional[str]:
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    return None
+
+
+def _root_lazy_exports(
+    index: DeadCodeIndex, package: str, tree: ast.Module, known: Set[str]
+) -> None:
+    """Root each ``_LAZY_EXPORTS`` entry at the definition it names.
+
+    An entry that is not a module name mapped to a tuple of names, or
+    that names a module outside the linted tree or a name its module
+    does not define at top level (an import is not a definition: one
+    inside a function binds nothing on the module), is a finding on the
+    package.
+    """
+    problems: List[Tuple[int, str]] = []
+    for stmt in tree.body:
+        if not isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            continue
+        target = _single_name_target(stmt)
+        if target is None or target.id != LAZY_EXPORTS_DECLARATION:
+            continue
+        table = stmt.value
+        if not isinstance(table, ast.Dict):
+            problems.append(
+                (stmt.lineno, f"{target.id} must be a dict literal")
+            )
+            continue
+        for key, value in zip(table.keys, table.values):
+            module = _str_constant(key)
+            nodes = (
+                value.elts if isinstance(value, (ast.Tuple, ast.List)) else []
+            )
+            if module is None or not nodes:
+                problems.append(
+                    (
+                        value.lineno,
+                        f"{target.id} must map module names to tuples "
+                        "of names",
+                    )
+                )
+                continue
+            for node in nodes:
+                name = _str_constant(node)
+                if name is None:
+                    problems.append(
+                        (node.lineno, "a lazy export must be a name string")
+                    )
+                elif module not in known:
+                    problems.append(
+                        (
+                            node.lineno,
+                            f"lazy export {name!r} names module "
+                            f"{module!r}, which is not in the linted tree",
+                        )
+                    )
+                elif (module, name) not in index.symbols:
+                    problems.append(
+                        (
+                            node.lineno,
+                            f"lazy export {name!r} is not defined at top "
+                            f"level in {module!r}",
+                        )
+                    )
+                else:
+                    index.roots.add((module, name))
+    if problems:
+        index.export_findings[package] = problems
 
 
 def _scan_external_roots(

@@ -1593,12 +1593,18 @@ def _check_dead_code(tree: ast.Module, ctx: FileContext) -> List[Finding]:
     worker entry points, the entry points named in
     ``architecture.toml`` ``[deadcode]``, and every reference found in
     the external root trees (``tests/``, ``benchmarks/``,
-    ``examples/``).
+    ``examples/``). A package that binds its re-exports on first access
+    (PEP 562) declares them in a ``_LAZY_EXPORTS`` dict literal, module
+    name to a tuple of names; each entry roots the top-level definition
+    it names in that module, and an entry that names none (a missing
+    module or name, or a name the module only imports) is a finding,
+    since the import would fail only when a caller first used the name.
 
     **True positive.** A ``_sweep_latency_grid()`` helper left behind
     after the figure it fed was rewritten; a dataclass only ever
     referenced by that helper (dead code keeping more dead code
-    alive).
+    alive); a ``_LAZY_EXPORTS`` entry naming a module or a function
+    that was renamed.
 
     **True negative.** A function exported via ``__all__`` or
     re-exported by its package ``__init__``; a checker referenced only
@@ -1618,7 +1624,10 @@ def _check_dead_code(tree: ast.Module, ctx: FileContext) -> List[Finding]:
     arch, module = resolved
     if arch.deadcode is None:
         return []
-    findings: List[Finding] = []
+    findings = [
+        Finding(ctx.path, line, 0, "LINT018", message)
+        for line, message in arch.deadcode.export_findings.get(module, ())
+    ]
     for info in arch.deadcode.unreachable_in(module):
         findings.append(
             Finding(

@@ -20,47 +20,88 @@ Public surface:
 - :func:`wall_clock_seconds` / :class:`Stopwatch` — the sanctioned
   wall-clock access point for harness timing (LINT011 keeps host
   clock reads out of model code).
+
+The names below are bound on first access (PEP 562): the observability
+session imports :mod:`repro.perf.timing` on every run, and that must
+not load the pool, the jobs or the cache.
 """
 
-from repro.perf.executor import (
-    Job,
-    default_max_workers,
-    job_label,
-    parallel_map,
-    set_default_max_workers,
-)
-from repro.perf.jobs import ExperimentJob, ExperimentOutcome, PressureSweepJob
-from repro.perf.pool import (
-    pool_generation,
-    pool_size,
-    recovery_counters,
-    shutdown_pool,
-)
-from repro.perf.simcache import (
-    SimCache,
-    activate_sim_cache,
-    active_sim_cache,
-    set_sim_cache,
-)
-from repro.perf.timing import Stopwatch, wall_clock_seconds
+from importlib import import_module
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "Job",
-    "SimCache",
-    "Stopwatch",
-    "activate_sim_cache",
-    "active_sim_cache",
-    "default_max_workers",
-    "job_label",
-    "parallel_map",
-    "pool_generation",
-    "pool_size",
-    "recovery_counters",
-    "set_default_max_workers",
-    "set_sim_cache",
-    "shutdown_pool",
-    "wall_clock_seconds",
-    "ExperimentJob",
-    "ExperimentOutcome",
-    "PressureSweepJob",
-]
+if TYPE_CHECKING:
+    # The same names, for type checkers (``X as X`` re-exports them
+    # under mypy --strict); tests/test_import_closure.py keeps this
+    # block and the table below equal.
+    from repro.perf.executor import (
+        Job as Job,
+        default_max_workers as default_max_workers,
+        job_label as job_label,
+        parallel_map as parallel_map,
+        set_default_max_workers as set_default_max_workers,
+    )
+    from repro.perf.jobs import (
+        ExperimentJob as ExperimentJob,
+        ExperimentOutcome as ExperimentOutcome,
+        PressureSweepJob as PressureSweepJob,
+    )
+    from repro.perf.pool import (
+        pool_generation as pool_generation,
+        pool_size as pool_size,
+        recovery_counters as recovery_counters,
+        shutdown_pool as shutdown_pool,
+    )
+    from repro.perf.simcache import (
+        SimCache as SimCache,
+        activate_sim_cache as activate_sim_cache,
+        active_sim_cache as active_sim_cache,
+        set_sim_cache as set_sim_cache,
+    )
+    from repro.perf.timing import (
+        Stopwatch as Stopwatch,
+        wall_clock_seconds as wall_clock_seconds,
+    )
+
+#: Each defining module and the public names it contributes (LINT018
+#: resolves every entry to its definition).
+_LAZY_EXPORTS = {
+    "repro.perf.executor": (
+        "Job",
+        "default_max_workers",
+        "job_label",
+        "parallel_map",
+        "set_default_max_workers",
+    ),
+    "repro.perf.jobs": (
+        "ExperimentJob",
+        "ExperimentOutcome",
+        "PressureSweepJob",
+    ),
+    "repro.perf.pool": (
+        "pool_generation",
+        "pool_size",
+        "recovery_counters",
+        "shutdown_pool",
+    ),
+    "repro.perf.simcache": (
+        "SimCache",
+        "activate_sim_cache",
+        "active_sim_cache",
+        "set_sim_cache",
+    ),
+    "repro.perf.timing": ("Stopwatch", "wall_clock_seconds"),
+}
+
+__all__ = sorted(name for names in _LAZY_EXPORTS.values() for name in names)
+
+
+def __getattr__(name: str) -> object:
+    for module, names in _LAZY_EXPORTS.items():
+        if name in names:
+            value = globals()[name] = getattr(import_module(module), name)
+            return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -54,14 +54,13 @@ class PressureSweepJob:
         invalidates exactly the entries it should. Float ``repr`` is
         round-trip exact, which makes the string canonical.
         """
-        from repro.soc.configs import soc_by_name
+        from repro.soc.configs import spec_text
 
-        spec = soc_by_name(self.soc_name)
         return repr(
             (
                 "pressure_sweep.v1",
                 self.soc_name,
-                repr(spec),
+                spec_text(self.soc_name),
                 repr(self.kernel),
                 self.pu_name,
                 tuple(self.levels),

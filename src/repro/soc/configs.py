@@ -8,6 +8,8 @@ the real silicon; DESIGN.md documents the substitution.
 
 from __future__ import annotations
 
+from typing import Dict
+
 from repro.soc.spec import MCBehavior, MemorySpec, PUSpec, PUType, SoCSpec
 
 CPU, GPU, DLA = "cpu", "gpu", "dla"
@@ -133,6 +135,27 @@ def soc_by_name(name: str) -> SoCSpec:
         raise ConfigurationError(
             f"unknown SoC {name!r}; available: {sorted(_REGISTRY)}"
         ) from None
+
+
+_SPEC_TEXT: Dict[str, str] = {}
+
+#: Fork-safety declaration (LINT016): a per-process memo of a pure
+#: function of the name, so a worker's entries never need to reach the
+#: coordinator.
+_PROCESS_LOCAL_STATE = ("_SPEC_TEXT",)
+
+
+def spec_text(name: str) -> str:
+    """``repr`` of a built-in SoC's spec, memoised per name.
+
+    Simulation-cache keys hash the resolved spec rather than the name,
+    so editing a config invalidates its entries. Building the spec and
+    its ``repr`` cost more than the rest of a sweep's key.
+    """
+    text = _SPEC_TEXT.get(name)
+    if text is None:
+        text = _SPEC_TEXT[name] = repr(soc_by_name(name))
+    return text
 
 
 def available_socs() -> tuple:

@@ -528,14 +528,15 @@ class CoRunEngine:
                     break
         finally:
             # Once per call, so the counters read what counting each
-            # epoch would give, also after a raise.
+            # epoch would give, also after a raise; a raise also ends
+            # the span, at the time the run reached.
             self.resolve_stats._hits.inc(hits)
             self.resolve_stats._misses.inc(misses)
+            if corun_span is not None:
+                corun_span.note(steps=steps)
+                corun_span.finish(now)
+                corun_span.close()
 
-        if corun_span is not None:
-            corun_span.note(steps=steps)
-            corun_span.finish(now)
-            corun_span.close()
         if metrics_on:
             metrics = session.metrics
             metrics.counter("soc.coruns").inc()

@@ -8,6 +8,8 @@ from __future__ import annotations
 import textwrap
 from pathlib import Path
 
+import pytest
+
 import repro
 from repro.lint import lint_source
 from repro.lint.engine import iter_python_files, lint_files
@@ -228,6 +230,96 @@ class TestLint018DeadCode:
             },
         )
         assert tree_rule_ids(tmp_path, ["LINT018"]) == []
+
+
+LAZY_INIT = """
+def __getattr__(name):
+    raise AttributeError(name)
+
+
+_LAZY_EXPORTS = {
+    "repro.soc.a": ("engine",),
+    "repro.soc.b": ("Widget",),%s
+}
+"""
+LAZY_MODULES = {
+    "src/repro/soc/a.py": "def engine():\n    return 1\n\n\ndef drop():\n"
+    "    return 2\n",
+    "src/repro/soc/b.py": "class Widget:\n    pass\n\n\nclass Gadget:\n"
+    "    pass\n",
+    # Binds Gadget by a top-level import and Widget only inside a
+    # function: neither is a definition of ``repro.soc.c``.
+    "src/repro/soc/c.py": "from repro.soc.b import Gadget\n\n\n"
+    "def late():\n    from repro.soc.b import Widget\n\n"
+    "    return Widget, Gadget\n",
+}
+
+
+class TestLint018LazyExports:
+    """A PEP 562 ``_LAZY_EXPORTS`` table roots the definitions it names,
+    and an entry that names no top-level definition of its module is a
+    finding."""
+
+    def lint_lazy(self, tmp_path, extra=""):
+        write_tree(
+            tmp_path,
+            {"src/repro/soc/__init__.py": LAZY_INIT % extra, **LAZY_MODULES},
+        )
+        return [
+            (Path(f.file).name, f.line, f.message)
+            for f in lint_tree(tmp_path, ["LINT018"])
+        ]
+
+    def test_negative_entries_root_their_definitions(self, tmp_path):
+        findings = self.lint_lazy(tmp_path)
+        assert [(name, msg.split(" is ")[0]) for name, _, msg in findings] == [
+            ("a.py", "function 'drop'"),
+            ("b.py", "class 'Gadget'"),
+            ("c.py", "function 'late'"),
+        ]
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "Gizmo",  # bound nowhere
+            "Widget",  # imported only inside a function
+            "Gadget",  # imported at top level, defined in repro.soc.b
+        ],
+    )
+    def test_positive_name_its_module_does_not_define(self, tmp_path, name):
+        findings = self.lint_lazy(
+            tmp_path, '\n    "repro.soc.c": ("%s",),' % name
+        )
+        assert (
+            "__init__.py",
+            9,
+            f"lazy export {name!r} is not defined at top level in "
+            "'repro.soc.c'",
+        ) in findings
+
+    def test_positive_missing_module(self, tmp_path):
+        findings = self.lint_lazy(
+            tmp_path, '\n    "repro.soc.d": ("Widget",),'
+        )
+        assert (
+            "__init__.py",
+            9,
+            "lazy export 'Widget' names module 'repro.soc.d', which is "
+            "not in the linted tree",
+        ) in findings
+
+    def test_positive_table_that_is_not_a_literal(self, tmp_path):
+        write_tree(
+            tmp_path,
+            {
+                "src/repro/soc/__init__.py": (
+                    "_LAZY_EXPORTS = dict(engine='repro.soc.a')\n"
+                ),
+                "src/repro/soc/a.py": "def engine():\n    return 1\n",
+            },
+        )
+        messages = [f.message for f in lint_tree(tmp_path, ["LINT018"])]
+        assert "_LAZY_EXPORTS must be a dict literal" in messages
 
 
 LINT019 = ["LINT019"]

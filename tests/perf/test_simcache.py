@@ -21,6 +21,7 @@ from repro.perf.simcache import (
     active_sim_cache,
     set_sim_cache,
 )
+from repro.soc import configs
 from repro.soc.spec import PUType
 from repro.workloads.rodinia import rodinia_kernel
 
@@ -104,6 +105,27 @@ class TestKeys:
     def test_jobs_without_signature_are_uncacheable(self, tmp_path):
         cache = SimCache(tmp_path)
         assert cache.key_for(object()) is None
+
+    def test_memoised_spec_text_keeps_every_key(self, tmp_path, monkeypatch):
+        """Sweep and calibration signatures hash the SoC spec's ``repr``,
+        memoised per name: on both SoCs, a memo miss and a memo hit give
+        the key of the spec built afresh, byte for byte."""
+        monkeypatch.setattr(configs, "_SPEC_TEXT", {})
+        cache = SimCache(tmp_path)
+        kernel = rodinia_kernel("cfd", PUType.GPU)
+        for soc in configs.available_socs():
+            spec = repr(configs.soc_by_name(soc))
+            job = PressureSweepJob(soc, kernel, "gpu", (0.0, 25.0))
+            sweep = repr(
+                (
+                    "pressure_sweep.v1", soc, spec, repr(kernel), "gpu",
+                    (0.0, 25.0), None,
+                )
+            )
+            calibration = repr(("calibration.v1", soc, spec, "gpu"))
+            for _ in range(2):
+                assert cache.key_for(job) == cache.key_for_signature(sweep)
+                assert common._calibration_signature(soc, "gpu") == calibration
 
 
 def _segments(directory):

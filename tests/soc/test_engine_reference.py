@@ -25,6 +25,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.errors import SimulationError
 from repro.obs import runtime as obs_runtime
+from repro.obs.tracer import Tracer
 from repro.soc.configs import snapdragon_855, xavier_agx
 from repro.soc.engine import CoRunEngine
 from repro.workloads.kernel import KernelSpec, Phase
@@ -151,27 +152,32 @@ class _FailingMemory:
         return self._memory.resolve(streams)
 
 
+#: A two-phase GPU victim against a looping two-phase CPU kernel.
+RAISING_PLACEMENTS = {
+    "gpu": KernelSpec(
+        name="v",
+        phases=(
+            Phase("v0", flops=1e10, traffic_bytes=1e9),
+            Phase("v1", flops=0.0, traffic_bytes=5e8),
+        ),
+    ),
+    "cpu": KernelSpec(
+        name="p",
+        phases=(
+            Phase("p0", flops=0.0, traffic_bytes=5e7),
+            Phase("p1", flops=4e8, traffic_bytes=2e7),
+        ),
+    ),
+}
+
+
 @pytest.mark.parametrize("budget", [0, 1, 2, 3])
 def test_counts_survive_a_raising_corun(budget):
     """A corun whose resolve raises has still added the hits and misses
     of the epochs it ran, as counting each epoch did: a solve that
     raised is not counted."""
     soc = SOCS["xavier-agx"]
-    victim = KernelSpec(
-        name="v",
-        phases=(
-            Phase("v0", flops=1e10, traffic_bytes=1e9),
-            Phase("v1", flops=0.0, traffic_bytes=5e8),
-        ),
-    )
-    pressure = KernelSpec(
-        name="p",
-        phases=(
-            Phase("p0", flops=0.0, traffic_bytes=5e7),
-            Phase("p1", flops=4e8, traffic_bytes=2e7),
-        ),
-    )
-    placements = {"gpu": victim, "cpu": pressure}
+    placements = RAISING_PLACEMENTS
     full = CoRunEngine(soc)
     full.corun(placements, looping={"cpu"})
     assert full.resolve_stats.misses > budget
@@ -186,3 +192,22 @@ def test_counts_survive_a_raising_corun(budget):
     if budget == 3:
         # The pressure kernel has looped: epochs between the solves hit.
         assert counts[0][0] > 0
+
+
+def test_a_raising_corun_ends_its_span():
+    """A corun whose resolve raises still emits its ``corun`` span, ended
+    at the time the run reached, so the tracer's depth on the SoC track
+    drops back and the next corun's span is at depth 0 again."""
+    tracer = Tracer()
+    engine = CoRunEngine(SOCS["xavier-agx"], tracer=tracer)
+    memory = engine.memory
+    engine.memory = _FailingMemory(memory, 1)
+    with pytest.raises(SimulationError, match="resolve failed"):
+        engine.corun(RAISING_PLACEMENTS, looping={"cpu"})
+    engine.memory = memory
+    engine.corun(RAISING_PLACEMENTS, looping={"cpu"})
+    spans = [s for s in tracer.buffer.spans if s.name == "corun"]
+    assert [s.depth for s in spans] == [0, 0]
+    failed, done = spans
+    assert dict(failed.args)["steps"] >= 1
+    assert 0.0 < failed.end < done.end
