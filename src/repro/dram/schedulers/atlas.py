@@ -14,7 +14,7 @@ scaled down to the microsecond runs this simulator executes.
 from __future__ import annotations
 
 from repro.dram.bank import ChannelState
-from repro.dram.queue import RequestQueue
+from repro.dram.queue import ChannelQueue, RequestQueue
 from repro.dram.request import Request
 from repro.dram.schedulers.base import READY_WINDOW_NS, Scheduler
 
@@ -28,6 +28,7 @@ class AtlasScheduler(Scheduler):
     """Least-attained-service fairness scheduling."""
 
     name = "atlas"
+    queue_class = ChannelQueue
 
     def __init__(self, n_cores: int, seed: int = 0):
         super().__init__(n_cores, seed)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from repro.dram.bank import ChannelState
-from repro.dram.queue import RequestQueue
+from repro.dram.queue import RequestQueue, ScanQueue
 from repro.dram.request import Request
 from repro.errors import SimulationError
 
@@ -19,13 +19,16 @@ class Scheduler:
     see the full picture. Subclasses implement :meth:`select`.
 
     Policies select through the queue's own methods (``oldest``,
-    ``best_head``, ``open_row_hits``, ``by_core``). A
-    :class:`~repro.dram.queue.ChannelQueue` answers them from its index
-    and a :class:`~repro.dram.queue.ScanQueue` by scanning every
-    request, and a policy selects the same request from either.
+    ``best_head``, ``open_row_hits``, ``by_core``). Each policy names in
+    :attr:`queue_class` the queue that answers what its ``select`` reads
+    from an index (:mod:`repro.dram.queue`), and ``CMPSystem.run`` builds
+    one per channel. A :class:`~repro.dram.queue.ScanQueue` answers every
+    method by scanning every request, and a policy selects the same
+    request from it as from its own queue.
     """
 
     name = "base"
+    queue_class: type = ScanQueue
 
     def __init__(self, n_cores: int, seed: int = 0):
         if n_cores <= 0:

@@ -8,7 +8,7 @@ the proportional slowdown curves of Fig. 5(a).
 from __future__ import annotations
 
 from repro.dram.bank import ChannelState
-from repro.dram.queue import RequestQueue
+from repro.dram.queue import ArrivalQueue, RequestQueue
 from repro.dram.request import Request
 from repro.dram.schedulers.base import Scheduler
 
@@ -17,6 +17,7 @@ class FCFSScheduler(Scheduler):
     """Strictly chronological dispatch."""
 
     name = "fcfs"
+    queue_class = ArrivalQueue
 
     def select(
         self, queue: RequestQueue, channel: ChannelState, now: float

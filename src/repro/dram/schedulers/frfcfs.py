@@ -7,7 +7,7 @@ control — memory-intensive streams starve lighter ones (Fig. 5(b)).
 from __future__ import annotations
 
 from repro.dram.bank import ChannelState
-from repro.dram.queue import RequestQueue
+from repro.dram.queue import ChannelQueue, RequestQueue
 from repro.dram.request import Request
 from repro.dram.schedulers.base import Scheduler
 
@@ -16,6 +16,7 @@ class FRFCFSScheduler(Scheduler):
     """Row-hit-first dispatch."""
 
     name = "frfcfs"
+    queue_class = ChannelQueue
 
     def select(
         self, queue: RequestQueue, channel: ChannelState, now: float

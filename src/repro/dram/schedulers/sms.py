@@ -21,7 +21,7 @@ import random
 from typing import Optional
 
 from repro.dram.bank import ChannelState
-from repro.dram.queue import RequestQueue
+from repro.dram.queue import CoreQueue, RequestQueue
 from repro.dram.request import Request
 from repro.dram.schedulers.base import Scheduler
 
@@ -32,6 +32,7 @@ class SMSScheduler(Scheduler):
     """Batched fairness scheduling."""
 
     name = "sms"
+    queue_class = CoreQueue
 
     def __init__(self, n_cores: int, seed: int = 0):
         super().__init__(n_cores, seed)
@@ -48,29 +49,45 @@ class SMSScheduler(Scheduler):
         # Stick with the active batch while it still has requests queued.
         active = by_core.get(self._active_core)
         if active:
-            # lint: disable=LINT001 — ChannelQueue.append's order check
+            row = self._active_row
+            # lint: disable=LINT001 — each queue's append order check
             # (and ScanQueue.by_core()'s sort) keeps a core's requests in
             # (arrival_ns, req_id) order, so the first match is the
             # minimum of that total key.
             for r in active.values():
-                if r.row == self._active_row:
+                if r.row == row:
                     return r
-        # Pick a new batch: SJF with probability p, else round-robin.
-        # "Shortest job" is the source with the least queued traffic, so
-        # light applications cut ahead of bandwidth hogs; ties go to the
-        # older head, then the lower req_id.
-        heads = {core: next(iter(rs.values())) for core, rs in by_core.items()}
+        # Pick a new batch at a core's oldest request (its head): SJF
+        # with probability p, else round-robin. "Shortest job" is the
+        # source with the least queued traffic, so light applications
+        # cut ahead of bandwidth hogs; ties go to the older head, then
+        # the lower req_id.
         if self._rng.random() < _SJF_PROBABILITY:
-            core = min(
-                heads,
-                key=lambda c: (
-                    len(by_core[c]), heads[c].arrival_ns, heads[c].req_id
-                ),
-            )
+            best = None
+            best_count = 0
+            # lint: disable=LINT001 — heads are compared on the total
+            # (count, arrival_ns, req_id) key, unique by req_id, so core
+            # order never decides.
+            for requests in by_core.values():
+                head = next(iter(requests.values()))
+                count = len(requests)
+                if best is not None:
+                    if count != best_count:
+                        if count > best_count:
+                            continue
+                    elif head.arrival_ns != best.arrival_ns:
+                        if head.arrival_ns > best.arrival_ns:
+                            continue
+                    elif head.req_id > best.req_id:
+                        continue
+                best = head
+                best_count = count
         else:
-            cores = sorted(heads)
-            core = cores[self._rr_pointer % len(cores)]
+            cores = sorted(by_core)
+            best = next(iter(
+                by_core[cores[self._rr_pointer % len(cores)]].values()
+            ))
             self._rr_pointer += 1
-        self._active_core = core
-        self._active_row = heads[core].row
-        return heads[core]
+        self._active_core = best.core
+        self._active_row = best.row
+        return best

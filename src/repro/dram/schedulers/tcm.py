@@ -21,7 +21,7 @@ from __future__ import annotations
 import random
 
 from repro.dram.bank import ChannelState
-from repro.dram.queue import RequestQueue
+from repro.dram.queue import ChannelQueue, RequestQueue
 from repro.dram.request import Request
 from repro.dram.schedulers.base import READY_WINDOW_NS, Scheduler
 from repro.units import left_sum
@@ -34,6 +34,7 @@ class TCMScheduler(Scheduler):
     """Thread-cluster fairness scheduling."""
 
     name = "tcm"
+    queue_class = ChannelQueue
 
     def __init__(self, n_cores: int, seed: int = 0):
         super().__init__(n_cores, seed)

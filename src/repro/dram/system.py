@@ -17,7 +17,6 @@ from repro.dram.address import AddressMapper
 from repro.dram.bank import ChannelState
 from repro.dram.cores import CoreConfig, CoreState, staggered_base
 from repro.dram.metrics import DramMetrics
-from repro.dram.queue import ChannelQueue
 from repro.dram.request import Request
 from repro.dram.schedulers import Scheduler, make_scheduler
 from repro.dram.timing import DDR4_3200, DramTiming
@@ -170,12 +169,13 @@ class CMPSystem:
         Seed for stochastic policies (TCM shuffle, SMS probabilistic
         stage); the engine itself is deterministic.
     queue_factory:
-        Channel queue container. The default :class:`ChannelQueue`
-        keeps requests in arrival order, grouped by (bank, row, core),
-        so schedulers select from group heads;
-        :class:`~repro.dram.queue.ScanQueue` makes them scan every
+        Channel queue container. ``None`` (the default) builds the
+        policy's own queue (``Scheduler.queue_class``), which indexes
+        just what the policy's ``select`` reads;
+        :class:`~repro.dram.queue.ScanQueue` makes any policy scan every
         request instead (the reference the equivalence tests compare
-        against — results are bit-identical).
+        against — results are bit-identical). Another policy's queue
+        class lacks the methods this policy's ``select`` calls.
     tracer:
         Explicit tracer override; by default each :meth:`run` resolves
         the active :mod:`repro.obs.runtime` session. Tracing records the
@@ -189,7 +189,7 @@ class CMPSystem:
         timing: DramTiming = DDR4_3200,
         policy: str = "frfcfs",
         seed: int = 0,
-        queue_factory: Callable[[], object] = ChannelQueue,
+        queue_factory: Optional[Callable[[], object]] = None,
         tracer=None,
     ):
         self.timing = timing
@@ -238,7 +238,10 @@ class CMPSystem:
             ChannelState(index=i, timing=self.timing)
             for i in range(self.timing.channels)
         ]
-        queues = [self.queue_factory() for _ in channels]
+        queue_factory = self.queue_factory
+        if queue_factory is None:
+            queue_factory = scheduler.queue_class
+        queues = [queue_factory() for _ in channels]
         # Requests per channel queue: the loop tests these instead of
         # the queues, whose emptiness would cost a __len__ call.
         queued = [0] * len(channels)

@@ -432,9 +432,9 @@ class CoRunEngine:
                 runnable = [i for i in live if bytes_left[i] > 0]
                 if not runnable:
                     break
-                # The traced ``resolve_hit`` is the cache test's outcome;
-                # with the cache off there is no test and no miss.
-                hit = True
+                # The traced ``resolve_hit``: this epoch's state came from
+                # the cache. Without a cache every epoch solves.
+                hit = False
                 if cache is None:
                     grants = tuple(resolve(
                         [streams_of[i][phase_at[i]] for i in runnable]
@@ -449,10 +449,10 @@ class CoRunEngine:
                         ))
                         rates = _rates(grants)
                         cache[key] = (grants, rates)
-                        hit = False
                         misses += 1
                     else:
                         hits += 1
+                        hit = True
                         grants, rates = cached
                 if record_timeline:
                     timeline.append(
@@ -532,18 +532,22 @@ class CoRunEngine:
             # the span, at the time the run reached.
             self.resolve_stats._hits.inc(hits)
             self.resolve_stats._misses.inc(misses)
+            if metrics_on:
+                metrics = session.metrics
+                metrics.counter("soc.epochs").inc(steps)
+                metrics.counter("soc.phase_transitions").inc(
+                    phase_transitions
+                )
+                metrics.counter("soc.resolve_cache.hits").inc(hits)
+                metrics.counter("soc.resolve_cache.misses").inc(misses)
             if corun_span is not None:
                 corun_span.note(steps=steps)
                 corun_span.finish(now)
                 corun_span.close()
 
         if metrics_on:
-            metrics = session.metrics
-            metrics.counter("soc.coruns").inc()
-            metrics.counter("soc.epochs").inc(steps)
-            metrics.counter("soc.phase_transitions").inc(phase_transitions)
-            metrics.counter("soc.resolve_cache.hits").inc(hits)
-            metrics.counter("soc.resolve_cache.misses").inc(misses)
+            # Only a co-run that returned counts as one.
+            session.metrics.counter("soc.coruns").inc()
 
         outcomes = []
         for i, name in enumerate(order):

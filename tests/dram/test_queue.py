@@ -1,4 +1,4 @@
-"""ChannelQueue indexing, buffer-waiter FIFO, and fast-path equivalence."""
+"""Channel queue indexing, buffer-waiter FIFO, and fast-path equivalence."""
 
 import dataclasses
 
@@ -7,7 +7,12 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.dram.bank import ChannelState
 from repro.dram.cores import CoreConfig, CoreState
-from repro.dram.queue import ChannelQueue, ScanQueue
+from repro.dram.queue import (
+    ArrivalQueue,
+    ChannelQueue,
+    CoreQueue,
+    ScanQueue,
+)
 from repro.dram.request import Request
 from repro.dram.schedulers.base import READY_WINDOW_NS
 from repro.dram.system import BufferWaitQueue, CMPSystem
@@ -17,6 +22,9 @@ from repro.errors import SimulationError
 from tests.dram.strategies import POLICIES, mixed_cores, sim_inputs
 
 REQUESTS = 250
+
+#: Every indexed queue class: FCFS's, SMS's and the other policies'.
+QUEUE_CLASSES = (ArrivalQueue, CoreQueue, ChannelQueue)
 
 
 def make_request(req_id, bank=0, row=0, arrival=0.0, core=0):
@@ -126,11 +134,59 @@ class TestChannelQueue:
         queue.remove(requests[3])
         assert [r.req_id for r in queue] == [1, 2, 4, 5]
         assert queue.oldest() is requests[1]
+
+
+class TestCoreQueue:
+    def test_by_core_order_survives_removal(self):
+        queue = CoreQueue()
+        requests = [
+            make_request(i, bank=i % 2, core=i % 3, arrival=float(i))
+            for i in range(6)
+        ]
+        for r in requests:
+            queue.append(r)
+        queue.remove(requests[0])
+        queue.remove(requests[3])
+        assert len(queue) == 4
         by_core = queue.by_core()
         assert {core: list(rs) for core, rs in by_core.items()} == {
             1: [1, 4],
             2: [2, 5],
         }
+        # a core's last request leaving drops the core
+        queue.remove(requests[1])
+        queue.remove(requests[4])
+        assert list(queue.by_core()) == [2]
+        assert len(queue) == 2
+
+
+@pytest.mark.parametrize("queue_class", (ArrivalQueue, CoreQueue))
+class TestFCFSAndSMSQueues:
+    """``TestChannelQueue``'s order and removal cases on the other two
+    queue classes."""
+
+    def test_append_rejects_out_of_order(self, queue_class):
+        queue = queue_class()
+        queue.append(make_request(1, arrival=5.0))
+        with pytest.raises(SimulationError):
+            queue.append(make_request(2, arrival=4.0))
+        with pytest.raises(SimulationError):
+            queue.append(make_request(0, arrival=5.0))  # same time, lower id
+        queue.append(make_request(2, arrival=5.0))
+        assert len(queue) == 2
+
+    def test_remove_is_membership_exact(self, queue_class):
+        queue = queue_class()
+        requests = [make_request(i, core=i % 2) for i in range(4)]
+        for r in requests:
+            queue.append(r)
+        queue.remove(requests[1])
+        assert len(queue) == 3
+        with pytest.raises(KeyError):
+            queue.remove(requests[1])
+        for i in (3, 0, 2):
+            queue.remove(requests[i])
+        assert len(queue) == 0
 
 
 @st.composite
@@ -212,6 +268,89 @@ def test_head_upkeep_under_removal(data):
         assert bool(heads) == bool(hits)
         if hits:
             assert ScanQueue(heads).oldest() is ScanQueue(hits).oldest()
+
+
+def group_heads(requests):
+    """The oldest of each ``(bank, row, core)`` group of ``requests``."""
+    heads = {}
+    for r in sorted(requests, key=lambda r: (r.arrival_ns, r.req_id)):
+        heads.setdefault((r.bank, r.row, r.core), r)
+    return set(heads.values())
+
+
+def core_lists(by_core):
+    """``by_core()`` as each core's ``req_id`` list, in queue order."""
+    return {core: list(requests) for core, requests in by_core.items()}
+
+
+@st.composite
+def selections(draw):
+    """``best_head``'s arguments after the channel: a time, core ranks
+    with ties and a ready window."""
+    return (
+        draw(st.sampled_from((0.0, 20.0, 30.0, 45.0, 70.0))),
+        draw(st.lists(
+            st.sampled_from((-1, 0, 1, 2.5)), min_size=4, max_size=4
+        )),
+        draw(st.sampled_from((0.0, READY_WINDOW_NS, 12.5, 50.0))),
+    )
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_every_queue_answers_as_scan(data):
+    """Arrival-ordered appends interleaved with removals of requests a
+    selection method picked: after every step each queue class answers
+    its methods as ``ScanQueue`` does over the same requests, for random
+    ranks, times and ready windows."""
+    channel = data.draw(channel_snapshots())[0]
+    arrival_queue, core_queue, channel_queue = queues = [
+        queue_class() for queue_class in QUEUE_CLASSES
+    ]
+    queued = []
+    arrival = 0.0
+    for next_id in range(data.draw(st.integers(1, 30))):
+        scan = ScanQueue(queued)
+        selection = data.draw(selections())
+        if scan and data.draw(st.integers(0, 2)) == 0:
+            # Every policy removes what one of these methods picked.
+            picked = [scan.oldest(), scan.best_head(channel, *selection)]
+            picked += [
+                next(iter(rs.values())) for rs in scan.by_core().values()
+            ]
+            picked += group_heads(scan.open_row_hits(channel))
+            request = data.draw(st.sampled_from(
+                sorted(set(picked), key=lambda r: r.req_id)
+            ))
+            queued.remove(request)
+            for queue in queues:
+                queue.remove(request)
+        else:
+            arrival += data.draw(st.sampled_from((0.0, 2.5, 10.0)))
+            request = make_request(
+                next_id,
+                bank=data.draw(st.integers(0, 3)),
+                row=data.draw(st.integers(0, 1)),
+                arrival=arrival,
+                core=data.draw(st.integers(0, 3)),
+            )
+            queued.append(request)
+            for queue in queues:
+                queue.append(request)
+        scan = ScanQueue(queued)
+        assert [len(queue) for queue in queues] == [len(scan)] * 3
+        if not scan:
+            continue
+        assert arrival_queue.oldest() is scan.oldest()
+        assert channel_queue.oldest() is scan.oldest()
+        assert core_lists(core_queue.by_core()) == core_lists(scan.by_core())
+        assert set(channel_queue.open_row_hits(channel)) == group_heads(
+            scan.open_row_hits(channel)
+        )
+        selection = data.draw(selections())
+        assert channel_queue.best_head(channel, *selection) is (
+            scan.best_head(channel, *selection)
+        )
 
 
 class TestBufferWaitQueue:

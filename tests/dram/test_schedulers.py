@@ -1,15 +1,17 @@
 """Scheduling policies: selection rules on crafted queues.
 
 Every policy test class runs twice: on a :class:`ScanQueue` (the
-per-request scans) and, through its ``...OnChannelQueue`` subclass, on a
-:class:`ChannelQueue` built in ``(arrival_ns, req_id)`` order (the
-indexed path).
+per-request scans) and, through its ``...OnChannelQueue`` subclass, on
+the policy's own channel queue (``Scheduler.queue_class``) built in
+``(arrival_ns, req_id)`` order (the indexed path).
 """
+
+import functools
 
 import pytest
 
 from repro.dram.bank import ChannelState
-from repro.dram.queue import ChannelQueue, ScanQueue
+from repro.dram.queue import ArrivalQueue, ChannelQueue, CoreQueue, ScanQueue
 from repro.dram.request import Request
 from repro.dram.schedulers import (
     FAIRNESS_POLICIES,
@@ -37,9 +39,9 @@ def req(req_id, core=0, bank=0, row=0, arrival=0.0):
     )
 
 
-def indexed(requests):
-    """A ChannelQueue holding ``requests``."""
-    queue = ChannelQueue()
+def indexed(queue_class, requests):
+    """A ``queue_class`` queue holding ``requests``."""
+    queue = queue_class()
     for r in sorted(requests, key=lambda r: (r.arrival_ns, r.req_id)):
         queue.append(r)
     return queue
@@ -57,11 +59,11 @@ def queue_of():
 
 
 class OnChannelQueue:
-    """Re-runs a test class's selections on ChannelQueue queues."""
+    """Re-runs a test class's selections on its policy's own queue."""
 
     @pytest.fixture()
     def queue_of(self):
-        return indexed
+        return functools.partial(indexed, self.policy.queue_class)
 
 
 class TestRegistry:
@@ -85,8 +87,23 @@ class TestRegistry:
         assert isinstance(make_scheduler("fcfs", 16), FCFSScheduler)
         assert isinstance(make_scheduler("sms", 16), SMSScheduler)
 
+    def test_each_policy_names_its_queue(self):
+        queues = {
+            name: make_scheduler(name, 1).queue_class
+            for name in available_policies()
+        }
+        assert queues == {
+            "fcfs": ArrivalQueue,
+            "frfcfs": ChannelQueue,
+            "atlas": ChannelQueue,
+            "tcm": ChannelQueue,
+            "sms": CoreQueue,
+        }
+
 
 class TestFCFS:
+    policy = FCFSScheduler
+
     def test_strictly_oldest(self, channel, queue_of):
         sched = FCFSScheduler(4)
         queue = queue_of(
@@ -103,6 +120,8 @@ class TestFCFS:
 
 
 class TestFRFCFS:
+    policy = FRFCFSScheduler
+
     def test_prefers_row_hits(self, channel, queue_of):
         channel.dispatch(req(99, bank=0, row=7), 0.0)
         sched = FRFCFSScheduler(4)
@@ -123,6 +142,8 @@ class TestFRFCFS:
 
 
 class TestATLAS:
+    policy = AtlasScheduler
+
     def test_prefers_least_attained_core(self, channel, queue_of):
         sched = AtlasScheduler(2)
         sched.attained = [10.0, 0.0]
@@ -165,6 +186,8 @@ class TestATLAS:
 
 
 class TestTCM:
+    policy = TCMScheduler
+
     def test_latency_cluster_first(self, channel, queue_of):
         sched = TCMScheduler(2)
         sched.latency_cluster = {1}
@@ -207,6 +230,8 @@ class TestTCM:
 
 
 class TestSMS:
+    policy = SMSScheduler
+
     def test_sticky_batch(self, channel, queue_of):
         sched = SMSScheduler(2, seed=1)
         queue = queue_of([

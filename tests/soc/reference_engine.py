@@ -8,6 +8,11 @@ they call, so ``test_engine_reference.py`` can compare the two with
 ``==``. It builds the live result classes, whose equality is exact float
 equality on every field, and profiles kernels with the live
 ``profile_kernel``, which ``test_memsys_reference.py`` checks on its own.
+
+One record differs from the earlier loop on purpose: without a resolve
+cache every epoch is a solve, so its ``epoch`` span is flagged
+``resolve_hit=False`` and followed by a ``memsys.resolve`` span, where
+the earlier loop flagged it a hit and emitted none.
 """
 
 from __future__ import annotations
@@ -150,7 +155,12 @@ class ReferenceCoRunEngine:
         misses_before: int,
     ) -> None:
         """Emit one epoch span plus per-PU arbitration events."""
-        resolve_hit = self.resolve_stats.misses == misses_before
+        # Without a cache every epoch solves: the one intended change to
+        # the earlier loop's records.
+        resolve_hit = (
+            self._resolve_cache is not None
+            and self.resolve_stats.misses == misses_before
+        )
         tracer.emit_span(
             "epoch",
             start=now,

@@ -211,3 +211,60 @@ def test_a_raising_corun_ends_its_span():
     failed, done = spans
     assert dict(failed.args)["steps"] >= 1
     assert 0.0 < failed.end < done.end
+
+
+def _traced_raising_corun(cache):
+    tracer = Tracer()
+    engine = CoRunEngine(
+        SOCS["xavier-agx"], resolve_cache=cache, tracer=tracer
+    )
+    engine.corun(RAISING_PLACEMENTS, looping={"cpu"})
+    return engine, tracer.buffer
+
+
+def test_epochs_without_a_cache_are_traced_as_solves():
+    """With the resolve cache off every epoch runs ``memory.resolve``, so
+    no epoch is flagged a hit and each has its ``memsys.resolve`` span."""
+    engine, buffer = _traced_raising_corun(cache=False)
+    epochs = [s for s in buffer.spans if s.name == "epoch"]
+    solves = [s for s in buffer.spans if s.name == "memsys.resolve"]
+    assert len(epochs) > 1
+    assert not any(dict(s.args)["resolve_hit"] for s in epochs)
+    assert [s.start for s in solves] == [s.start for s in epochs]
+    assert engine.resolve_stats.calls == 0
+
+
+def test_epochs_with_a_cache_trace_the_cache_test():
+    """With the cache on, an epoch is a hit exactly when the cache served
+    it, and only the misses emit a ``memsys.resolve`` span."""
+    engine, buffer = _traced_raising_corun(cache=True)
+    epochs = [s for s in buffer.spans if s.name == "epoch"]
+    solves = [s for s in buffer.spans if s.name == "memsys.resolve"]
+    flags = [dict(s.args)["resolve_hit"] for s in epochs]
+    stats = engine.resolve_stats
+    assert flags.count(True) == stats.hits
+    assert flags.count(False) == stats.misses
+    assert stats.hits > 0 and stats.misses > 0
+    assert [s.start for s in solves] == [
+        s.start for s, hit in zip(epochs, flags) if not hit
+    ]
+
+
+def test_session_counts_survive_a_raising_corun():
+    """When ``memory.resolve`` raises, the session still gets the epochs,
+    phase transitions, hits and misses of the epochs that ran, equal to
+    the engine's ``resolve_stats``; only a co-run that returned counts in
+    ``soc.coruns``."""
+    engine = CoRunEngine(SOCS["xavier-agx"])
+    engine.memory = _FailingMemory(engine.memory, 2)
+    with obs_runtime.session(metrics=True) as session:
+        with pytest.raises(SimulationError, match="resolve failed"):
+            engine.corun(RAISING_PLACEMENTS, looping={"cpu"})
+    counters = dict(session.metrics.snapshot().counters)
+    stats = engine.resolve_stats
+    assert stats.misses == 2 and stats.hits > 0
+    assert counters["soc.resolve_cache.hits"] == stats.hits
+    assert counters["soc.resolve_cache.misses"] == stats.misses
+    assert counters["soc.epochs"] == stats.hits + stats.misses
+    assert counters["soc.phase_transitions"] > 0
+    assert "soc.coruns" not in counters
