@@ -374,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="worker processes for experiments and sweeps (default: 1)",
+        help="worker processes for each experiment's simulations (default: 1)",
     )
     p.add_argument(
         "--sim-cache",
@@ -435,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         metavar="N",
         help=(
-            "worker processes for the experiment's sweeps; worker "
+            "worker processes for the experiment's simulations; worker "
             "spans land on per-worker pid rows in the trace"
         ),
     )

@@ -17,12 +17,12 @@ fairness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from repro.analysis.series import Series, render_series
 from repro.analysis.tables import TextTable, fmt, fmt_pct
 from repro.dram.system import CMPSystem
-from repro.errors import UnknownKeyError
+from repro.errors import ConfigurationError, UnknownKeyError
 
 POLICIES: Tuple[str, ...] = ("fcfs", "frfcfs", "atlas", "tcm", "sms")
 _GROUP_CORES = 8
@@ -105,36 +105,59 @@ def run_fig5_table3(
         here so saturation statistics are sampled).
     requests:
         Requests per victim core; background cores get proportional work.
+
+    The simulations run through :func:`repro.perf.parallel_map` at the
+    process worker default (``runner --jobs``). A grid in which no
+    victim + pressure point reaches the DRAM peak raises
+    :class:`~repro.errors.ConfigurationError` before any of them runs.
     """
-    peak = CMPSystem().timing.peak_bw_gbps
-    curves = []
-    stats = []
+    from repro.perf import DramRunJob, parallel_map
+
+    system = CMPSystem()
+    peak = system.timing.peak_bw_gbps
+    # Every policy's Table 3 point is its last saturated grid point.
+    if not any(v + p >= peak for v in victim_demands for p in pressure_levels):
+        raise ConfigurationError(
+            "no grid point reaches the DRAM peak of "
+            f"{peak:.1f} GB/s (victim + pressure), so Table 3's "
+            "saturated statistics cannot be sampled"
+        )
+    victim_cores = frozenset(range(_GROUP_CORES, 2 * _GROUP_CORES))
+    # Grid order: policy, victim, then the alone run and each pressure
+    # level. At one worker the simulations run in this order.
+    jobs = []
     for policy in policies:
-        system = CMPSystem(policy=policy, seed=seed)
-        series = []
-        saturated: Optional[Tuple[float, float]] = None
         for victim in victim_demands:
-            alone = system.run(
+            victims = tuple(
                 system.group_configs(
                     victim, _GROUP_CORES, requests, index_offset=_GROUP_CORES
                 )
             )
-            ys = []
+            jobs.append(DramRunJob(policy, seed, victims))
             for pressure in pressure_levels:
                 bg_requests = max(
                     200, int(requests * pressure / victim * 1.5)
                 )
-                cores = system.group_configs(
-                    pressure, _GROUP_CORES, bg_requests, index_offset=0
-                ) + system.group_configs(
-                    victim, _GROUP_CORES, requests, index_offset=_GROUP_CORES
+                background = tuple(
+                    system.group_configs(
+                        pressure, _GROUP_CORES, bg_requests, index_offset=0
+                    )
                 )
-                result = system.run(
-                    cores,
-                    stop_cores=set(
-                        range(_GROUP_CORES, 2 * _GROUP_CORES)
-                    ),
+                jobs.append(
+                    DramRunJob(
+                        policy, seed, background + victims, victim_cores
+                    )
                 )
+    results = iter(parallel_map(jobs))
+    curves = []
+    stats = []
+    for policy in policies:
+        series = []
+        for victim in victim_demands:
+            alone = next(results)
+            ys = []
+            for pressure in pressure_levels:
+                result = next(results)
                 ys.append(
                     min(alone.elapsed_ns / result.elapsed_ns, 1.0)
                 )
@@ -151,8 +174,6 @@ def run_fig5_table3(
                 )
             )
         curves.append((policy, tuple(series)))
-        if saturated is None:
-            saturated = (0.0, 0.0)
         stats.append(
             PolicyStats(
                 policy=policy,

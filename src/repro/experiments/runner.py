@@ -130,8 +130,9 @@ def main(argv=None) -> int:
         default=1,
         metavar="N",
         help=(
-            "worker processes: fans experiments (and, for a single "
-            "experiment, its internal sweeps) across cores; results are "
+            "worker processes for each experiment's simulations (the "
+            "DRAM runs of fig5_table3, the pressure sweeps of fig8-fig11); "
+            "experiments run one after another, and results are "
             "identical to --jobs 1"
         ),
     )
@@ -189,6 +190,8 @@ def main(argv=None) -> int:
         return 0
     if args.jobs < 1:
         parser.error("--jobs must be >= 1")
+    if args.csv and not args.out:
+        parser.error("--csv needs --out")
     cache_dir = args.sim_cache
     if args.checkpoint:
         if cache_dir is not None and Path(cache_dir) != Path(args.checkpoint):
@@ -210,77 +213,53 @@ def main(argv=None) -> int:
     from repro.obs import runtime as obs_runtime
     from repro.obs.runtime import ObsSession
     from repro.perf import (
-        ExperimentJob,
         Stopwatch,
         activate_sim_cache,
+        active_sim_cache,
         default_max_workers,
-        parallel_map,
         recovery_counters,
         set_default_max_workers,
         set_sim_cache,
     )
-    from repro.perf.simcache import active_sim_cache
 
-    # Sweeps inside a single experiment pick this default up.
+    # Every experiment's simulations pick this default up.
     previous_default = default_max_workers()
     set_default_max_workers(args.jobs)
     previous_cache = active_sim_cache()
     if cache_dir:
         activate_sim_cache(cache_dir)
     recovery_before = recovery_counters()
-    # One session for both paths: pool workers ship each chunk's
-    # metrics and trace records into it, and jobs run in this process
-    # record into it directly.
+    # Pool workers ship each chunk's metrics and trace records into
+    # this session; jobs run in this process record into it directly.
     session = None
     if args.trace or args.metrics:
         session = ObsSession(trace=bool(args.trace), metrics=args.metrics)
         obs_runtime.activate(session)
     try:
-        if args.jobs > 1 and len(names) > 1:
-            outcomes = parallel_map(
-                [
-                    ExperimentJob(
-                        name,
-                        out_dir=str(out_dir) if out_dir else None,
-                        csv=args.csv,
-                        sim_cache_dir=cache_dir,
-                    )
-                    for name in names
-                ],
-                max_workers=args.jobs,
-            )
-            cache = active_sim_cache()
-            for outcome in outcomes:
-                if cache is not None:
-                    cache.add_counts(outcome.sim_cache_counts)
-                print(f"==== {outcome.name} ({outcome.elapsed:.1f}s) ====")
-                print(outcome.report)
-                print()
-        else:
-            for name in names:
-                watch = Stopwatch()
-                span = None
-                if session is not None and session.tracer.enabled:
-                    span = session.tracer.span(
-                        f"experiment:{name}",
-                        start=session.harness_time(),
-                        track="runner",
-                        category="experiment",
-                        clock="harness",
-                    )
-                result = get_runner(name)()
-                if span is not None:
-                    span.finish(session.harness_time())
-                    span.close()
-                report = result.render()
-                banner = f"==== {name} ({watch.elapsed():.1f}s) ===="
-                print(banner)
-                print(report)
-                print()
-                if out_dir:
-                    (out_dir / f"{name}.txt").write_text(report + "\n")
-                    if args.csv:
-                        save_result_csvs(name, result, out_dir)
+        for name in names:
+            watch = Stopwatch()
+            span = None
+            if session is not None and session.tracer.enabled:
+                span = session.tracer.span(
+                    f"experiment:{name}",
+                    start=session.harness_time(),
+                    track="runner",
+                    category="experiment",
+                    clock="harness",
+                )
+            result = get_runner(name)()
+            if span is not None:
+                span.finish(session.harness_time())
+                span.close()
+            report = result.render()
+            banner = f"==== {name} ({watch.elapsed():.1f}s) ===="
+            print(banner)
+            print(report)
+            print()
+            if out_dir:
+                (out_dir / f"{name}.txt").write_text(report + "\n")
+                if args.csv:
+                    save_result_csvs(name, result, out_dir)
         if session is not None:
             _export_session(session, names, args)
         return 0

@@ -15,8 +15,8 @@ Public surface:
   cache behind ``--sim-cache`` (:class:`SimCache`,
   :func:`activate_sim_cache`, :func:`active_sim_cache`,
   :func:`set_sim_cache`);
-- :class:`PressureSweepJob` / :class:`ExperimentJob` — the standard
-  picklable jobs fanned out by the sweeps and the experiment runner;
+- :class:`PressureSweepJob` / :class:`DramRunJob` — the standard
+  picklable jobs: one SoC pressure sweep, one DRAM simulator run;
 - :func:`wall_clock_seconds` / :class:`Stopwatch` — the sanctioned
   wall-clock access point for harness timing (LINT011 keeps host
   clock reads out of model code).
@@ -41,8 +41,7 @@ if TYPE_CHECKING:
         set_default_max_workers as set_default_max_workers,
     )
     from repro.perf.jobs import (
-        ExperimentJob as ExperimentJob,
-        ExperimentOutcome as ExperimentOutcome,
+        DramRunJob as DramRunJob,
         PressureSweepJob as PressureSweepJob,
     )
     from repro.perf.pool import (
@@ -72,11 +71,7 @@ _LAZY_EXPORTS = {
         "parallel_map",
         "set_default_max_workers",
     ),
-    "repro.perf.jobs": (
-        "ExperimentJob",
-        "ExperimentOutcome",
-        "PressureSweepJob",
-    ),
+    "repro.perf.jobs": ("DramRunJob", "PressureSweepJob"),
     "repro.perf.pool": (
         "pool_generation",
         "pool_size",

@@ -1,9 +1,10 @@
 """Picklable units of work for :func:`repro.perf.parallel_map`.
 
 Jobs carry only cheap, immutable descriptions (SoC names, kernel specs,
-experiment names); each worker process rebuilds the heavy state (engines,
-calibrated models) from the same deterministic constructors the serial
-path uses, so results are bit-identical regardless of where a job ran.
+DRAM core configurations); each worker process rebuilds the heavy state
+(engines, simulators) from the same deterministic constructors the
+serial path uses, so results are bit-identical regardless of where a job
+ran.
 
 Jobs participate in two optional protocols:
 
@@ -25,11 +26,15 @@ pragma: it is typo-checked and reads as documentation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Optional, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, FrozenSet, Optional, Tuple
 
-from repro.perf.timing import Stopwatch
-from repro.workloads.kernel import KernelSpec
+if TYPE_CHECKING:
+    # Annotations only: importing them would load the SoC model into
+    # the DRAM study, which never runs it.
+    from repro.dram.cores import CoreConfig
+    from repro.dram.system import SimResult
+    from repro.workloads.kernel import KernelSpec
 
 
 @dataclass(frozen=True)
@@ -82,100 +87,34 @@ class PressureSweepJob:
 
 
 @dataclass(frozen=True)
-class ExperimentOutcome:
-    """What an :class:`ExperimentJob` sends back to the coordinator.
+class DramRunJob:
+    """One run of the default DDR4-3200 CMP DRAM simulator.
 
-    ``sim_cache_counts`` are the job's own cache's
-    :meth:`~repro.perf.simcache.SimCache.counts` (empty without a
-    cache), which the coordinator folds into its cache so the runner's
-    ``sim-cache:`` line counts every process. Metrics and trace records
-    need no field here: they reach the coordinator through the pool's
-    chunk session (:func:`repro.perf.pool.map_on_pool`), or straight
-    into its own session when the job runs in-process.
+    ``CMPSystem.run`` builds its scheduler from ``policy`` and ``seed``
+    on every call, so a run depends on nothing but these fields: the
+    §2.3 study's runs may execute in any process and any order.
     """
 
-    name: str
-    report: str
-    elapsed: float
-    csv_count: int = 0
-    sim_cache_counts: Tuple[int, ...] = ()
-
-
-@dataclass(frozen=True)
-class ExperimentJob:
-    """Run one registered experiment end to end (render + optional save).
-
-    Output files are written by the worker itself so the coordinator
-    only ships a rendered report string back across the pipe — which is
-    also why the job has no ``signature()``: it is not side-effect
-    free, so it is never cached as a unit. Instead ``sim_cache_dir``
-    opens the coordinator's simulation cache directory for the job's
-    duration, and the experiment's internal sweeps are cached at the
-    :class:`PressureSweepJob` granularity (shared across experiments).
-    That same granularity carries retry and checkpoint semantics: if
-    this job is re-run in-process after a worker loss, or the whole
-    run is interrupted and restarted under ``runner --checkpoint``, the
-    sweeps already stored under ``sim_cache_dir`` are served from disk
-    and only the unfinished ones are recomputed — re-running the
-    experiment body itself is cheap, idempotent rendering on top of
-    those results.
-    """
-
-    name: str
-    out_dir: Optional[str] = None
-    csv: bool = False
-    sim_cache_dir: Optional[str] = None
+    policy: str
+    seed: int
+    cores: Tuple[CoreConfig, ...]
+    stop_cores: Optional[FrozenSet[int]] = None
 
     def describe(self) -> str:
-        return f"experiment:{self.name}"
+        return f"dram:{self.policy}/{len(self.cores)} cores"
 
-    def run(self) -> ExperimentOutcome:
-        from repro.perf.executor import (
-            default_max_workers,
-            set_default_max_workers,
-        )
-        from repro.perf.simcache import SimCache, set_sim_cache
+    def signature(self) -> str:
+        """Canonical content signature for the simulation cache.
 
-        # This job is the unit of parallelism: never fork a nested pool
-        # (the forked child inherits the parent's --jobs default). The
-        # caller's default comes back afterwards, so a job run in-process
-        # leaves later parallel_map calls as they were.
-        workers = default_max_workers()
-        set_default_max_workers(1)
-        try:
-            if self.sim_cache_dir is None:
-                return self._run()
-            # A cache object of the job's own, so its counts ship back in
-            # the outcome and are counted once whichever process ran it.
-            cache = SimCache(self.sim_cache_dir)
-            previous = set_sim_cache(cache)
-            try:
-                outcome = self._run()
-            finally:
-                set_sim_cache(previous)
-            return replace(outcome, sim_cache_counts=cache.counts())
-        finally:
-            set_default_max_workers(workers)
+        The core configs are frozen dataclasses of ints, floats and
+        (for trace-driven cores) frozen traces, so their ``repr`` is
+        exact; the stop cores are sorted, since a set's order is not.
+        """
+        stop = None if self.stop_cores is None else sorted(self.stop_cores)
+        return repr(("dram_run.v1", self.policy, self.seed, self.cores, stop))
 
-    def _run(self) -> ExperimentOutcome:
-        from pathlib import Path
+    def run(self) -> SimResult:
+        from repro.dram.system import CMPSystem
 
-        from repro.experiments.runner import get_runner, save_result_csvs
-
-        watch = Stopwatch()
-        result = get_runner(self.name)()
-        report = result.render()
-        elapsed = watch.stop()
-        csv_count = 0
-        if self.out_dir is not None:
-            out_dir = Path(self.out_dir)
-            out_dir.mkdir(parents=True, exist_ok=True)
-            (out_dir / f"{self.name}.txt").write_text(report + "\n")
-            if self.csv:
-                csv_count = save_result_csvs(self.name, result, out_dir)
-        return ExperimentOutcome(
-            name=self.name,
-            report=report,
-            elapsed=elapsed,
-            csv_count=csv_count,
-        )
+        system = CMPSystem(policy=self.policy, seed=self.seed)
+        return system.run(self.cores, stop_cores=self.stop_cores)

@@ -60,7 +60,7 @@ import os
 import pickle
 import struct
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 CACHE_DIR_NAME = ".sim-cache"
 CACHE_SCHEMA_VERSION = 2
@@ -71,10 +71,10 @@ _ACTIVE: Optional["SimCache"] = None
 
 #: Fork-safety declaration (LINT016): both globals are deliberately
 #: per-process. The fingerprint is a deterministic pure function of the
-#: source tree (every process computes the same string), and each
-#: process installs its own active cache (``ExperimentJob.run`` does so
-#: per job) — the processes converge on the same on-disk store, never
-#: on shared memory.
+#: source tree (every process computes the same string), and the active
+#: cache serves the process that calls ``parallel_map``, which looks jobs
+#: up and stores their results itself; a forked worker that stored
+#: through an inherited cache would open a segment of its own.
 _PROCESS_LOCAL_STATE = ("_ACTIVE", "_CODE_FINGERPRINT")
 
 #: Record header: key length, payload length (little-endian).
@@ -147,11 +147,6 @@ def code_fingerprint() -> str:
 
 class SimCache:
     """Content-addressed result store under ``directory``."""
-
-    #: The counters, in the order :meth:`counts` reports them.
-    COUNTERS = (
-        "hits", "misses", "stores", "invalidations", "store_failures"
-    )
 
     def __init__(self, directory: Union[str, Path]) -> None:
         self.directory = Path(directory)
@@ -331,15 +326,6 @@ class SimCache:
         metrics = obs_runtime.active().metrics
         if metrics.enabled:
             metrics.counter(f"perf.simcache.{which}").inc()
-
-    def counts(self) -> Tuple[int, ...]:
-        """The :attr:`COUNTERS` values, for shipping across processes."""
-        return tuple(getattr(self, name) for name in self.COUNTERS)
-
-    def add_counts(self, counts: Sequence[int]) -> None:
-        """Fold in another cache's :meth:`counts` (a worker's)."""
-        for name, value in zip(self.COUNTERS, counts):
-            setattr(self, name, getattr(self, name) + value)
 
     def stats_line(self) -> str:
         line = (

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.dram.system import CMPSystem
+from repro.errors import ConfigurationError
 from repro.experiments.fig5_table3 import run_fig5_table3
 
 
@@ -54,3 +56,19 @@ class TestQualitative:
         for policy in ("fcfs", "atlas"):
             light, heavy = result.policy_series(policy)
             assert heavy.y[-1] <= light.y[-1] + 0.1
+
+
+class TestGrid:
+    def test_grid_below_the_peak_rejected_before_any_run(self, monkeypatch):
+        """Without a saturated point Table 3 has nothing to report."""
+
+        def run(*args, **kwargs):
+            raise AssertionError("a simulation ran")
+
+        monkeypatch.setattr(CMPSystem, "run", run)
+        with pytest.raises(ConfigurationError, match="102.4 GB/s"):
+            run_fig5_table3(
+                victim_demands=(18.0,),
+                pressure_levels=(6.0,),
+                policies=("fcfs",),
+            )

@@ -69,6 +69,12 @@ class TestMain:
         assert (tmp_path / "fig6.txt").exists()
         assert "Fig 6" in capsys.readouterr().out
 
+    def test_csv_without_out_rejected(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["config_tables", "--csv"])
+        assert excinfo.value.code == 2
+        assert "--csv needs --out" in capsys.readouterr().err
+
     def test_csv_export(self, tmp_path, capsys):
         assert main(["fig6", "--out", str(tmp_path), "--csv"]) == 0
         csvs = list(tmp_path.glob("fig6_*.csv"))
@@ -143,7 +149,7 @@ class TestPooledExperimentsObservability:
         """Several experiments under ``--jobs 2`` with ``--metrics``,
         ``--trace`` and ``--sim-cache``: the printed counters, the
         ``sim-cache:`` line, the records on disk and the trace file all
-        describe the same run."""
+        describe the same run, whose fig8 sweeps ran on worker rows."""
         import repro.perf.simcache as simcache_module
         from repro.experiments import common
         from repro.obs import validate_chrome_trace
@@ -154,7 +160,7 @@ class TestPooledExperimentsObservability:
         shutdown_pool()  # fresh workers hold no calibrations in memory
         common.clear_caches()
         argv = [
-            "fig2", "fig6", "--jobs", "2", "--metrics",
+            "fig2", "fig8", "--jobs", "2", "--metrics",
             "--trace", str(trace), "--sim-cache", str(cache_dir),
         ]
         try:
@@ -178,4 +184,9 @@ class TestPooledExperimentsObservability:
         payload = json.loads(trace.read_text())
         assert validate_chrome_trace(payload) == []
         assert any(e["pid"] >= 10 for e in payload["traceEvents"])
+        experiments = {
+            e["name"] for e in payload["traceEvents"]
+            if e["name"].startswith("experiment:")
+        }
+        assert experiments == {"experiment:fig2", "experiment:fig8"}
         assert payload["otherData"]["metrics"]["counters"] == counters

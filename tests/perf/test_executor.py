@@ -9,9 +9,10 @@ from repro.perf import (
     default_max_workers,
     job_label,
     parallel_map,
+    pool_size,
     set_default_max_workers,
+    shutdown_pool,
 )
-from repro.perf.jobs import ExperimentJob
 
 
 @dataclass(frozen=True)
@@ -121,13 +122,26 @@ class TestDefaultMaxWorkers:
         with pytest.raises(SimulationError):
             set_default_max_workers(0)
 
-    def test_experiment_job_restores_the_default(self):
-        """An experiment job pins nested maps to serial only while it
-        runs; an in-process run must not leave the caller serial."""
+    def test_dram_study_maps_at_the_default(self):
+        """``run_fig5_table3`` takes no worker count: it maps its DRAM
+        runs at the process default (``--jobs``), on the pool when that
+        is above one, with the serial result."""
+        from repro.experiments.fig5_table3 import run_fig5_table3
+
+        grid = dict(
+            victim_demands=(36.0, 72.0),
+            pressure_levels=(48.0,),
+            requests=100,
+            policies=("fcfs",),
+        )
         previous = default_max_workers()
+        shutdown_pool()
         try:
-            set_default_max_workers(4)
-            ExperimentJob("fig2").run()
-            assert default_max_workers() == 4
+            serial = run_fig5_table3(**grid)
+            assert pool_size() == 0
+            set_default_max_workers(2)
+            assert run_fig5_table3(**grid) == serial
+            assert pool_size() == 2
         finally:
             set_default_max_workers(previous)
+            shutdown_pool()

@@ -1,5 +1,6 @@
 """The content-addressed simulation cache: keys, recovery, bit-identity."""
 
+import dataclasses
 import filecmp
 import pickle
 from dataclasses import dataclass
@@ -11,9 +12,10 @@ from hypothesis import strategies as st
 
 import repro.perf.simcache as simcache_module
 
+from repro.dram.system import CMPSystem
 from repro.experiments import common
 from repro.perf import parallel_map, shutdown_pool
-from repro.perf.jobs import ExperimentJob, PressureSweepJob
+from repro.perf.jobs import DramRunJob, PressureSweepJob
 from repro.perf.simcache import (
     CACHE_SCHEMA_VERSION,
     SimCache,
@@ -54,6 +56,41 @@ def _no_leaked_cache():
     previous = set_sim_cache(None)
     yield
     set_sim_cache(previous)
+
+
+def _sweep_variants():
+    job = PressureSweepJob(
+        "xavier-agx", rodinia_kernel("cfd", PUType.GPU), "gpu", (1.0, 2.0)
+    )
+    return job, {
+        "soc_name": ["snapdragon-855"],
+        "kernel": [rodinia_kernel("bfs", PUType.GPU)],
+        "pu_name": ["cpu"],
+        "levels": [(1.0, 2.5), (1.0,)],
+        "pressure_pu": ["cpu"],
+    }
+
+
+def _dram_variants():
+    cores = tuple(CMPSystem().group_configs(40.0, 2, 100))
+    job = DramRunJob("frfcfs", 0, cores, frozenset({1}))
+    return job, {
+        "policy": ["atlas"],
+        "seed": [1],
+        "cores": [
+            cores[:1],
+            (dataclasses.replace(cores[0], mshr=8),) + cores[1:],
+            (dataclasses.replace(cores[0], demand_gbps=30.0),) + cores[1:],
+        ],
+        "stop_cores": [None, frozenset({0}), frozenset({0, 1})],
+    }
+
+
+#: For each job type: a job and, per field, values that differ from it.
+_FIELD_VARIANTS = {
+    PressureSweepJob: _sweep_variants,
+    DramRunJob: _dram_variants,
+}
 
 
 class TestKeys:
@@ -98,13 +135,33 @@ class TestKeys:
         assert new_key != key
         assert stale.lookup(new_key) == (False, None)
 
-    def test_experiment_job_is_uncacheable(self, tmp_path):
+    def test_signature_none_is_uncacheable(self, tmp_path):
+        @dataclass(frozen=True)
+        class SideEffectJob:
+            def signature(self):
+                return None
+
+            def run(self):
+                return 1
+
         cache = SimCache(tmp_path)
-        assert cache.key_for(ExperimentJob("fig2")) is None
+        assert cache.key_for(SideEffectJob()) is None
 
     def test_jobs_without_signature_are_uncacheable(self, tmp_path):
         cache = SimCache(tmp_path)
         assert cache.key_for(object()) is None
+
+    @pytest.mark.parametrize("job_type", [PressureSweepJob, DramRunJob])
+    def test_replacing_any_field_changes_the_signature(self, job_type):
+        """The runtime twin of LINT014: every declared field is an input,
+        so a job that differs in any one field gets another key."""
+        job, variants = _FIELD_VARIANTS[job_type]()
+        fields = [field.name for field in dataclasses.fields(job_type)]
+        assert sorted(variants) == sorted(fields)
+        for name, values in variants.items():
+            for value in values:
+                other = dataclasses.replace(job, **{name: value})
+                assert other.signature() != job.signature(), (name, value)
 
     def test_memoised_spec_text_keeps_every_key(self, tmp_path, monkeypatch):
         """Sweep and calibration signatures hash the SoC spec's ``repr``,
@@ -525,9 +582,9 @@ class TestCalibrationCaching:
 
 class TestRunnerStatsLine:
     def test_pooled_experiments_counted_once(self, tmp_path, capsys):
-        """Under ``--jobs N`` with several experiments every lookup and
-        store happens in a worker; the runner's line still counts each
-        one once."""
+        """Under ``--jobs N`` the sweeps run on the pool, but every
+        lookup and store happens in the coordinator: the runner's line
+        counts each one once, and a warm re-run is served from disk."""
         from repro.experiments.runner import main
 
         cache_dir = tmp_path / "cache"

@@ -14,9 +14,11 @@ from repro.errors import JobFailedError
 from repro.experiments import common
 from repro.perf import (
     activate_sim_cache,
+    default_max_workers,
     parallel_map,
     pool_generation,
     pool_size,
+    set_default_max_workers,
     set_sim_cache,
 )
 from repro.perf.simcache import SimCache, _records
@@ -146,6 +148,46 @@ class TestResumeFromPartialSweep:
         assert resumed == reference
         assert cache.hits >= completed
         assert cache.misses > 0  # the genuinely new work
+
+    def test_interrupted_fig5_resumes_from_its_simulations(
+        self, tmp_path, monkeypatch
+    ):
+        """What ``runner fig5_table3 --jobs 2 --checkpoint`` does on a
+        small grid, with Ctrl-C after three DRAM runs were stored: the
+        resume serves those three from disk and runs only the other
+        nine."""
+        from repro.experiments.fig5_table3 import run_fig5_table3
+
+        grid = dict(
+            victim_demands=(36.0, 72.0),
+            pressure_levels=(12.0, 48.0),
+            requests=100,
+            policies=("fcfs", "atlas"),
+        )
+        reference = run_fig5_table3(**grid)
+
+        cache = activate_sim_cache(tmp_path / "ckpt")
+        store = cache.store
+
+        def store_until_interrupt(key, value):
+            if cache.stores == 3:
+                raise KeyboardInterrupt
+            return store(key, value)
+
+        monkeypatch.setattr(cache, "store", store_until_interrupt)
+        previous = default_max_workers()
+        set_default_max_workers(2)
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                run_fig5_table3(**grid)
+        finally:
+            set_default_max_workers(previous)
+        assert _records_on_disk(cache.directory) == 3
+
+        resumed = SimCache(tmp_path / "ckpt")
+        set_sim_cache(resumed)
+        assert run_fig5_table3(**grid) == reference
+        assert (resumed.hits, resumed.misses, resumed.stores) == (3, 9, 9)
 
     def test_recovered_and_checkpointed_run_is_identical(
         self, tmp_path, kill_one_worker

@@ -3,7 +3,8 @@
 ``repro``, ``repro.obs`` and ``repro.perf`` bind their re-exported names
 on first access (PEP 562), so a run imports only the modules it uses.
 The closure tests run each command in a fresh interpreter under
-``-X importtime`` and compare module sets, not times.
+``-X importtime`` (or, for a run, read ``sys.modules`` after it) and
+compare module sets, not times.
 """
 
 from __future__ import annotations
@@ -43,25 +44,38 @@ DRAM_STUDY_UNUSED = (
 )
 
 
-def imported_modules(*args: str) -> set:
-    """Every module a fresh ``python -X importtime <args>`` imports."""
+def _fresh(*args: str) -> subprocess.CompletedProcess:
+    """``python <args>`` in a fresh interpreter with ``src`` on the path."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, (str(SRC), env.get("PYTHONPATH")))
     )
-    done = subprocess.run(
-        [sys.executable, "-X", "importtime", *args],
+    return subprocess.run(
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env=env,
         timeout=120,
         check=True,
     )
+
+
+def imported_modules(*args: str) -> set:
+    """Every module a fresh ``python -X importtime <args>`` imports."""
+    done = _fresh("-X", "importtime", *args)
     return {
         line.rpartition("|")[2].strip()
         for line in done.stderr.splitlines()
         if line.startswith("import time:") and "imported package" not in line
     }
+
+
+def loaded_after(code: str) -> set:
+    """Every module in ``sys.modules`` after a fresh interpreter runs
+    ``code``, including those a lazy namespace loaded through
+    ``importlib.import_module``, which ``-X importtime`` does not log."""
+    done = _fresh("-c", f"{code}\nimport sys\nprint(*sys.modules)")
+    return set(done.stdout.split())
 
 
 def under(modules: set, prefixes) -> list:
@@ -79,6 +93,30 @@ class TestImportClosure:
         )
         assert "repro.dram.system" in modules
         assert under(modules, DRAM_STUDY_UNUSED) == []
+
+    def test_dram_study_runs_without_soc_or_pool(self):
+        """A run at the default of one worker maps its simulations
+        through ``parallel_map``'s serial loop: the pool, the SoC model
+        and the process machinery stay unloaded."""
+        modules = loaded_after(
+            "from repro.experiments.fig5_table3 import run_fig5_table3\n"
+            "run_fig5_table3(victim_demands=(90.0,), pressure_levels=(30.0,),"
+            " requests=20, policies=('fcfs',))"
+        )
+        assert {"repro.perf.executor", "repro.perf.jobs"} <= modules
+        assert under(
+            modules,
+            (
+                "repro.soc",
+                "repro.core",
+                "repro.workloads",
+                "repro.profiling",
+                "repro.baselines",
+                "repro.perf.pool",
+                "multiprocessing",
+                "concurrent.futures",
+            ),
+        ) == []
 
     def test_import_repro_loads_no_other_repro_module(self):
         assert under(imported_modules("-c", "import repro"), ("repro",)) == [
