@@ -11,11 +11,18 @@ result, so a test can execute it twice in subprocesses under different
 
 Scenarios:
 
-- ``soc`` — a Xavier AGX co-run (GPU victim under looping CPU pressure)
-  through :class:`repro.soc.engine.CoRunEngine`, timeline included;
+- ``soc`` — a Xavier AGX co-run (a two-phase GPU victim under looping
+  CPU pressure) through :class:`repro.soc.engine.CoRunEngine`, timeline
+  included: the victim changes phase and the pressure kernel loops
+  before the victim finishes;
 - ``dram`` — a 2-core DRAM simulation through
   :class:`repro.dram.system.CMPSystem` with the SMS scheduler (the
-  policy whose tie-break PR 1 had to fix).
+  policy whose tie-break once depended on set order), about 25 µs long:
+  each channel refreshes three times (tREFI is 7.8 µs), so a write that
+  only moves a later refresh changes the result too.
+
+Between them they run every obs-guarded branch of the two simulators,
+which ``tests/obs/test_guarded_branches.py`` checks.
 
 ``--traced`` runs the same scenario under an active observability
 session (tracing + metrics on) while printing the *same* result
@@ -38,11 +45,17 @@ def soc_scenario() -> Dict[str, Any]:
     """Small Xavier AGX co-run; returns a JSON-ready dict."""
     from repro.soc.configs import soc_by_name
     from repro.soc.engine import CoRunEngine
-    from repro.workloads.kernel import single_phase_kernel
+    from repro.workloads.kernel import KernelSpec, Phase, single_phase_kernel
 
     engine = CoRunEngine(soc_by_name("xavier-agx"))
-    victim = single_phase_kernel("det-victim", 2.0, traffic_gb=0.5)
-    pressure = single_phase_kernel("det-pressure", 0.5, traffic_gb=0.5)
+    victim = KernelSpec(
+        "det-victim",
+        phases=(
+            Phase("stream", flops=1e9, traffic_bytes=0.5e9),
+            Phase("compute", flops=4e9, traffic_bytes=0.25e9, locality=0.8),
+        ),
+    )
+    pressure = single_phase_kernel("det-pressure", 0.5, traffic_gb=0.1)
     result = engine.corun(
         {"gpu": victim, "cpu": pressure},
         looping=("cpu",),
@@ -62,7 +75,7 @@ def dram_scenario() -> Dict[str, Any]:
 
     system = CMPSystem(policy="sms", seed=1)
     cores = system.group_configs(
-        group_demand_gbps=24.0, n_cores=2, requests_per_core=300
+        group_demand_gbps=24.0, n_cores=2, requests_per_core=4500
     )
     result = system.run(cores)
     return {"scenario": "dram", "result": dataclasses.asdict(result)}

@@ -251,6 +251,27 @@ class TestPoolVsSerialBitIdentity:
         assert first == first_serial
         assert second == second_serial
 
+    def test_fig5_pool_vs_serial(self):
+        """The DRAM study's runs (``DramRunJob``) at 2 workers give the
+        serial result: no run depends on which process ran before it."""
+        from repro.experiments.fig5_table3 import run_fig5_table3
+        from repro.perf import default_max_workers, set_default_max_workers
+
+        grid = dict(
+            victim_demands=(36.0, 72.0),
+            pressure_levels=(12.0, 48.0),
+            requests=100,
+            policies=("fcfs", "atlas"),
+        )
+        serial = run_fig5_table3(**grid)
+        previous = default_max_workers()
+        set_default_max_workers(2)
+        try:
+            pooled = run_fig5_table3(**grid)
+        finally:
+            set_default_max_workers(previous)
+        assert pooled == serial
+
 
 def _run_job(job):
     return job.run()

@@ -2,6 +2,7 @@
 
 import dataclasses
 import filecmp
+import inspect
 import pickle
 from dataclasses import dataclass
 from pathlib import Path
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro.perf.jobs as jobs_module
 import repro.perf.simcache as simcache_module
 
 from repro.dram.system import CMPSystem
@@ -92,6 +94,19 @@ _FIELD_VARIANTS = {
     DramRunJob: _dram_variants,
 }
 
+#: Every class :mod:`repro.perf.jobs` defines with a ``signature()``:
+#: the jobs the simulation cache can serve.
+CACHEABLE_JOBS = sorted(
+    (
+        cls
+        for cls in vars(jobs_module).values()
+        if inspect.isclass(cls)
+        and cls.__module__ == jobs_module.__name__
+        and "signature" in vars(cls)
+    ),
+    key=lambda cls: cls.__name__,
+)
+
 
 class TestKeys:
     def test_same_inputs_same_key(self, tmp_path):
@@ -151,10 +166,18 @@ class TestKeys:
         cache = SimCache(tmp_path)
         assert cache.key_for(object()) is None
 
-    @pytest.mark.parametrize("job_type", [PressureSweepJob, DramRunJob])
+    def test_cacheable_jobs_are_discovered(self):
+        assert {PressureSweepJob, DramRunJob} <= set(CACHEABLE_JOBS)
+
+    @pytest.mark.parametrize("job_type", CACHEABLE_JOBS)
     def test_replacing_any_field_changes_the_signature(self, job_type):
-        """The runtime twin of LINT014: every declared field is an input,
-        so a job that differs in any one field gets another key."""
+        """Every declared field is an input, so a job that differs in any
+        one field gets another key: a field left out of ``signature()``
+        would let the cache serve another job's result."""
+        assert job_type in _FIELD_VARIANTS, (
+            f"{job_type.__name__} defines signature() but has no "
+            "_FIELD_VARIANTS entry"
+        )
         job, variants = _FIELD_VARIANTS[job_type]()
         fields = [field.name for field in dataclasses.fields(job_type)]
         assert sorted(variants) == sorted(fields)
@@ -162,6 +185,14 @@ class TestKeys:
             for value in values:
                 other = dataclasses.replace(job, **{name: value})
                 assert other.signature() != job.signature(), (name, value)
+
+    @pytest.mark.parametrize("job_type", CACHEABLE_JOBS)
+    def test_cacheable_jobs_are_frozen_dataclasses(self, job_type):
+        """Under the pool ``run()`` executes on a pickled copy, so a
+        result it stored on the job would never reach the coordinator;
+        a frozen dataclass raises on any such store, in-process too."""
+        assert dataclasses.is_dataclass(job_type)
+        assert job_type.__dataclass_params__.frozen
 
     def test_memoised_spec_text_keeps_every_key(self, tmp_path, monkeypatch):
         """Sweep and calibration signatures hash the SoC spec's ``repr``,
