@@ -11,15 +11,13 @@ from repro.core.parameters import PCCSParameters
 from repro.soc.configs import soc_by_name, spec_text
 from repro.soc.engine import CoRunEngine
 
+#: Both registries are deliberately per-process caches of
+#: deterministic constructions — every process that builds an engine or
+#: calibration for the same SoC gets an identical object, so
+#: coordinator/worker divergence is benign (each side just builds its
+#: own on first use and keeps it).
 _ENGINES: Dict[str, CoRunEngine] = {}
 _PARAMS: Dict[Tuple[str, str], PCCSParameters] = {}
-
-#: Fork-safety declaration (LINT016): both registries are deliberately
-#: per-process caches of deterministic constructions — every process
-#: that builds an engine or calibration for the same SoC gets an
-#: identical object, so coordinator/worker divergence is benign (each
-#: side just builds its own on first use and keeps it).
-_PROCESS_LOCAL_STATE = ("_ENGINES", "_PARAMS")
 
 
 def engine_for(soc_name: str) -> CoRunEngine:

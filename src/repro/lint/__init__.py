@@ -2,23 +2,21 @@
 
 A from-scratch static-analysis engine whose rules encode this repo's
 own bug classes (see ``DESIGN.md`` §2.9–2.10). The per-file rules
-(LINT001, LINT004, LINT005, LINT007, LINT011–013) catch nondeterministic iteration in
-scheduler selection loops, exact float comparison in solver code,
-mutable default arguments, raises that bypass the :mod:`repro.errors`
-hierarchy, any call that yields a nondeterministic value (wall clock,
-module-level or unseeded RNG, OS entropy), unpicklable members on
-parallel jobs — followed through the module call graph
-(:mod:`repro.lint.callgraph`) — and ``print`` in model code. The
-interprocedural pass (LINT014–016) links per-function effect
-summaries (:mod:`repro.lint.effects`) into a whole-program call graph
-to verify the cache-key completeness, observability-purity, and
-fork-safety contracts (see ``DESIGN.md`` §2.13). The module-graph
-pass (LINT017–019) builds the import graph
-(:mod:`repro.lint.importgraph`) and checks it against the repo's
-declared ``architecture.toml`` layer contract, finds code unreachable
-from the declared roots (:mod:`repro.lint.deadcode`), and verifies
-that only :mod:`repro.errors` types escape the public/CLI boundary
-(see ``DESIGN.md`` §2.14).
+(LINT001, LINT004, LINT005, LINT007, LINT011–013) catch
+nondeterministic iteration in scheduler selection loops, exact float
+comparison in solver code, mutable default arguments, raises that
+bypass the :mod:`repro.errors` hierarchy, any call that yields a
+nondeterministic value (wall clock, module-level or unseeded RNG, OS
+entropy), unpicklable members on parallel jobs — followed through the
+module call graph (:mod:`repro.lint.callgraph`) — and ``print`` in
+model code. The module-graph rules (LINT017, LINT018) build the import
+graph (:mod:`repro.lint.importgraph`), check it against the repo's
+declared ``architecture.toml`` layer contract and find code
+unreachable from the declared roots (:mod:`repro.lint.deadcode`).
+LINT019 propagates per-function raise sets
+(:mod:`repro.lint.effects`) through the whole-program call graph and
+verifies that only :mod:`repro.errors` types escape the public/CLI
+boundary (see ``DESIGN.md`` §2.13–2.14).
 
 Public surface:
 
@@ -30,7 +28,8 @@ Public surface:
   the rule registry and its self-documentation;
 - :func:`render_text` / :func:`render_json` / :func:`render_sarif` —
   the ``--format`` renderers;
-- :mod:`repro.lint.determinism` — the dynamic PYTHONHASHSEED harness.
+- :mod:`repro.lint.determinism` — the dynamic harness: fixed scenarios
+  whose output must not change with PYTHONHASHSEED or with tracing.
 """
 
 from repro.lint.cache import LintCache

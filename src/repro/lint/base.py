@@ -37,7 +37,7 @@ class FileContext:
     """Forward-slash path used for scope matching."""
 
     program: Optional["Program"] = None
-    """Whole-program effect summaries (:mod:`repro.lint.effects`).
+    """Whole-program raise-set summaries (:mod:`repro.lint.effects`).
 
     Populated by the engine whenever an interprocedural rule is
     selected; ``None`` otherwise. Interprocedural checkers return no

@@ -5,8 +5,6 @@ A symbol (top-level function, class, or assigned module attribute) is
 
 - module-level code of any linted module (imports execute it);
 - ``__all__`` exports (the declared public API);
-- worker entry points (functions handed to pool ``submit`` /
-  ``initializer=``, the same idiom :mod:`repro.lint.effects` detects);
 - entry points declared in ``architecture.toml`` ``[deadcode]``
   (``"repro.cli:main"`` style — console scripts argparse dispatches);
 - top-level re-exports in ``__init__.py`` files (a package facade is a
@@ -35,12 +33,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.lint.effects import (
-    PROCESS_LOCAL_DECLARATION,
-    _entry_refs,
-    collect_imports,
-    module_name_for,
-)
+from repro.lint.effects import collect_imports, module_name_for
 from repro.lint.importgraph import LayerContract
 
 Ref = Tuple[str, str]
@@ -72,12 +65,6 @@ _INERT_DECORATORS = frozenset(
 #: defining module to a tuple of the names it exports, which the
 #: package's PEP 562 ``__getattr__`` imports on first access.
 LAZY_EXPORTS_DECLARATION = "_LAZY_EXPORTS"
-
-#: Module attributes the *linter itself* reads from source (so no code
-#: references them): never dead.
-_DECLARATION_NAMES = frozenset(
-    {PROCESS_LOCAL_DECLARATION, LAZY_EXPORTS_DECLARATION}
-)
 
 _FUNCTION_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
 
@@ -405,7 +392,8 @@ def _index_module(
                     module, target_name.id, "attribute", stmt.lineno
                 ),
             )
-            if target_name.id in _DECLARATION_NAMES:
+            if target_name.id == LAZY_EXPORTS_DECLARATION:
+                # The linter itself reads the table; no code names it.
                 index.roots.add(key)
             # The value's references belong to the symbol: a dispatch
             # table keeps its targets alive only if the table is.
@@ -429,10 +417,6 @@ def _index_module(
         # deliberate re-export surface even without __all__.
         for target in imports.values():
             index.roots.add(collector._binding_ref(target))
-
-    for entry in _entry_refs(tree):
-        qual = entry.partition(":")[2]
-        index.roots.add((module, qual.split(".", 1)[0]))
 
 
 def _str_constant(node: Optional[ast.expr]) -> Optional[str]:

@@ -1,27 +1,15 @@
-"""Interprocedural effect summaries over the whole linted program.
+"""Whole-program raise-set summaries for the exception-flow rule.
 
-The per-file rules see one module at a time. Three contracts the
-repository rests on cannot be proven at that granularity:
-
-- **cache-key completeness** — every attribute a Job's ``run()``
-  transitively reads must be folded into its ``signature()``
-  (:mod:`repro.perf.simcache` serves stale results otherwise);
-- **observability purity** — no value *originating* from
-  :mod:`repro.obs` may flow into soc/dram model state, control flow, or
-  results (the traced == untraced bit-identity contract);
-- **fork/pool safety** — code reachable from
-  :mod:`repro.perf.pool` worker entry points must not mutate module
-  globals the coordinator also depends on, unless the owning module
-  explicitly declares them process-local.
-
-This module computes, bottom-up over every function of every linted
-file, a compact :class:`FunctionEffects` summary — ``self.*`` reads and
-writes, module-global writes with their source lines, calls into
-``repro.obs``, and resolved call edges (local, cross-module via
-imports, and closed-world dynamic dispatch over ``*Job`` classes). :class:`Program` then runs the
-interprocedural fixpoints the LINT014–LINT016 rules query: worker
-reachability, transitive same-class attribute effects, transitive
-impurity, and obs-returning classification.
+LINT019 asks whether a non-:mod:`repro.errors` exception can escape a
+public function, which no single file can answer: the raise may sit two
+calls away in another module. This module computes, for every function
+of every linted file, a compact :class:`FunctionEffects` summary — the
+exceptions it raises that no local handler absorbs, and each call site
+with the handler labels guarding it — and :class:`Program` resolves the
+call references (local, cross-module through imports, submodule
+attribute paths, and closed-world dispatch of a method call on an
+unknown receiver to every ``*Job`` class) and propagates the raise sets
+to a fixpoint.
 
 Summaries are pure functions of one module's source plus the analyzer
 code, so they are cached per module as JSON alongside the lint result
@@ -39,7 +27,6 @@ from pathlib import Path
 from typing import (
     Any,
     Dict,
-    FrozenSet,
     Iterable,
     List,
     Mapping,
@@ -49,38 +36,7 @@ from typing import (
     Tuple,
 )
 
-EFFECTS_SCHEMA_VERSION = 3
-
-#: Class-body declaration naming fields deliberately *excluded* from a
-#: Job's ``signature()`` (LINT014): fields that cannot change ``run()``
-#: results (labels, cosmetic knobs) are listed here instead of hashed.
-INERT_DECLARATION = "SIGNATURE_INERT"
-
-#: Module-level declaration naming globals that are deliberately
-#: process-local (LINT016): every process owns an independent copy and
-#: divergence is benign (deterministic caches, per-process config).
-PROCESS_LOCAL_DECLARATION = "_PROCESS_LOCAL_STATE"
-
-#: Method names whose invocation mutates the receiver in place.
-MUTATOR_METHODS: FrozenSet[str] = frozenset(
-    {
-        "append",
-        "appendleft",
-        "add",
-        "clear",
-        "discard",
-        "extend",
-        "insert",
-        "pop",
-        "popitem",
-        "popleft",
-        "remove",
-        "reverse",
-        "setdefault",
-        "sort",
-        "update",
-    }
-)
+EFFECTS_SCHEMA_VERSION = 4
 
 _FUNCTION_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
 
@@ -152,20 +108,11 @@ _NON_EXCEPTION_LABELS = frozenset(
 # ----------------------------------------------------------------------
 @dataclass
 class FunctionEffects:
-    """Flow-insensitive effect summary of one function or method."""
+    """Raise-set summary of one function or method."""
 
     qualname: str
     class_name: Optional[str]
     line: int
-    self_reads: Set[str] = field(default_factory=set)
-    self_writes: Set[str] = field(default_factory=set)
-    global_reads: Set[str] = field(default_factory=set)
-    global_writes: Dict[str, int] = field(default_factory=dict)
-    obs_calls: Set[str] = field(default_factory=set)
-    calls: Set[str] = field(default_factory=set)
-    return_calls: Set[str] = field(default_factory=set)
-    returns_obs: bool = False
-    self_escapes: bool = False
     raises: Dict[str, int] = field(default_factory=dict)
     """Exception label -> line, for raises no local handler absorbs."""
     call_sites: Dict[str, List[Tuple[int, Tuple[str, ...]]]] = field(
@@ -184,15 +131,6 @@ class FunctionEffects:
             "qualname": self.qualname,
             "class_name": self.class_name,
             "line": self.line,
-            "self_reads": sorted(self.self_reads),
-            "self_writes": sorted(self.self_writes),
-            "global_reads": sorted(self.global_reads),
-            "global_writes": dict(sorted(self.global_writes.items())),
-            "obs_calls": sorted(self.obs_calls),
-            "calls": sorted(self.calls),
-            "return_calls": sorted(self.return_calls),
-            "returns_obs": self.returns_obs,
-            "self_escapes": self.self_escapes,
             "raises": dict(sorted(self.raises.items())),
             "call_sites": {
                 ref: [[line, sorted(labels)] for line, labels in sites]
@@ -206,17 +144,6 @@ class FunctionEffects:
             qualname=str(payload["qualname"]),
             class_name=payload["class_name"],
             line=int(payload["line"]),
-            self_reads=set(payload["self_reads"]),
-            self_writes=set(payload["self_writes"]),
-            global_reads=set(payload["global_reads"]),
-            global_writes={
-                str(k): int(v) for k, v in payload["global_writes"].items()
-            },
-            obs_calls=set(payload["obs_calls"]),
-            calls=set(payload["calls"]),
-            return_calls=set(payload["return_calls"]),
-            returns_obs=bool(payload["returns_obs"]),
-            self_escapes=bool(payload["self_escapes"]),
             raises={
                 str(k): int(v) for k, v in payload["raises"].items()
             },
@@ -232,15 +159,10 @@ class FunctionEffects:
 
 @dataclass
 class ClassEffects:
-    """What the interprocedural rules need to know about one class."""
+    """One class: where it is and what it derives from."""
 
     name: str
     line: int
-    fields: Dict[str, int] = field(default_factory=dict)
-    methods: Set[str] = field(default_factory=set)
-    inert_fields: Set[str] = field(default_factory=set)
-    inert_line: Optional[int] = None
-    signature_line: Optional[int] = None
     bases: Tuple[str, ...] = ()
     """Resolved base-class labels (exception-hierarchy queries)."""
 
@@ -248,11 +170,6 @@ class ClassEffects:
         return {
             "name": self.name,
             "line": self.line,
-            "fields": dict(sorted(self.fields.items())),
-            "methods": sorted(self.methods),
-            "inert_fields": sorted(self.inert_fields),
-            "inert_line": self.inert_line,
-            "signature_line": self.signature_line,
             "bases": list(self.bases),
         }
 
@@ -261,30 +178,19 @@ class ClassEffects:
         return cls(
             name=str(payload["name"]),
             line=int(payload["line"]),
-            fields={str(k): int(v) for k, v in payload["fields"].items()},
-            methods=set(payload["methods"]),
-            inert_fields=set(payload["inert_fields"]),
-            inert_line=payload["inert_line"],
-            signature_line=payload["signature_line"],
             bases=tuple(str(b) for b in payload["bases"]),
         )
 
 
 @dataclass
 class ModuleEffects:
-    """Per-module effect summaries plus module-level declarations."""
+    """Per-module function and class summaries."""
 
     name: str
     path: str
     source_sha: str
     functions: Dict[str, FunctionEffects] = field(default_factory=dict)
     classes: Dict[str, ClassEffects] = field(default_factory=dict)
-    module_globals: Set[str] = field(default_factory=set)
-    process_local: Set[str] = field(default_factory=set)
-    process_local_line: Optional[int] = None
-    entry_points: Set[str] = field(default_factory=set)
-    exports: Set[str] = field(default_factory=set)
-    """``__all__`` names (the declared public surface, when present)."""
 
     def to_json(self) -> Dict[str, Any]:
         return {
@@ -298,11 +204,6 @@ class ModuleEffects:
             "classes": {
                 k: v.to_json() for k, v in sorted(self.classes.items())
             },
-            "module_globals": sorted(self.module_globals),
-            "process_local": sorted(self.process_local),
-            "process_local_line": self.process_local_line,
-            "entry_points": sorted(self.entry_points),
-            "exports": sorted(self.exports),
         }
 
     @classmethod
@@ -319,11 +220,6 @@ class ModuleEffects:
                 str(k): ClassEffects.from_json(v)
                 for k, v in payload["classes"].items()
             },
-            module_globals=set(payload["module_globals"]),
-            process_local=set(payload["process_local"]),
-            process_local_line=payload["process_local_line"],
-            entry_points=set(payload["entry_points"]),
-            exports=set(payload["exports"]),
         )
 
 
@@ -385,30 +281,28 @@ def collect_imports(tree: ast.Module, module_name: str) -> Dict[str, str]:
 
 
 # ----------------------------------------------------------------------
-# Per-function extraction
+# Per-function name resolution
 # ----------------------------------------------------------------------
 class _FunctionScanner:
-    """One pass over a function body collecting its direct effects."""
+    """One function's local names, and its calls encoded as refs."""
 
     def __init__(
         self,
         effects: FunctionEffects,
-        module_globals: Set[str],
         imports: Dict[str, str],
         local_funcs: Set[str],
         local_classes: Set[str],
     ) -> None:
         self.fx = effects
-        self.module_globals = module_globals
         self.imports = imports
         self.local_funcs = local_funcs
         self.local_classes = local_classes
         self.locals: Set[str] = set()
-        self.globals_declared: Set[str] = set()
 
-    # -- name plumbing -------------------------------------------------
-    def _collect_locals(self, node: ast.AST) -> None:
-        """Names bound inside this scope (they shadow module globals)."""
+    def scan(self, node: ast.AST) -> None:
+        """Collect the names bound inside this scope (they shadow
+        module-level functions and imports)."""
+        globals_declared: Set[str] = set()
         if isinstance(node, _FUNCTION_NODES):
             args = node.args
             for arg in (
@@ -423,7 +317,7 @@ class _FunctionScanner:
                 self.locals.add(args.kwarg.arg)
         for inner in ast.walk(node):
             if isinstance(inner, ast.Global):
-                self.globals_declared.update(inner.names)
+                globals_declared.update(inner.names)
             elif isinstance(inner, ast.Name) and isinstance(
                 inner.ctx, (ast.Store, ast.Del)
             ):
@@ -432,14 +326,8 @@ class _FunctionScanner:
                 self.locals.add(inner.name)
             elif isinstance(inner, ast.ClassDef):
                 self.locals.add(inner.name)
-        self.locals -= self.globals_declared
+        self.locals -= globals_declared
 
-    def _is_module_global(self, name: str) -> bool:
-        if name in self.globals_declared:
-            return True
-        return name in self.module_globals and name not in self.locals
-
-    # -- call references ----------------------------------------------
     def call_ref(self, call: ast.Call) -> Optional[str]:
         """Encode a call's target for program-level resolution.
 
@@ -489,147 +377,6 @@ class _FunctionScanner:
                     return f"import:{target}.{dotted}"
             return f"dyn:{func.attr}"
         return None
-
-    def _record_call(self, call: ast.Call) -> Optional[str]:
-        ref = self.call_ref(call)
-        if ref is not None:
-            self.fx.calls.add(ref)
-            target = _import_target_module(ref)
-            if target is not None and _is_obs_module(target):
-                self.fx.obs_calls.add(ref)
-        return ref
-
-    # -- the scan ------------------------------------------------------
-    def scan(self, node: ast.AST) -> None:
-        self._collect_locals(node)
-        body = node.body if isinstance(node, _FUNCTION_NODES) else [node]
-        self._scan_stmts(body)
-
-    def _scan_stmts(self, stmts: Sequence[ast.AST]) -> None:
-        pending: List[ast.AST] = list(stmts)
-        while pending:
-            node = pending.pop()
-            self._visit(node)
-            if isinstance(node, ast.ClassDef):
-                continue  # class bodies are their own scope
-            if isinstance(node, _FUNCTION_NODES) or isinstance(
-                node, ast.Lambda
-            ):
-                # Nested defs execute when called from this function;
-                # fold their effects in conservatively (locals of the
-                # nested scope were already collected, so shadowing
-                # still suppresses false global writes).
-                pending.extend(ast.iter_child_nodes(node))
-                continue
-            pending.extend(ast.iter_child_nodes(node))
-
-    def _visit(self, node: ast.AST) -> None:
-        if isinstance(node, ast.Attribute):
-            self._visit_attribute(node)
-        elif isinstance(node, ast.Name):
-            self._visit_name(node)
-        elif isinstance(node, ast.Call):
-            self._visit_call(node)
-        elif isinstance(node, ast.Subscript):
-            self._visit_subscript(node)
-        elif isinstance(node, ast.Return):
-            self._visit_return(node)
-
-    def _visit_attribute(self, node: ast.Attribute) -> None:
-        base = node.value
-        if isinstance(base, ast.Name) and base.id == "self":
-            if isinstance(node.ctx, ast.Load):
-                self.fx.self_reads.add(node.attr)
-            else:
-                self.fx.self_writes.add(node.attr)
-        elif isinstance(base, ast.Name) and self._is_module_global(base.id):
-            if not isinstance(node.ctx, ast.Load):
-                self.fx.global_writes.setdefault(base.id, node.lineno)
-
-    def _visit_name(self, node: ast.Name) -> None:
-        if node.id == "self" and isinstance(node.ctx, ast.Load):
-            return  # escapes are detected structurally in _visit_call
-        if not self._is_module_global(node.id):
-            return
-        if isinstance(node.ctx, ast.Load):
-            self.fx.global_reads.add(node.id)
-        else:
-            self.fx.global_writes.setdefault(node.id, node.lineno)
-
-    def _visit_call(self, node: ast.Call) -> None:
-        self._record_call(node)
-        # Mutating method call on self.X / a module global.
-        func = node.func
-        if isinstance(func, ast.Attribute) and func.attr in MUTATOR_METHODS:
-            owner = func.value
-            if (
-                isinstance(owner, ast.Attribute)
-                and isinstance(owner.value, ast.Name)
-                and owner.value.id == "self"
-            ):
-                self.fx.self_writes.add(owner.attr)
-            elif isinstance(owner, ast.Name) and self._is_module_global(
-                owner.id
-            ):
-                self.fx.global_writes.setdefault(owner.id, node.lineno)
-        # ``self`` escaping as an argument: treat every field as read.
-        for arg in list(node.args) + [kw.value for kw in node.keywords]:
-            for sub in ast.walk(arg):
-                if (
-                    isinstance(sub, ast.Name)
-                    and sub.id == "self"
-                    and isinstance(sub.ctx, ast.Load)
-                    and not self._is_attribute_base(arg, sub)
-                ):
-                    self.fx.self_escapes = True
-
-    @staticmethod
-    def _is_attribute_base(root: ast.expr, name: ast.Name) -> bool:
-        """Whether ``name`` only appears as the base of an attribute."""
-        for sub in ast.walk(root):
-            if isinstance(sub, ast.Attribute) and sub.value is name:
-                return True
-        return False
-
-    def _visit_subscript(self, node: ast.Subscript) -> None:
-        if isinstance(node.ctx, ast.Load):
-            return
-        base = node.value
-        if isinstance(base, ast.Name) and self._is_module_global(base.id):
-            self.fx.global_writes.setdefault(base.id, node.lineno)
-        elif (
-            isinstance(base, ast.Attribute)
-            and isinstance(base.value, ast.Name)
-            and base.value.id == "self"
-        ):
-            self.fx.self_writes.add(base.attr)
-
-    def _visit_return(self, node: ast.Return) -> None:
-        if node.value is None:
-            return
-        for sub in ast.walk(node.value):
-            if isinstance(sub, ast.Call):
-                ref = self.call_ref(sub)
-                if ref is not None:
-                    self.fx.return_calls.add(ref)
-            elif (
-                isinstance(sub, ast.Name)
-                and sub.id == "self"
-                and isinstance(sub.ctx, ast.Load)
-                and not self._is_attribute_base(node.value, sub)
-            ):
-                self.fx.self_escapes = True
-
-
-def _import_target_module(ref: str) -> Optional[str]:
-    if not ref.startswith("import:"):
-        return None
-    rest = ref[len("import:") :]
-    return rest.split(":", 1)[0]
-
-
-def _is_obs_module(module: str) -> bool:
-    return module == "repro.obs" or module.startswith("repro.obs.")
 
 
 # ----------------------------------------------------------------------
@@ -844,111 +591,8 @@ class _RaiseScanner:
 
 
 # ----------------------------------------------------------------------
-# Declarations (inert fields / process-local globals)
-# ----------------------------------------------------------------------
-def _string_elements(expr: ast.expr) -> Optional[Set[str]]:
-    """Constant string members of a tuple/list/set/frozenset literal."""
-    node = expr
-    if (
-        isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Name)
-        and node.func.id in ("frozenset", "set", "tuple")
-        and len(node.args) == 1
-        and not node.keywords
-    ):
-        node = node.args[0]
-    if not isinstance(node, (ast.Tuple, ast.List, ast.Set)):
-        return None
-    out: Set[str] = set()
-    for element in node.elts:
-        if not (
-            isinstance(element, ast.Constant)
-            and isinstance(element.value, str)
-        ):
-            return None
-        out.add(element.value)
-    return out
-
-
-def _declaration_names(
-    stmts: Sequence[ast.stmt], declaration: str
-) -> Tuple[Set[str], Optional[int]]:
-    for stmt in stmts:
-        target: Optional[ast.expr] = None
-        value: Optional[ast.expr] = None
-        if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
-            target, value = stmt.targets[0], stmt.value
-        elif isinstance(stmt, ast.AnnAssign):
-            target, value = stmt.target, stmt.value
-        if (
-            isinstance(target, ast.Name)
-            and target.id == declaration
-            and value is not None
-        ):
-            names = _string_elements(value)
-            if names is not None:
-                return names, stmt.lineno
-    return set(), None
-
-
-# ----------------------------------------------------------------------
 # Module analysis
 # ----------------------------------------------------------------------
-def _class_fields(cls: ast.ClassDef) -> Dict[str, int]:
-    """Declared dataclass fields plus ``self.x = ...`` in ``__init__``."""
-    fields: Dict[str, int] = {}
-    for stmt in cls.body:
-        if isinstance(stmt, ast.AnnAssign) and isinstance(
-            stmt.target, ast.Name
-        ):
-            if stmt.target.id != INERT_DECLARATION:
-                fields.setdefault(stmt.target.id, stmt.lineno)
-        elif isinstance(stmt, _FUNCTION_NODES) and stmt.name == "__init__":
-            for inner in ast.walk(stmt):
-                if not isinstance(inner, ast.Assign):
-                    continue
-                for target in inner.targets:
-                    if (
-                        isinstance(target, ast.Attribute)
-                        and isinstance(target.value, ast.Name)
-                        and target.value.id == "self"
-                    ):
-                        fields.setdefault(target.attr, inner.lineno)
-    return fields
-
-
-def _entry_refs(tree: ast.Module) -> Set[str]:
-    """Call refs of functions handed to pool machinery.
-
-    Two idioms create worker entry points: ``<pool>.submit(f, ...)``
-    and ``ProcessPoolExecutor(initializer=f)``. The reference is
-    resolved with the same encoding as ordinary calls so the program
-    can map it onto summaries.
-    """
-    entries: Set[str] = set()
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        candidates: List[ast.expr] = []
-        if (
-            isinstance(node.func, ast.Attribute)
-            and node.func.attr == "submit"
-            and node.args
-        ):
-            candidates.append(node.args[0])
-        for kw in node.keywords:
-            if kw.arg == "initializer":
-                candidates.append(kw.value)
-        for expr in candidates:
-            if isinstance(expr, ast.Name):
-                entries.add(f"local:{expr.id}")
-            elif isinstance(expr, ast.Attribute) and isinstance(
-                expr.value, ast.Name
-            ):
-                entries.add(f"local:{expr.value.id}.{expr.attr}")
-    return entries
-
-
 def analyze_module(
     source: str, path: str, module_name: Optional[str] = None
 ) -> ModuleEffects:
@@ -969,20 +613,6 @@ def analyze_module(
             local_funcs.add(stmt.name)
         elif isinstance(stmt, ast.ClassDef):
             local_classes.add(stmt.name)
-        if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
-            targets = (
-                stmt.targets
-                if isinstance(stmt, ast.Assign)
-                else [stmt.target]
-            )
-            for target in targets:
-                if isinstance(target, ast.Name):
-                    module.module_globals.add(target.id)
-    module.process_local, module.process_local_line = _declaration_names(
-        tree.body, PROCESS_LOCAL_DECLARATION
-    )
-    module.entry_points = _entry_refs(tree)
-    module.exports, _ = _declaration_names(tree.body, "__all__")
 
     class_bases: Dict[str, Tuple[str, ...]] = {}
     for stmt in tree.body:
@@ -1007,38 +637,25 @@ def analyze_module(
             class_name=class_name,
             line=getattr(node, "lineno", 1),
         )
-        scanner = _FunctionScanner(
-            fx, module.module_globals, imports, local_funcs, local_classes
-        )
+        scanner = _FunctionScanner(fx, imports, local_funcs, local_classes)
         scanner.scan(node)
         _RaiseScanner(scanner, name, class_bases).scan(node)
-        fx.returns_obs = any(
-            ref in fx.obs_calls for ref in fx.return_calls
-        )
         module.functions[qualname] = fx
 
     for stmt in tree.body:
         if isinstance(stmt, _FUNCTION_NODES):
             add_function(stmt, stmt.name, None)
         elif isinstance(stmt, ast.ClassDef):
-            info = ClassEffects(
+            module.classes[stmt.name] = ClassEffects(
                 name=stmt.name,
                 line=stmt.lineno,
-                bases=class_bases.get(f"{name}:{stmt.name}", ()),
-            )
-            info.fields = _class_fields(stmt)
-            info.inert_fields, info.inert_line = _declaration_names(
-                stmt.body, INERT_DECLARATION
+                bases=class_bases[f"{name}:{stmt.name}"],
             )
             for member in stmt.body:
                 if isinstance(member, _FUNCTION_NODES):
-                    info.methods.add(member.name)
-                    if member.name == "signature":
-                        info.signature_line = member.lineno
                     add_function(
                         member, f"{stmt.name}.{member.name}", stmt.name
                     )
-            module.classes[stmt.name] = info
     return module
 
 
@@ -1107,21 +724,17 @@ class EffectsCache:
 # Whole-program view
 # ----------------------------------------------------------------------
 class Program:
-    """Summaries of every linted module plus interprocedural fixpoints.
+    """Summaries of every linted module plus the raise-set fixpoint.
 
-    Function identity is ``"module:qualname"``. All closures are
-    computed once, lazily, and memoized — the per-file rule checkers
-    query them repeatedly.
+    Function identity is ``"module:qualname"``. The class hierarchy and
+    the escaped raise sets are computed once, lazily, and memoized —
+    the per-file checker queries them for every file.
     """
 
     def __init__(self, modules: Iterable[ModuleEffects]) -> None:
         self.modules: Dict[str, ModuleEffects] = {}
         for module in modules:
             self.modules[module.name] = module
-        self._callees: Dict[str, Tuple[str, ...]] = {}
-        self._worker_reachable: Optional[FrozenSet[str]] = None
-        self._impure: Optional[Dict[str, str]] = None
-        self._obs_returning: Optional[FrozenSet[str]] = None
         self._class_bases: Optional[Dict[str, Tuple[str, ...]]] = None
         self._escaped: Optional[
             Dict[str, Dict[str, Tuple[int, str]]]
@@ -1142,11 +755,6 @@ class Program:
             if Path(module.path).as_posix() == norm:
                 return module
         return None
-
-    def function(self, fid: str) -> Optional[FunctionEffects]:
-        module, _, qualname = fid.partition(":")
-        info = self.modules.get(module)
-        return info.functions.get(qualname) if info else None
 
     # -- call resolution ----------------------------------------------
     def resolve_ref(self, module: str, ref: str) -> List[str]:
@@ -1192,7 +800,7 @@ class Program:
             # name — the convention LINT012 already relies on.
             out: List[str] = []
             for mod_name, info in sorted(self.modules.items()):
-                for cls_name, cls in sorted(info.classes.items()):
+                for cls_name in sorted(info.classes):
                     if not cls_name.endswith("Job"):
                         continue
                     qualname = f"{cls_name}.{rest}"
@@ -1200,128 +808,6 @@ class Program:
                         out.append(f"{mod_name}:{qualname}")
             return out
         return []
-
-    def callees(self, fid: str) -> Tuple[str, ...]:
-        cached = self._callees.get(fid)
-        if cached is not None:
-            return cached
-        fx = self.function(fid)
-        if fx is None:
-            self._callees[fid] = ()
-            return ()
-        module = fid.partition(":")[0]
-        out: List[str] = []
-        for ref in sorted(fx.calls):
-            out.extend(self.resolve_ref(module, ref))
-        resolved = tuple(dict.fromkeys(out))
-        self._callees[fid] = resolved
-        return resolved
-
-    def reachable(self, roots: Sequence[str]) -> FrozenSet[str]:
-        seen: Set[str] = set()
-        pending = [fid for fid in roots if self.function(fid) is not None]
-        while pending:
-            fid = pending.pop()
-            if fid in seen:
-                continue
-            seen.add(fid)
-            pending.extend(self.callees(fid))
-        return frozenset(seen)
-
-    # -- fixpoints -----------------------------------------------------
-    def worker_entry_points(self) -> List[str]:
-        entries: List[str] = []
-        for name, info in sorted(self.modules.items()):
-            for ref in sorted(info.entry_points):
-                entries.extend(self.resolve_ref(name, ref))
-        return entries
-
-    def worker_reachable(self) -> FrozenSet[str]:
-        """Function ids reachable from any pool worker entry point."""
-        if self._worker_reachable is None:
-            self._worker_reachable = self.reachable(
-                self.worker_entry_points()
-            )
-        return self._worker_reachable
-
-    def class_closure(
-        self, module: str, class_name: str, root_method: str
-    ) -> Tuple[Set[str], Set[str], bool]:
-        """(self reads, self writes, self escapes) of a method closure.
-
-        Transitive over same-class calls only: ``self.helper()`` reads
-        propagate to the caller, cross-class calls do not touch this
-        object's attributes.
-        """
-        info = self.modules.get(module)
-        reads: Set[str] = set()
-        writes: Set[str] = set()
-        escapes = False
-        if info is None:
-            return reads, writes, escapes
-        cls = info.classes.get(class_name)
-        methods = cls.methods if cls is not None else set()
-        seen: Set[str] = set()
-        pending = [root_method]
-        while pending:
-            method = pending.pop()
-            if method in seen:
-                continue
-            seen.add(method)
-            fx = info.functions.get(f"{class_name}.{method}")
-            if fx is None:
-                continue
-            reads |= fx.self_reads
-            writes |= fx.self_writes
-            escapes = escapes or fx.self_escapes
-            # A bare ``self.name`` read that names a method is a
-            # property access: fold the accessor's effects in too.
-            pending.extend(fx.self_reads & methods)
-            for ref in fx.calls:
-                kind, _, rest = ref.partition(":")
-                if kind == "local" and rest.startswith(f"{class_name}."):
-                    pending.append(rest.split(".", 1)[1])
-        return reads, writes, escapes
-
-    def impure_functions(self) -> Dict[str, str]:
-        """fid -> reason, for functions with (transitive) write effects.
-
-        A function is impure when it writes ``self.*`` or a module
-        global directly, or calls an impure function. Used by LINT015's
-        guarded-branch check: calls inside an obs-enabled guard must
-        not perturb model state.
-        """
-        if self._impure is not None:
-            return self._impure
-        impure: Dict[str, str] = {}
-        for mod_name, info in self.modules.items():
-            for qualname, fx in info.functions.items():
-                fid = f"{mod_name}:{qualname}"
-                if fx.self_writes:
-                    impure[fid] = (
-                        f"writes self.{sorted(fx.self_writes)[0]}"
-                    )
-                elif fx.global_writes:
-                    name = sorted(fx.global_writes)[0]
-                    impure[fid] = f"writes module global {name!r}"
-        changed = True
-        while changed:
-            changed = False
-            for mod_name, info in self.modules.items():
-                for qualname in info.functions:
-                    fid = f"{mod_name}:{qualname}"
-                    if fid in impure:
-                        continue
-                    for callee in self.callees(fid):
-                        if callee in impure:
-                            impure[fid] = (
-                                f"calls {callee.partition(':')[2]}() "
-                                f"which {impure[callee]}"
-                            )
-                            changed = True
-                            break
-        self._impure = impure
-        return impure
 
     def class_bases(self) -> Dict[str, Tuple[str, ...]]:
         """Program-wide ``module:Class`` -> resolved base labels."""
@@ -1396,36 +882,6 @@ class Program:
         self._escaped = escaped
         return escaped
 
-    def obs_returning(self) -> FrozenSet[str]:
-        """Functions that may return a value originating in repro.obs."""
-        if self._obs_returning is not None:
-            return self._obs_returning
-        flagged: Set[str] = set()
-        for mod_name, info in self.modules.items():
-            for qualname, fx in info.functions.items():
-                if fx.returns_obs or (
-                    _is_obs_module(mod_name) and fx.return_calls
-                ):
-                    flagged.add(f"{mod_name}:{qualname}")
-        changed = True
-        while changed:
-            changed = False
-            for mod_name, info in self.modules.items():
-                for qualname, fx in info.functions.items():
-                    fid = f"{mod_name}:{qualname}"
-                    if fid in flagged:
-                        continue
-                    for ref in fx.return_calls:
-                        if any(
-                            target in flagged
-                            for target in self.resolve_ref(mod_name, ref)
-                        ):
-                            flagged.add(fid)
-                            changed = True
-                            break
-        self._obs_returning = frozenset(flagged)
-        return self._obs_returning
-
 
 def build_program(
     sources: Sequence[Tuple[str, str]],
@@ -1460,9 +916,6 @@ def build_program(
 
 __all__ = [
     "EFFECTS_SCHEMA_VERSION",
-    "INERT_DECLARATION",
-    "MUTATOR_METHODS",
-    "PROCESS_LOCAL_DECLARATION",
     "ClassEffects",
     "EffectsCache",
     "FunctionEffects",

@@ -1,8 +1,9 @@
 """Module/package import graph and the declared layer contract.
 
-PR 6 gave the linter function-level knowledge (effect summaries, a
-whole-program call graph). The architecture rules (LINT017/018/020)
-need one level up: *which module imports which*, at what strength, and
+The raise-set analysis (:mod:`repro.lint.effects`) gives the linter
+function-level knowledge (a whole-program call graph). The
+architecture rules (LINT017/018) need one level up: *which module
+imports which*, at what strength, and
 whether those edges respect the layering the repository declares in
 ``architecture.toml``.
 

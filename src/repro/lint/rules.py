@@ -31,10 +31,6 @@ from repro.lint.callgraph import (
     module_unpicklable_globals,
 )
 from repro.lint.effects import (
-    INERT_DECLARATION,
-    PROCESS_LOCAL_DECLARATION,
-    ModuleEffects,
-    Program,
     collect_imports as effects_collect_imports,
     module_name_for,
 )
@@ -657,15 +653,15 @@ def _check_job_picklability(
 # ----------------------------------------------------------------------
 # LINT013 — print() in simulator/model code
 # ----------------------------------------------------------------------
-_PRINT_SCOPE_DIRS: Tuple[str, ...] = (
+_MODEL_SCOPE_DIRS: Tuple[str, ...] = (
     "repro/soc/",
     "repro/dram/",
     "repro/core/",
 )
 
 
-def _in_print_scope(ctx: FileContext) -> bool:
-    return any(fragment in ctx.norm_path for fragment in _PRINT_SCOPE_DIRS)
+def _in_model_scope(ctx: FileContext) -> bool:
+    return any(fragment in ctx.norm_path for fragment in _MODEL_SCOPE_DIRS)
 
 
 def _check_model_print(tree: ast.Module, ctx: FileContext) -> List[Finding]:
@@ -678,7 +674,7 @@ def _check_model_print(tree: ast.Module, ctx: FileContext) -> List[Finding]:
     for the report layer instead. Shadowed names (a local ``print``
     binding) are left alone — only the builtin is flagged.
     """
-    if not _in_print_scope(ctx):
+    if not _in_model_scope(ctx):
         return []
     shadowed = {
         name.asname or name.name.split(".")[0]
@@ -711,807 +707,6 @@ def _check_model_print(tree: ast.Module, ctx: FileContext) -> List[Finding]:
                         "print() in model code; emit a tracer event or "
                         "metric (repro.obs) or return data for the "
                         "report layer instead"
-                    ),
-                )
-            )
-    return findings
-
-
-# ----------------------------------------------------------------------
-# LINT014 — cache-key completeness of signature()-bearing jobs
-# ----------------------------------------------------------------------
-def _module_summary(
-    ctx: FileContext,
-) -> Optional[Tuple["Program", "ModuleEffects"]]:
-    """This file's effect summary inside the engine-built program."""
-    program = ctx.program
-    if program is None:
-        return None
-    module = program.module_for_path(ctx.path)
-    if module is None:
-        return None
-    return program, module
-
-
-def _check_cache_key_completeness(
-    tree: ast.Module, ctx: FileContext
-) -> List[Finding]:
-    """Every field ``run()`` reads must be hashed by ``signature()``.
-
-    **Why.** :mod:`repro.perf.simcache` serves a stored result whenever
-    a job's ``signature()`` string matches — so any field that can
-    change ``run()``'s output but is missing from ``signature()``
-    silently serves stale slowdown predictions. This rule computes the
-    transitive ``self.*`` reads of ``run()`` (through same-class helper
-    calls and property accessors, via :mod:`repro.lint.effects`) and
-    requires every declared field among them to be read by
-    ``signature()`` or listed in a class-level ``SIGNATURE_INERT``
-    tuple. ``describe()`` does not count: labels are not inputs, and
-    counting them would let a field ride along in the human-readable
-    label while being absent from the cache key.
-
-    **True positive.** A job with fields ``(a, b)`` where ``run()``
-    returns ``f(self.a, self.b)`` but ``signature()`` hashes only
-    ``self.a``.
-
-    **True negative.** ``PressureSweepJob``: all five fields appear in
-    both ``run()`` and ``signature()``. A cosmetic ``label`` field read
-    by ``run()`` for progress strings, declared
-    ``SIGNATURE_INERT = ("label",)``.
-
-    **Suppression.** Declare genuinely result-neutral fields in
-    ``SIGNATURE_INERT`` (self-documenting, checked for typos) instead
-    of a ``# lint: disable=LINT014`` pragma; the pragma is only for
-    jobs whose signature is intentionally partial during a migration.
-    If ``self`` escapes ``run()`` into another module's call, every
-    field is conservatively treated as read.
-    """
-    resolved = _module_summary(ctx)
-    if resolved is None:
-        return []
-    program, module = resolved
-    findings: List[Finding] = []
-    for cls in sorted(module.classes.values(), key=lambda c: c.line):
-        if "signature" not in cls.methods or "run" not in cls.methods:
-            continue
-        fields = set(cls.fields)
-        for name in sorted(cls.inert_fields - fields):
-            findings.append(
-                Finding(
-                    file=ctx.path,
-                    line=cls.inert_line or cls.line,
-                    col=0,
-                    rule="LINT014",
-                    message=(
-                        f"{INERT_DECLARATION} on {cls.name} names "
-                        f"{name!r}, which is not a declared field of the "
-                        "class; remove it or fix the typo"
-                    ),
-                )
-            )
-        run_reads, _, run_escapes = program.class_closure(
-            module.name, cls.name, "run"
-        )
-        sig_reads, _, _ = program.class_closure(
-            module.name, cls.name, "signature"
-        )
-        consumed = fields if run_escapes else (run_reads & fields)
-        missing = consumed - sig_reads - cls.inert_fields
-        anchor = cls.signature_line or cls.line
-        for name in sorted(missing):
-            reason = (
-                "self escapes run() so every field is treated as read"
-                if run_escapes and name not in run_reads
-                else "run() reads it"
-            )
-            findings.append(
-                Finding(
-                    file=ctx.path,
-                    line=anchor,
-                    col=0,
-                    rule="LINT014",
-                    message=(
-                        f"field {name!r} of {cls.name} can affect run() "
-                        f"results ({reason}) but is not part of "
-                        "signature(); the simulation cache would serve "
-                        "stale results — hash it in signature() or "
-                        f"declare it in {INERT_DECLARATION}"
-                    ),
-                )
-            )
-    return findings
-
-
-# ----------------------------------------------------------------------
-# LINT015 — observability purity in model code
-# ----------------------------------------------------------------------
-_OBS_SCOPE_DIRS: Tuple[str, ...] = (
-    "repro/soc/",
-    "repro/dram/",
-    "repro/core/",
-)
-_OBS_HANDLE_ATTRS = frozenset(
-    {"tracer", "metrics", "session", "span", "event", "counter",
-     "gauge", "histogram"}
-)
-_OBS_FLAG_ATTRS = frozenset({"enabled"})
-_PURE_BUILTINS = frozenset(
-    {"len", "min", "max", "sorted", "sum", "tuple", "list", "dict",
-     "set", "frozenset", "zip", "enumerate", "range", "repr", "str",
-     "int", "float", "bool", "abs", "round", "any", "all"}
-)
-
-#: Kind lattice for LINT015, ordered by severity (join = max).
-_KIND_ORDER = ("handle", "flag", "guarded", "value")
-
-
-def _join_kinds(*kinds: Optional[str]) -> Optional[str]:
-    best: Optional[str] = None
-    for kind in kinds:
-        if kind is None:
-            continue
-        if best is None or _KIND_ORDER.index(kind) > _KIND_ORDER.index(best):
-            best = kind
-    return best
-
-
-class _ObsPurityScanner:
-    """Per-function classification of obs-derived expressions.
-
-    Expressions carry one of four kinds:
-
-    - ``handle`` — session/tracer/metrics/span *objects*: storable,
-      usable in ``is (not) None`` tests, receivers of emission calls;
-    - ``flag`` — ``.enabled`` reads and booleans derived from them:
-      allowed in conditions, but the guarded branches must be obs-pure;
-    - ``value`` — numbers/strings/snapshots read *out of* obs
-      (``.snapshot()``, ``.value``, anything not in the handle/flag
-      tables, and calls resolving to obs-returning helpers): banned
-      from model-state stores, conditions, returns, and yields;
-    - ``guarded`` — plain model values first assigned inside an
-      obs-enabled guard: they exist only when observing, so letting
-      them steer model state or control flow outside the guard breaks
-      bit-identity just as surely as a ``value`` would.
-    """
-
-    def __init__(
-        self,
-        ctx: FileContext,
-        program: "Program",
-        module: "ModuleEffects",
-        obs_modules: Set[str],
-        obs_funcs: Set[str],
-    ) -> None:
-        self.ctx = ctx
-        self.program = program
-        self.module = module
-        self.obs_modules = obs_modules
-        self.obs_funcs = obs_funcs
-        self.findings: List[Finding] = []
-        self.env: Dict[str, Optional[str]] = {}
-        self.class_name: Optional[str] = None
-        self.func_globals: Set[str] = set()
-
-    # -- reporting -----------------------------------------------------
-    def flag_node(self, node: ast.AST, message: str) -> None:
-        self.findings.append(
-            Finding(
-                file=self.ctx.path,
-                line=getattr(node, "lineno", 1),
-                col=getattr(node, "col_offset", 0),
-                rule="LINT015",
-                message=message,
-            )
-        )
-
-    # -- kind classification -------------------------------------------
-    def _is_obs_module_name(self, name: str) -> bool:
-        return name in self.obs_modules and name not in self.env
-
-    def _is_obs_func_name(self, name: str) -> bool:
-        return name in self.obs_funcs and name not in self.env
-
-    def _call_targets(self, call: ast.Call) -> List[str]:
-        """Resolved function ids for a call, via the program summaries."""
-        func = call.func
-        ref: Optional[str] = None
-        if isinstance(func, ast.Name):
-            name = func.id
-            if name in self.env:
-                return []
-            if name in self.module.functions:
-                ref = f"local:{name}"
-            elif name in self.module.classes:
-                ref = f"local:{name}"
-        elif isinstance(func, ast.Attribute):
-            owner = func.value
-            if (
-                isinstance(owner, ast.Name)
-                and owner.id in ("self", "cls")
-                and self.class_name is not None
-            ):
-                ref = f"local:{self.class_name}.{func.attr}"
-        if ref is None:
-            return []
-        return self.program.resolve_ref(self.module.name, ref)
-
-    def kind_of(self, expr: ast.expr) -> Optional[str]:
-        if isinstance(expr, ast.Name):
-            return self.env.get(expr.id)
-        if isinstance(expr, ast.Attribute):
-            base = expr.value
-            if isinstance(base, ast.Name) and self._is_obs_module_name(
-                base.id
-            ):
-                return (
-                    "flag" if expr.attr in _OBS_FLAG_ATTRS else "handle"
-                )
-            base_kind = self.kind_of(base)
-            if base_kind == "handle":
-                if expr.attr in _OBS_FLAG_ATTRS:
-                    return "flag"
-                if expr.attr in _OBS_HANDLE_ATTRS:
-                    return "handle"
-                return "value"
-            if base_kind in ("value", "guarded"):
-                return base_kind
-            return None
-        if isinstance(expr, ast.Call):
-            return self._call_kind(expr)
-        if isinstance(expr, ast.BoolOp):
-            return _join_kinds(*(self.kind_of(v) for v in expr.values))
-        if isinstance(expr, ast.UnaryOp):
-            return self.kind_of(expr.operand)
-        if isinstance(expr, ast.Compare):
-            kinds = [self.kind_of(expr.left)] + [
-                self.kind_of(c) for c in expr.comparators
-            ]
-            joined = _join_kinds(*kinds)
-            if joined == "handle":
-                # ``span is not None`` — a boolean *about* a handle.
-                return "flag"
-            return joined
-        if isinstance(expr, ast.IfExp):
-            return _join_kinds(
-                self.kind_of(expr.body), self.kind_of(expr.orelse)
-            )
-        if isinstance(expr, ast.BinOp):
-            return _join_kinds(
-                self.kind_of(expr.left), self.kind_of(expr.right)
-            )
-        if isinstance(expr, ast.Subscript):
-            return self.kind_of(expr.value)
-        if isinstance(expr, ast.JoinedStr):
-            return _join_kinds(
-                *(
-                    self.kind_of(part.value)
-                    for part in expr.values
-                    if isinstance(part, ast.FormattedValue)
-                )
-            )
-        if isinstance(expr, (ast.Tuple, ast.List, ast.Set)):
-            return _join_kinds(*(self.kind_of(e) for e in expr.elts))
-        if isinstance(expr, ast.Dict):
-            return _join_kinds(
-                *(self.kind_of(v) for v in expr.values),
-                *(self.kind_of(k) for k in expr.keys if k is not None),
-            )
-        if isinstance(expr, ast.Starred):
-            return self.kind_of(expr.value)
-        return None
-
-    def _call_kind(self, call: ast.Call) -> Optional[str]:
-        func = call.func
-        if isinstance(func, ast.Name):
-            if self._is_obs_func_name(func.id):
-                return "handle"
-        elif isinstance(func, ast.Attribute):
-            owner = func.value
-            if isinstance(owner, ast.Name) and self._is_obs_module_name(
-                owner.id
-            ):
-                return "handle"
-            owner_kind = self.kind_of(owner)
-            if owner_kind == "handle":
-                if func.attr in _OBS_HANDLE_ATTRS:
-                    return "handle"
-                return "value"
-            if owner_kind in ("value", "guarded"):
-                return owner_kind
-        obs_returning = self.program.obs_returning()
-        if any(t in obs_returning for t in self._call_targets(call)):
-            return "value"
-        return None
-
-    def _is_handle_rooted_call(self, call: ast.Call) -> bool:
-        """Receiver chain of the call bottoms out at an obs handle."""
-        func = call.func
-        if isinstance(func, ast.Name):
-            return self._is_obs_func_name(func.id)
-        if not isinstance(func, ast.Attribute):
-            return False
-        base: ast.expr = func.value
-        while True:
-            if isinstance(base, ast.Call):
-                base = base.func
-                continue
-            if isinstance(base, ast.Attribute):
-                if self.kind_of(base) == "handle":
-                    return True
-                base = base.value
-                continue
-            break
-        if isinstance(base, ast.Name):
-            if self._is_obs_module_name(base.id):
-                return True
-            return self.env.get(base.id) == "handle"
-        return False
-
-    # -- statement scan ------------------------------------------------
-    def check_function(
-        self, node: ast.AST, class_name: Optional[str]
-    ) -> None:
-        self.env = {}
-        self.class_name = class_name
-        self.func_globals = set()
-        body = getattr(node, "body", [])
-        args = getattr(node, "args", None)
-        if args is not None:
-            for arg in (
-                list(args.posonlyargs)
-                + list(args.args)
-                + list(args.kwonlyargs)
-            ):
-                self.env[arg.arg] = None
-        for inner in ast.walk(node):
-            if isinstance(inner, ast.Global):
-                self.func_globals.update(inner.names)
-        self.check_block(body, guarded=False)
-
-    def _bind_targets(
-        self, targets: Sequence[ast.expr], kind: Optional[str]
-    ) -> None:
-        for target in targets:
-            if isinstance(target, ast.Name):
-                self.env[target.id] = kind
-            elif isinstance(target, (ast.Tuple, ast.List)):
-                self._bind_targets(target.elts, kind)
-            elif isinstance(target, ast.Starred):
-                self._bind_targets([target.value], kind)
-
-    def _check_store(
-        self,
-        stmt: ast.stmt,
-        targets: Sequence[ast.expr],
-        kind: Optional[str],
-        guarded: bool,
-    ) -> None:
-        for target in targets:
-            if not isinstance(target, (ast.Attribute, ast.Subscript)):
-                continue
-            if guarded:
-                self.flag_node(
-                    stmt,
-                    "model state is written inside an "
-                    "observability-enabled branch; traced runs would "
-                    "diverge from untraced runs — move the write out "
-                    "of the guard or emit via the tracer/metrics "
-                    "handle instead",
-                )
-                return
-            if kind in ("value", "guarded"):
-                origin = (
-                    "a value read out of repro.obs"
-                    if kind == "value"
-                    else "a value computed only under an "
-                    "observability guard"
-                )
-                self.flag_node(
-                    stmt,
-                    f"{origin} is stored into model state; model "
-                    "outputs must be identical with tracing on and "
-                    "off (bit-identity contract)",
-                )
-                return
-
-    def _check_assign_rhs_purity(
-        self, stmt: ast.stmt, value: Optional[ast.expr]
-    ) -> None:
-        """Inside a guard, a top-level RHS call must be obs-only."""
-        if not isinstance(value, ast.Call):
-            return
-        if self._is_handle_rooted_call(value):
-            return
-        func = value.func
-        if isinstance(func, ast.Name) and func.id in _PURE_BUILTINS:
-            return
-        targets = self._call_targets(value)
-        if targets:
-            impure = self.program.impure_functions()
-            hit = next((t for t in targets if t in impure), None)
-            if hit is None:
-                return
-            self.flag_node(
-                stmt,
-                f"call to {hit.partition(':')[2]}() inside an "
-                f"observability-enabled branch {impure[hit]}; "
-                "obs-guarded code must not perturb model state",
-            )
-            return
-        self.flag_node(
-            stmt,
-            "unresolved call inside an observability-enabled branch; "
-            "only tracer/metrics emissions and calls the effect "
-            "analysis can prove pure are allowed under an obs guard",
-        )
-
-    def _check_condition(self, stmt: ast.stmt, test: ast.expr) -> bool:
-        """Report value-kind tests; return True for obs-guard tests."""
-        kind = self.kind_of(test)
-        if kind in ("value", "guarded"):
-            origin = (
-                "a value read out of repro.obs"
-                if kind == "value"
-                else "a value computed only under an observability guard"
-            )
-            self.flag_node(
-                test,
-                f"control flow depends on {origin}; traced and "
-                "untraced runs would take different paths",
-            )
-            return False
-        return kind == "flag"
-
-    def check_block(
-        self, stmts: Sequence[ast.stmt], guarded: bool
-    ) -> None:
-        for stmt in stmts:
-            self._check_stmt(stmt, guarded)
-
-    def _check_stmt(self, stmt: ast.stmt, guarded: bool) -> None:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            self.env[stmt.name] = None
-            return  # analyzed as its own function
-        if isinstance(stmt, ast.ClassDef):
-            self.env[stmt.name] = None
-            return
-        if isinstance(stmt, ast.Assign):
-            kind = self.kind_of(stmt.value)
-            if guarded:
-                self._check_assign_rhs_purity(stmt, stmt.value)
-                self._check_global_write(stmt, stmt.targets)
-            self._check_store(stmt, stmt.targets, kind, guarded)
-            if guarded and kind is None:
-                kind = "guarded"
-            self._bind_targets(stmt.targets, kind)
-            return
-        if isinstance(stmt, ast.AnnAssign):
-            if stmt.value is None:
-                return
-            kind = self.kind_of(stmt.value)
-            if guarded:
-                self._check_assign_rhs_purity(stmt, stmt.value)
-                self._check_global_write(stmt, [stmt.target])
-            self._check_store(stmt, [stmt.target], kind, guarded)
-            if guarded and kind is None:
-                kind = "guarded"
-            self._bind_targets([stmt.target], kind)
-            return
-        if isinstance(stmt, ast.AugAssign):
-            kind = self.kind_of(stmt.value)
-            if guarded:
-                self._check_assign_rhs_purity(stmt, stmt.value)
-                self._check_global_write(stmt, [stmt.target])
-            self._check_store(stmt, [stmt.target], kind, guarded)
-            if isinstance(stmt.target, ast.Name):
-                prior = self.env.get(stmt.target.id)
-                joined = _join_kinds(prior, kind)
-                if guarded and joined is None:
-                    joined = "guarded"
-                self.env[stmt.target.id] = joined
-            return
-        if isinstance(stmt, ast.Expr):
-            if guarded and isinstance(stmt.value, ast.Call):
-                self._check_assign_rhs_purity(stmt, stmt.value)
-            return
-        if isinstance(stmt, ast.Return):
-            if guarded:
-                self.flag_node(
-                    stmt,
-                    "return inside an observability-enabled branch; "
-                    "traced runs would return along a different path "
-                    "than untraced runs",
-                )
-                return
-            if stmt.value is not None:
-                kind = self.kind_of(stmt.value)
-                if kind in ("value", "guarded"):
-                    origin = (
-                        "a value read out of repro.obs"
-                        if kind == "value"
-                        else "a value computed only under an "
-                        "observability guard"
-                    )
-                    self.flag_node(
-                        stmt,
-                        f"{origin} is returned to callers; results "
-                        "must be identical with tracing on and off",
-                    )
-            return
-        if isinstance(stmt, (ast.Break, ast.Continue, ast.Raise)):
-            if guarded:
-                self.flag_node(
-                    stmt,
-                    "control-flow statement inside an "
-                    "observability-enabled branch; traced and "
-                    "untraced runs would diverge",
-                )
-            return
-        if isinstance(stmt, ast.If):
-            is_guard = self._check_condition(stmt, stmt.test)
-            inner = guarded or is_guard
-            self.check_block(stmt.body, inner)
-            self.check_block(stmt.orelse, inner)
-            return
-        if isinstance(stmt, ast.While):
-            is_guard = self._check_condition(stmt, stmt.test)
-            self.check_block(stmt.body, guarded or is_guard)
-            self.check_block(stmt.orelse, guarded or is_guard)
-            return
-        if isinstance(stmt, ast.For):
-            iter_kind = self.kind_of(stmt.iter)
-            if iter_kind in ("value", "guarded"):
-                self._check_condition(stmt, stmt.iter)
-            self._bind_targets([stmt.target], None)
-            self.check_block(stmt.body, guarded)
-            self.check_block(stmt.orelse, guarded)
-            return
-        if isinstance(stmt, ast.With):
-            for item in stmt.items:
-                if guarded and isinstance(item.context_expr, ast.Call):
-                    self._check_assign_rhs_purity(
-                        stmt, item.context_expr
-                    )
-                ctx_kind = self.kind_of(item.context_expr)
-                if item.optional_vars is not None:
-                    self._bind_targets([item.optional_vars], ctx_kind)
-            self.check_block(stmt.body, guarded)
-            return
-        if isinstance(stmt, ast.Try):
-            self.check_block(stmt.body, guarded)
-            for handler in stmt.handlers:
-                if handler.name is not None:
-                    self.env[handler.name] = None
-                self.check_block(handler.body, guarded)
-            self.check_block(stmt.orelse, guarded)
-            self.check_block(stmt.finalbody, guarded)
-            return
-        for value in ast.iter_child_nodes(stmt):
-            if isinstance(value, (ast.Yield, ast.YieldFrom)):
-                inner_value = value.value
-                if inner_value is not None:
-                    kind = self.kind_of(inner_value)
-                    if kind in ("value", "guarded"):
-                        self.flag_node(
-                            value,
-                            "an obs-derived value is yielded to "
-                            "callers; results must be identical with "
-                            "tracing on and off",
-                        )
-
-    def _check_global_write(
-        self, stmt: ast.stmt, targets: Sequence[ast.expr]
-    ) -> None:
-        for target in targets:
-            if (
-                isinstance(target, ast.Name)
-                and target.id in self.func_globals
-            ):
-                self.flag_node(
-                    stmt,
-                    f"module global {target.id!r} is written inside an "
-                    "observability-enabled branch; traced runs would "
-                    "diverge from untraced runs",
-                )
-
-
-def _obs_import_names(
-    tree: ast.Module, module_name: str
-) -> Tuple[Set[str], Set[str]]:
-    """(module-alias names, from-imported names) bound to repro.obs."""
-    imports = effects_collect_imports(tree, module_name)
-    obs_modules: Set[str] = set()
-    obs_funcs: Set[str] = set()
-    for local, target in imports.items():
-        if ":" in target:
-            mod, attr = target.split(":", 1)
-            full = f"{mod}.{attr}"
-            if _ref_is_obs(full):
-                # ``from repro.obs import runtime as obs_runtime`` —
-                # statically ambiguous between a submodule and an
-                # object, so the name is usable both ways.
-                obs_modules.add(local)
-                obs_funcs.add(local)
-            elif _ref_is_obs(mod):
-                obs_funcs.add(local)
-        elif _ref_is_obs(target):
-            obs_modules.add(local)
-    return obs_modules, obs_funcs
-
-
-def _ref_is_obs(module: str) -> bool:
-    return module == "repro.obs" or module.startswith("repro.obs.")
-
-
-def _check_obs_purity(tree: ast.Module, ctx: FileContext) -> List[Finding]:
-    """No value originating from ``repro.obs`` may steer model code.
-
-    **Why.** The observability layer's contract (PR 4) is that traced
-    runs are byte-identical to untraced runs. That holds only if data
-    flows one way: model values may be *emitted into* tracers and
-    metrics, but nothing read *out of* them — timestamps, counter
-    values, snapshots — may reach model state, control flow, or
-    returned results, and nothing but obs emission may happen inside an
-    ``if trace_on:`` guard. This rule classifies expressions as
-    **handles** (session/tracer/span objects — storable, testable
-    against ``None``), **flags** (``.enabled`` booleans — allowed in
-    conditions whose branches must then be obs-pure), and **values**
-    (everything read out of obs — banned from stores, conditions,
-    returns, yields); helper functions that return obs values are
-    caught through the interprocedural obs-returning fixpoint, and
-    calls inside guards must be provably free of model-state writes
-    via the effect summaries.
-
-    **Soundness vs the NullTracer fast path.** When no session is
-    active, ``active()`` returns the default session whose
-    ``NullTracer.enabled`` is ``False`` — so the flag-guarded branches
-    this rule forces to be obs-pure are exactly the code the fast path
-    skips, and skipping pure code cannot change model results.
-
-    **True positive.** ``self.t0 = tracer.harness_time()``;
-    ``if session.metrics.counter("x").value > 3: ...``; a helper
-    ``def _now(): return tracer.harness_time()`` whose result is
-    stored.
-
-    **True negative.** ``if trace_on: tracer.event(...)``;
-    ``span = tracer.span(...)`` then ``if span is not None:
-    span.close()``; ``metrics.counter("hits").inc(model_value)``
-    (model values flowing *into* obs are always fine).
-
-    **Suppression.** Scope is model code (``soc/``, ``dram/``,
-    ``core/``) only — harness layers (``experiments/``, ``perf/``)
-    may ship snapshots by design. A pragma is justified only when the
-    analysis cannot see that a guarded call is pure (e.g. dynamic
-    dispatch); prefer restructuring so the effect analysis can prove
-    it.
-    """
-    if not any(frag in ctx.norm_path for frag in _OBS_SCOPE_DIRS):
-        return []
-    resolved = _module_summary(ctx)
-    if resolved is None:
-        return []
-    program, module = resolved
-    obs_modules, obs_funcs = _obs_import_names(tree, module.name)
-    if not obs_modules and not obs_funcs:
-        return []
-    scanner = _ObsPurityScanner(
-        ctx, program, module, obs_modules, obs_funcs
-    )
-
-    def visit(
-        stmts: Sequence[ast.stmt], class_name: Optional[str]
-    ) -> None:
-        for stmt in stmts:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                scanner.check_function(stmt, class_name)
-                visit(stmt.body, class_name)
-            elif isinstance(stmt, ast.ClassDef):
-                visit(stmt.body, stmt.name)
-
-    visit(tree.body, None)
-    return sorted(scanner.findings)
-
-
-# ----------------------------------------------------------------------
-# LINT016 — fork/pool safety of worker-reachable code
-# ----------------------------------------------------------------------
-def _check_fork_safety(tree: ast.Module, ctx: FileContext) -> List[Finding]:
-    """Worker-reachable code must not mutate shared-looking globals.
-
-    **Why.** :mod:`repro.perf.pool` runs jobs in forked worker
-    processes. A module-level global mutated in code reachable from a
-    worker entry point (a function handed to ``.submit(...)`` or
-    ``initializer=``) silently diverges between coordinator and
-    workers: the coordinator's copy never sees the write, and
-    coordinator-side state captured into a job that ``run()`` mutates
-    is mutated on a pickled copy and lost. Reachability is computed
-    over the whole-program call graph (including closed-world dynamic
-    dispatch of ``job.run()`` to every ``*Job`` class), so writes
-    buried two calls deep in another module are found.
-
-    **True positive.** ``_CACHE = {}`` at module level with
-    ``_CACHE[k] = v`` inside a function a worker calls; a ``*Job``
-    class whose ``run()`` assigns ``self.result = ...`` (lost across
-    the pickle boundary — workers run on a copy).
-
-    **True negative.** Globals declared in a module-level
-    ``_PROCESS_LOCAL_STATE = ("_NAME", ...)`` tuple — deliberately
-    per-process state (deterministic caches, per-process config) where
-    divergence is benign; coordinator-only globals such as the pool
-    singleton itself, which no worker entry point reaches.
-
-    **Suppression.** Declare deliberate per-process state in
-    ``_PROCESS_LOCAL_STATE`` (documented at the declaration site,
-    typo-checked by this rule) rather than using a pragma; a pragma is
-    only for writes the call graph over-approximates (e.g. a function
-    that is submitted on some platforms only).
-    """
-    resolved = _module_summary(ctx)
-    if resolved is None:
-        return []
-    program, module = resolved
-    findings: List[Finding] = []
-    for name in sorted(module.process_local - module.module_globals):
-        findings.append(
-            Finding(
-                file=ctx.path,
-                line=module.process_local_line or 1,
-                col=0,
-                rule="LINT016",
-                message=(
-                    f"{PROCESS_LOCAL_DECLARATION} names "
-                    f"{name!r}, which is not a module-level global "
-                    "here; remove it or fix the typo"
-                ),
-            )
-        )
-    reachable = program.worker_reachable()
-    for qualname in sorted(module.functions):
-        fx = module.functions[qualname]
-        fid = f"{module.name}:{qualname}"
-        if fid not in reachable:
-            continue
-        for name in sorted(fx.global_writes):
-            if name in module.process_local:
-                continue
-            findings.append(
-                Finding(
-                    file=ctx.path,
-                    line=fx.global_writes[name],
-                    col=0,
-                    rule="LINT016",
-                    message=(
-                        f"module global {name!r} is mutated in "
-                        f"{qualname}(), which is reachable from a pool "
-                        "worker entry point; the coordinator's copy "
-                        "never sees worker-side writes — return the "
-                        "data instead, or declare it in "
-                        f"{PROCESS_LOCAL_DECLARATION} if each "
-                        "process deliberately owns an independent copy"
-                    ),
-                )
-            )
-    for cls in sorted(module.classes.values(), key=lambda c: c.line):
-        if not cls.name.endswith("Job") or "run" not in cls.methods:
-            continue
-        _, writes, _ = program.class_closure(module.name, cls.name, "run")
-        if not writes:
-            continue
-        run_fx = module.functions.get(f"{cls.name}.run")
-        line = run_fx.line if run_fx is not None else cls.line
-        for attr in sorted(writes):
-            findings.append(
-                Finding(
-                    file=ctx.path,
-                    line=line,
-                    col=0,
-                    rule="LINT016",
-                    message=(
-                        f"{cls.name}.run() mutates self.{attr}; under "
-                        "the worker pool run() executes on a pickled "
-                        "copy, so the mutation is silently lost — "
-                        "return results instead of storing them on "
-                        "the job"
                     ),
                 )
             )
@@ -1589,16 +784,16 @@ def _check_dead_code(tree: ast.Module, ctx: FileContext) -> List[Finding]:
     copy-paste. This rule builds a whole-tree symbol reference graph
     and reports module-level functions, classes, and constants not
     reachable from any root: module top-level code, ``__all__``
-    exports, ``__init__.py`` re-exports, decorated registrations, pool
-    worker entry points, the entry points named in
-    ``architecture.toml`` ``[deadcode]``, and every reference found in
-    the external root trees (``tests/``, ``benchmarks/``,
-    ``examples/``). A package that binds its re-exports on first access
-    (PEP 562) declares them in a ``_LAZY_EXPORTS`` dict literal, module
-    name to a tuple of names; each entry roots the top-level definition
-    it names in that module, and an entry that names none (a missing
-    module or name, or a name the module only imports) is a finding,
-    since the import would fail only when a caller first used the name.
+    exports, ``__init__.py`` re-exports, decorated registrations, the
+    entry points named in ``architecture.toml`` ``[deadcode]``, and
+    every reference found in the external root trees (``tests/``,
+    ``benchmarks/``, ``examples/``). A package that binds its
+    re-exports on first access (PEP 562) declares them in a
+    ``_LAZY_EXPORTS`` dict literal, module name to a tuple of names;
+    each entry roots the top-level definition it names in that module,
+    and an entry that names none (a missing module or name, or a name
+    the module only imports) is a finding, since the import would fail
+    only when a caller first used the name.
 
     **True positive.** A ``_sweep_latency_grid()`` helper left behind
     after the figure it fed was rewritten; a dataclass only ever
@@ -1638,7 +833,7 @@ def _check_dead_code(tree: ast.Module, ctx: FileContext) -> List[Finding]:
                 message=(
                     f"{info.kind} {info.name!r} is unreachable from "
                     "every root (CLI entry points, __all__ exports, "
-                    "tests/benchmarks/examples, worker entry points); "
+                    "tests/benchmarks/examples); "
                     "delete it, or export it deliberately if it is "
                     "public API"
                 ),
@@ -1738,10 +933,7 @@ def _check_exception_flow(
     pragma is only for escapes the call graph over-approximates.
     """
     findings: List[Finding] = []
-    in_model_scope = any(
-        frag in ctx.norm_path for frag in _OBS_SCOPE_DIRS
-    )
-    if in_model_scope:
+    if _in_model_scope(ctx):
         for node in ast.walk(tree):
             if not isinstance(node, ast.Try):
                 continue
@@ -1764,10 +956,10 @@ def _check_exception_flow(
                             ),
                         )
                     )
-    resolved = _module_summary(ctx)
-    if resolved is None:
+    program = ctx.program
+    module = program.module_for_path(ctx.path) if program else None
+    if program is None or module is None:
         return sorted(findings)
-    program, module = resolved
     escaped = program.escaped_raises()
     is_cli = module.name == "repro.cli" or module.name.startswith(
         "repro.cli."
@@ -1841,30 +1033,11 @@ _RULES: Tuple[Rule, ...] = (
         "LINT012",
         "unpicklable perf-job members, direct or via helpers and globals",
         _check_job_picklability,
-        interprocedural=True,
     ),
     Rule(
         "LINT013",
         "print() in soc/dram/core model code (use the obs layer)",
         _check_model_print,
-    ),
-    Rule(
-        "LINT014",
-        "job fields read by run() but missing from its cache signature()",
-        _check_cache_key_completeness,
-        interprocedural=True,
-    ),
-    Rule(
-        "LINT015",
-        "obs-derived values steering model state, control flow, or results",
-        _check_obs_purity,
-        interprocedural=True,
-    ),
-    Rule(
-        "LINT016",
-        "worker-reachable mutation of module globals or pickled job state",
-        _check_fork_safety,
-        interprocedural=True,
     ),
     Rule(
         "LINT017",

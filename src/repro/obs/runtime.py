@@ -78,14 +78,13 @@ class ObsSession:
 
 
 _DEFAULT = ObsSession(trace=False, metrics=False)
-_STACK: list = []
 
-#: Fork-safety declaration (LINT016): the session stack is deliberately
-#: per-process. Each pool chunk runs under a worker-side session and
-#: ships an immutable snapshot and trace back; the coordinator absorbs
-#: them, so worker-side pushes never needing to be visible
-#: coordinator-side is the design, not an accident.
-_PROCESS_LOCAL_STATE = ("_STACK",)
+#: The session stack is deliberately per-process. Each pool chunk runs
+#: under a worker-side session and ships an immutable snapshot and
+#: trace back; the coordinator absorbs them, so worker-side pushes never
+#: needing to be visible coordinator-side is the design, not an
+#: accident.
+_STACK: list = []
 
 
 def active() -> ObsSession:

@@ -35,13 +35,11 @@ from typing import Dict, Iterable, List, Optional, Protocol, Sequence, runtime_c
 
 from repro.errors import JobFailedError, SimulationError
 
+#: The worker default is deliberately per-process. The pool initializer
+#: pins it to 1 inside every worker so jobs never fork nested pools; the
+#: coordinator's copy keeps the CLI's ``--jobs`` value, and that
+#: divergence is the whole point.
 _DEFAULT_MAX_WORKERS = 1
-
-#: Fork-safety declaration (LINT016): the worker default is deliberately
-#: per-process. The pool initializer pins it to 1 inside every worker so
-#: jobs never fork nested pools; the coordinator's copy keeps the CLI's
-#: ``--jobs`` value, and that divergence is the whole point.
-_PROCESS_LOCAL_STATE = ("_DEFAULT_MAX_WORKERS",)
 
 
 @runtime_checkable

@@ -15,13 +15,13 @@ Jobs participate in two optional protocols:
   content-addressed simulation cache (:mod:`repro.perf.simcache`).
   Jobs with side effects or undeclared inputs return ``None``.
 
-Signature completeness is checked statically: LINT014
-(:mod:`repro.lint.effects`) computes the attributes ``run()``
-transitively reads and requires each declared field among them to be
-hashed by ``signature()`` — or listed in a class-level
-``SIGNATURE_INERT`` tuple naming fields that cannot change ``run()``'s
-results (labels, progress cosmetics). Prefer the declaration over a
-pragma: it is typo-checked and reads as documentation.
+Both contracts are checked by running them, in
+``tests/perf/test_simcache.py``: every class here that defines
+``signature()`` must be a frozen dataclass (``run()`` executes on a
+pickled copy under the pool, so it cannot keep state on the job), and
+replacing any one of its fields must change its signature.
+``tests/perf/test_pool.py`` requires pooled runs to give the serial
+results.
 """
 
 from __future__ import annotations

@@ -85,6 +85,10 @@ if TYPE_CHECKING:
 #: to keep every worker busy when job costs are uneven.
 _CHUNKS_PER_WORKER = 4
 
+#: The pool globals and the recovery counters below are deliberately
+#: per-process. The pool handle never survives a fork (``get_pool``
+#: drops inherited handles), and the recovery counters describe the
+#: pools *this* process dispatched to.
 _POOL: Optional[ProcessPoolExecutor] = None
 _POOL_WORKERS = 0
 _POOL_PID = -1
@@ -94,18 +98,6 @@ _POOL_GENERATION = 0
 #: stderr note and for tests that run without a metrics session. The
 #: same events are mirrored into the active ``repro.obs`` registry.
 _RECOVERY_COUNTERS: Dict[str, int] = {}
-
-#: Fork-safety declaration (LINT016): each of these is deliberately
-#: per-process. The pool handle never survives a fork (``get_pool``
-#: drops inherited handles), and the recovery counters describe the
-#: pools *this* process dispatched to.
-_PROCESS_LOCAL_STATE = (
-    "_POOL",
-    "_POOL_WORKERS",
-    "_POOL_PID",
-    "_POOL_GENERATION",
-    "_RECOVERY_COUNTERS",
-)
 
 
 @dataclass(frozen=True)

@@ -65,17 +65,15 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 CACHE_DIR_NAME = ".sim-cache"
 CACHE_SCHEMA_VERSION = 2
 
+#: Both globals are deliberately per-process. The fingerprint is a
+#: deterministic pure function of the source tree (every process
+#: computes the same string), and the active cache serves the process
+#: that calls ``parallel_map``, which looks jobs up and stores their
+#: results itself; a forked worker that stored through an inherited
+#: cache would open a segment of its own.
 _CODE_FINGERPRINT: Optional[str] = None
 
 _ACTIVE: Optional["SimCache"] = None
-
-#: Fork-safety declaration (LINT016): both globals are deliberately
-#: per-process. The fingerprint is a deterministic pure function of the
-#: source tree (every process computes the same string), and the active
-#: cache serves the process that calls ``parallel_map``, which looks jobs
-#: up and stores their results itself; a forked worker that stored
-#: through an inherited cache would open a segment of its own.
-_PROCESS_LOCAL_STATE = ("_ACTIVE", "_CODE_FINGERPRINT")
 
 #: Record header: key length, payload length (little-endian).
 _HEADER = struct.Struct("<IQ")

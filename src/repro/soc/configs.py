@@ -137,12 +137,9 @@ def soc_by_name(name: str) -> SoCSpec:
         ) from None
 
 
+#: A per-process memo of a pure function of the name, so a worker's
+#: entries never need to reach the coordinator.
 _SPEC_TEXT: Dict[str, str] = {}
-
-#: Fork-safety declaration (LINT016): a per-process memo of a pure
-#: function of the name, so a worker's entries never need to reach the
-#: coordinator.
-_PROCESS_LOCAL_STATE = ("_SPEC_TEXT",)
 
 
 def spec_text(name: str) -> str:

@@ -150,16 +150,16 @@ class TestSarifFormat:
 
 class TestExplainFlag:
     def test_explain_prints_rationale_and_exits_zero(self, capsys):
-        assert main(["lint", "--explain", "LINT014"]) == 0
+        assert main(["lint", "--explain", "LINT019"]) == 0
         out = capsys.readouterr().out
-        assert out.startswith("LINT014")
-        assert "SIGNATURE_INERT" in out
+        assert out.startswith("LINT019")
+        assert "UnknownKeyError" in out
         assert "True positive" in out
         assert "Suppression" in out
 
     def test_explain_is_case_insensitive(self, capsys):
-        assert main(["lint", "--explain", "lint016"]) == 0
-        assert "_PROCESS_LOCAL_STATE" in capsys.readouterr().out
+        assert main(["lint", "--explain", "lint018"]) == 0
+        assert "_LAZY_EXPORTS" in capsys.readouterr().out
 
     def test_explain_unknown_rule_exits_two(self, capsys):
         assert main(["lint", "--explain", "LINT999"]) == 2

@@ -1,11 +1,13 @@
-"""Unit tests for the interprocedural effect analysis (repro.lint.effects)."""
+"""Unit tests for the whole-program summaries (repro.lint.effects)."""
 
 from __future__ import annotations
 
+import json
 import textwrap
 from pathlib import Path
 
 from repro.lint.effects import (
+    EFFECTS_SCHEMA_VERSION,
     EffectsCache,
     Program,
     analyze_module,
@@ -65,139 +67,67 @@ class TestCollectImports:
         assert imports["soc"] == "repro.soc.configs:soc"
 
 
-class TestFunctionSummaries:
-    def test_self_reads_and_writes(self):
-        module = analyze(
-            """
-            class Model:
-                def step(self):
-                    self.cycles = self.cycles + self.delta
-            """
-        )
-        fx = module.functions["Model.step"]
-        assert "cycles" in fx.self_reads and "delta" in fx.self_reads
-        assert "cycles" in fx.self_writes
-
-    def test_mutator_method_counts_as_write(self):
-        module = analyze(
-            """
-            _CACHE = {}
-
-            class Box:
-                def put(self, item):
-                    self.items.append(item)
-
-            def remember(k, v):
-                _CACHE[k] = v
-            """
-        )
-        assert "items" in module.functions["Box.put"].self_writes
-        assert "_CACHE" in module.functions["remember"].global_writes
-
-    def test_obs_calls(self):
-        module = analyze(
-            """
-            import time
-            from repro.obs import runtime as obs_runtime
-
-            def now():
-                obs_runtime.active()
-                return time.time()
-            """
-        )
-        fx = module.functions["now"]
-        # Only the call into repro.obs counts, not the one into time.
-        assert fx.obs_calls == {"import:repro.obs:runtime.active"}
-
-    def test_self_escape_is_recorded(self):
-        module = analyze(
-            """
-            def sink(x):
-                pass
-
-            class Job:
-                def run(self):
-                    sink(self)
-            """
-        )
-        assert module.functions["Job.run"].self_escapes
-
-
 class TestProgramResolution:
+    """Call resolution, checked through what LINT019 asks of it: a
+    raise must reach the caller along every kind of call edge."""
+
     def test_recursion_terminates_and_closes(self):
         program = program_of(
             (
                 "rec.py",
                 """
-                class WalkJob:
-                    def run(self):
-                        return self._walk(self.depth)
+                def walk(d):
+                    if d == 0:
+                        raise KeyError(d)
+                    return walk(d - 1)
 
-                    def _walk(self, d):
-                        if d == 0:
-                            return self.leaf
-                        return self._walk(d - 1)
+                def ping(n):
+                    return pong(n)
 
-                    def signature(self):
-                        return repr(self.depth)
+                def pong(n):
+                    if n:
+                        return ping(n - 1)
+                    raise ValueError(n)
                 """,
             )
         )
-        reads, _, _ = program.class_closure("rec", "WalkJob", "run")
-        # The mutually recursive helper converges and both attributes
-        # reached through it are in run()'s closure.
-        assert {"depth", "leaf"} <= reads
+        escaped = program.escaped_raises()
+        # The self-recursive and the mutually recursive functions
+        # converge, each with the raise of the cycle.
+        assert set(escaped["rec:walk"]) == {"builtin:KeyError"}
+        assert set(escaped["rec:ping"]) == {"builtin:ValueError"}
+        assert set(escaped["rec:pong"]) == {"builtin:ValueError"}
 
     def test_dynamic_dispatch_covers_job_subclasses(self):
         program = program_of(
             (
                 "disp.py",
                 """
-                _SEEN = []
-
                 class AlphaJob:
                     def run(self):
-                        _SEEN.append(1)
+                        raise KeyError("alpha")
 
                 class BetaJob:
                     def run(self):
                         return 2
 
+                class Plain:
+                    def run(self):
+                        raise OSError("not a job")
+
                 def drive(job):
                     return job.run()
-
-                def start(pool):
-                    pool.submit(drive, None)
                 """,
             )
         )
-        reachable = program.worker_reachable()
         # ``job.run()`` is closed-world dispatched to every *Job class.
-        assert "disp:AlphaJob.run" in reachable
-        assert "disp:BetaJob.run" in reachable
-
-    def test_property_access_resolves_to_the_accessor(self):
-        program = program_of(
-            (
-                "prop.py",
-                """
-                class SweepJob:
-                    @property
-                    def resolved(self):
-                        return self.raw * 2
-
-                    def run(self):
-                        return self.resolved
-
-                    def signature(self):
-                        return repr(self.raw)
-                """,
-            )
-        )
-        reads, _, _ = program.class_closure("prop", "SweepJob", "run")
-        # run() touches ``self.resolved``; the closure follows the
-        # accessor and surfaces the underlying ``raw`` read.
-        assert "raw" in reads
+        assert program.resolve_ref("disp", "dyn:run") == [
+            "disp:AlphaJob.run",
+            "disp:BetaJob.run",
+        ]
+        assert set(program.escaped_raises()["disp:drive"]) == {
+            "builtin:KeyError"
+        }
 
     def test_cross_module_import_resolution(self):
         program = program_of(
@@ -213,15 +143,18 @@ class TestProgramResolution:
             (
                 "src/repro/perf/beta.py",
                 """
-                _HITS = []
-
                 def helper():
-                    _HITS.append(1)
+                    raise LookupError("beta")
                 """,
             ),
         )
-        reachable = program.reachable(["repro.perf.alpha:top"])
-        assert "repro.perf.beta:helper" in reachable
+        assert program.resolve_ref(
+            "repro.perf.alpha", "import:repro.perf.beta:helper"
+        ) == ["repro.perf.beta:helper"]
+        line, origin = program.escaped_raises()["repro.perf.alpha:top"][
+            "builtin:LookupError"
+        ]
+        assert (line, origin) == (5, "repro.perf.beta:helper")
 
     def test_submodule_attribute_calls_resolve(self):
         program = program_of(
@@ -237,91 +170,19 @@ class TestProgramResolution:
             (
                 "src/repro/obsish/runtime.py",
                 """
-                _STACK = []
-
                 def activate():
-                    _STACK.append(1)
+                    raise OSError("no session")
                 """,
             ),
         )
-        reachable = program.reachable(["repro.perf.user:go"])
-        assert "repro.obsish.runtime:activate" in reachable
-
-    def test_impure_functions_fixpoint_is_transitive(self):
-        program = program_of(
-            (
-                "imp.py",
-                """
-                _STATE = {}
-
-                def leaf(k):
-                    _STATE[k] = 1
-
-                def middle(k):
-                    leaf(k)
-
-                def top(k):
-                    middle(k)
-
-                def pure(x):
-                    return x + 1
-                """,
-            )
-        )
-        impure = program.impure_functions()
-        assert "imp:leaf" in impure
-        assert "imp:middle" in impure
-        assert "imp:top" in impure
-        assert "imp:pure" not in impure
-
-    def test_obs_returning_fixpoint(self):
-        program = program_of(
-            (
-                "src/repro/core/helper.py",
-                """
-                from repro.obs import runtime as obs_runtime
-
-                def raw():
-                    return obs_runtime.active()
-
-                def wrapped():
-                    return raw()
-
-                def unrelated():
-                    return 42
-                """,
-            )
-        )
-        returning = program.obs_returning()
-        assert "repro.core.helper:raw" in returning
-        assert "repro.core.helper:wrapped" in returning
-        assert "repro.core.helper:unrelated" not in returning
-
-
-class TestWorkerEntryPoints:
-    def test_initializer_kwarg_is_an_entry(self):
-        module = analyze(
-            """
-            def warm():
-                pass
-
-            def boot(ctx):
-                ctx.Pool(initializer=warm)
-            """
-        )
-        assert any("warm" in ref for ref in module.entry_points)
-
-    def test_submit_first_argument_is_an_entry(self):
-        module = analyze(
-            """
-            def chunk(items):
-                pass
-
-            def boot(pool, items):
-                pool.submit(chunk, items)
-            """
-        )
-        assert any("chunk" in ref for ref in module.entry_points)
+        # ``from repro import obsish`` then ``obsish.runtime.activate``:
+        # one dotted step at a time, without ``repro.obsish`` linted.
+        assert program.resolve_ref(
+            "repro.perf.user", "import:repro:obsish.runtime.activate"
+        ) == ["repro.obsish.runtime:activate"]
+        assert set(program.escaped_raises()["repro.perf.user:go"]) == {
+            "builtin:OSError"
+        }
 
 
 class TestEffectsCache:
@@ -329,17 +190,15 @@ class TestEffectsCache:
         cache = EffectsCache(tmp_path)
         source = textwrap.dedent(
             """
-            _G = []
+            class LocalError(KeyError):
+                pass
 
             class SweepJob:
-                SIGNATURE_INERT = ("label",)
-
                 def run(self):
-                    _G.append(self.label)
-                    return self.value
-
-                def signature(self):
-                    return repr(self.value)
+                    try:
+                        return self.value
+                    except AttributeError:
+                        raise LocalError("value")
             """
         )
         computed = analyze_module(source, "cyc.py")
@@ -348,7 +207,10 @@ class TestEffectsCache:
         loaded = cache.lookup(key)
         assert loaded is not None
         assert loaded.to_json() == computed.to_json()
-        assert loaded.classes["SweepJob"].inert_fields == {"label"}
+        assert loaded.classes["LocalError"].bases == ("builtin:KeyError",)
+        assert loaded.functions["SweepJob.run"].raises == {
+            "cyc:LocalError": 10
+        }
 
     def test_corrupt_entry_is_a_miss(self, tmp_path: Path):
         cache = EffectsCache(tmp_path)
@@ -359,13 +221,27 @@ class TestEffectsCache:
             entry.write_text("{ not json")
         assert cache.lookup(key) is None
 
+    def test_older_schema_is_a_miss(self, tmp_path: Path):
+        """An entry of an earlier summary layout is recomputed, not
+        read: its fields are not this analyzer's."""
+        cache = EffectsCache(tmp_path)
+        source = "def f():\n    raise KeyError(1)\n"
+        key = cache.key_for(source)
+        cache.store(key, analyze_module(source, "old.py"))
+        (entry,) = (tmp_path / "effects").rglob("*.json")
+        payload = json.loads(entry.read_text())
+        payload["version"] = EFFECTS_SCHEMA_VERSION - 1
+        entry.write_text(json.dumps(payload))
+        assert cache.lookup(key) is None
+        assert cache.misses == 1
+
     def test_build_program_uses_the_cache(self, tmp_path: Path):
         cache = EffectsCache(tmp_path)
         sources = [("one.py", "def f():\n    return 1\n")]
         first = build_program(sources, cache=cache)
         second = build_program(sources, cache=cache)
         assert first.fingerprint() == second.fingerprint()
-        assert second.function("one:f") is not None
+        assert "f" in second.modules["one"].functions
 
 
 class TestProgramFingerprint:

@@ -171,9 +171,9 @@ class TestExplain:
     def test_new_rules_document_the_contract(self):
         from repro.lint.rules import explain_rule
 
-        assert "SIGNATURE_INERT" in explain_rule("LINT014")
-        assert "byte-identical" in explain_rule("LINT015")
-        assert "_PROCESS_LOCAL_STATE" in explain_rule("LINT016")
+        assert "architecture.toml" in explain_rule("LINT017")
+        assert "_LAZY_EXPORTS" in explain_rule("LINT018")
+        assert "UnknownKeyError" in explain_rule("LINT019")
 
     def test_unknown_rule_raises(self):
         from repro.errors import LintError

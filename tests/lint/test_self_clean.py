@@ -33,11 +33,10 @@ class TestSelfClean:
 
     def test_every_rule_ran(self):
         # Guard against the clean result coming from an empty registry.
-        assert len(ALL_RULE_IDS) == 13
+        assert len(ALL_RULE_IDS) == 10
         assert ALL_RULE_IDS == (
             "LINT001", "LINT004", "LINT005", "LINT007", "LINT011",
-            "LINT012", "LINT013", "LINT014", "LINT015", "LINT016",
-            "LINT017", "LINT018", "LINT019",
+            "LINT012", "LINT013", "LINT017", "LINT018", "LINT019",
         )
 
     def test_flow_rules_run_in_default_set(self, self_lint):
@@ -50,9 +49,6 @@ class TestSelfClean:
             "LINT011",
             "LINT012",
             "LINT013",
-            "LINT014",
-            "LINT015",
-            "LINT016",
             "LINT017",
             "LINT018",
             "LINT019",

@@ -2,9 +2,10 @@
 
 ``repro``, ``repro.obs`` and ``repro.perf`` bind their re-exported names
 on first access (PEP 562), so a run imports only the modules it uses.
-The closure tests run each command in a fresh interpreter under
-``-X importtime`` (or, for a run, read ``sys.modules`` after it) and
-compare module sets, not times.
+The closure tests run each command in a fresh interpreter and read
+``sys.modules`` after it, which also holds the modules a lazy namespace
+loads through ``importlib.import_module`` (``-X importtime`` does not
+log those), and compare module sets, not times.
 """
 
 from __future__ import annotations
@@ -60,22 +61,12 @@ def _fresh(*args: str) -> subprocess.CompletedProcess:
     )
 
 
-def imported_modules(*args: str) -> set:
-    """Every module a fresh ``python -X importtime <args>`` imports."""
-    done = _fresh("-X", "importtime", *args)
-    return {
-        line.rpartition("|")[2].strip()
-        for line in done.stderr.splitlines()
-        if line.startswith("import time:") and "imported package" not in line
-    }
-
-
 def loaded_after(code: str) -> set:
     """Every module in ``sys.modules`` after a fresh interpreter runs
     ``code``, including those a lazy namespace loaded through
-    ``importlib.import_module``, which ``-X importtime`` does not log."""
+    ``importlib.import_module``. The list is the last line printed."""
     done = _fresh("-c", f"{code}\nimport sys\nprint(*sys.modules)")
-    return set(done.stdout.split())
+    return set(done.stdout.splitlines()[-1].split())
 
 
 def under(modules: set, prefixes) -> list:
@@ -88,9 +79,7 @@ def under(modules: set, prefixes) -> list:
 
 class TestImportClosure:
     def test_dram_study_loads_only_what_it_runs(self):
-        modules = imported_modules(
-            "-c", "import repro.experiments.fig5_table3"
-        )
+        modules = loaded_after("import repro.experiments.fig5_table3")
         assert "repro.dram.system" in modules
         assert under(modules, DRAM_STUDY_UNUSED) == []
 
@@ -119,12 +108,19 @@ class TestImportClosure:
         ) == []
 
     def test_import_repro_loads_no_other_repro_module(self):
-        assert under(imported_modules("-c", "import repro"), ("repro",)) == [
-            "repro"
-        ]
+        assert under(loaded_after("import repro"), ("repro",)) == ["repro"]
 
     def test_cli_help_loads_no_model(self):
-        modules = imported_modules("-m", "repro.cli", "--help")
+        """``python -m repro.cli --help``, run through ``runpy`` so the
+        interpreter survives argparse's exit to list its modules."""
+        modules = loaded_after(
+            "import runpy, sys\n"
+            "sys.argv = ['pccs', '--help']\n"
+            "try:\n"
+            "    runpy.run_module('repro.cli', run_name='__main__')\n"
+            "except SystemExit:\n"
+            "    pass"
+        )
         assert "repro.analysis.tables" in modules
         assert under(
             modules,
@@ -132,12 +128,19 @@ class TestImportClosure:
         ) == []
 
     def test_submodule_import_through_a_lazy_package(self):
-        modules = imported_modules(
-            "-c",
+        modules = loaded_after(
             "from repro.obs import runtime; from repro.perf import timing; "
-            "runtime.active(); timing.Stopwatch()",
+            "runtime.active(); timing.Stopwatch()"
         )
         assert {"repro.obs.runtime", "repro.perf.timing"} <= modules
+        assert under(modules, DRAM_STUDY_UNUSED) == []
+
+    def test_attribute_access_loads_the_defining_module(self):
+        """``o.Tracer`` alone binds through ``importlib.import_module``:
+        the closure must show ``repro.obs.tracer``, which an ``-X
+        importtime`` log of the same code leaves out."""
+        modules = loaded_after("import repro.obs as o\no.Tracer")
+        assert "repro.obs.tracer" in modules
         assert under(modules, DRAM_STUDY_UNUSED) == []
 
     def test_no_package_init_imports_another_sub_package(self):
