@@ -17,10 +17,6 @@ from repro.lint.effects import (
 )
 
 
-def analyze(source: str, path: str = "fix.py", name=None):
-    return analyze_module(textwrap.dedent(source), path, name)
-
-
 def program_of(*named_sources) -> Program:
     return build_program(
         [(path, textwrap.dedent(src)) for path, src in named_sources]

@@ -42,24 +42,14 @@ class Branch(NamedTuple):
 
 
 def _imports_obs(tree: ast.Module) -> bool:
+    """``from repro.obs[...] import x`` or ``import repro.obs[...]``."""
+    names = []
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module:
-            if node.module == "repro.obs" or node.module.startswith(
-                "repro.obs."
-            ):
-                return True
-            if node.module == "repro" and any(
-                alias.name == "obs" for alias in node.names
-            ):
-                return True
+            names.append(node.module)
         elif isinstance(node, ast.Import):
-            if any(
-                alias.name == "repro.obs"
-                or alias.name.startswith("repro.obs.")
-                for alias in node.names
-            ):
-                return True
-    return False
+            names.extend(alias.name for alias in node.names)
+    return any(name.split(".")[:2] == ["repro", "obs"] for name in names)
 
 
 def _is_flag(expr: ast.expr, flags: Set[str]) -> bool:
