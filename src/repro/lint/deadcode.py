@@ -393,7 +393,7 @@ def _index_module(
                 ),
             )
             if target_name.id == LAZY_EXPORTS_DECLARATION:
-                # The linter itself reads the table; no code names it.
+                # The linter itself reads the table: never dead.
                 index.roots.add(key)
             # The value's references belong to the symbol: a dispatch
             # table keeps its targets alive only if the table is.

@@ -15,7 +15,7 @@ Jobs participate in two optional protocols:
   content-addressed simulation cache (:mod:`repro.perf.simcache`).
   Jobs with side effects or undeclared inputs return ``None``.
 
-Both contracts are checked by running them, in
+The cache and pool contracts are checked by running them, in
 ``tests/perf/test_simcache.py``: every class here that defines
 ``signature()`` must be a frozen dataclass (``run()`` executes on a
 pickled copy under the pool, so it cannot keep state on the job), and
