@@ -2,21 +2,19 @@
 
 A from-scratch static-analysis engine whose rules encode this repo's
 own bug classes (see ``DESIGN.md`` §2.9–2.10). The per-file rules
-(LINT001, LINT004, LINT005, LINT007, LINT011–013) catch
+(LINT001, LINT004, LINT005, LINT007, LINT011–013, LINT019) catch
 nondeterministic iteration in scheduler selection loops, exact float
-comparison in solver code, mutable default arguments, raises that
-bypass the :mod:`repro.errors` hierarchy, any call that yields a
-nondeterministic value (wall clock, module-level or unseeded RNG, OS
+comparison in solver code, mutable default arguments, any raise of a
+class outside the :mod:`repro.errors` hierarchy, any call that yields
+a nondeterministic value (wall clock, module-level or unseeded RNG, OS
 entropy), unpicklable members on parallel jobs — followed through the
-module call graph (:mod:`repro.lint.callgraph`) — and ``print`` in
-model code. The module-graph rules (LINT017, LINT018) build the import
-graph (:mod:`repro.lint.importgraph`), check it against the repo's
-declared ``architecture.toml`` layer contract and find code
-unreachable from the declared roots (:mod:`repro.lint.deadcode`).
-LINT019 propagates per-function raise sets
-(:mod:`repro.lint.effects`) through the whole-program call graph and
-verifies that only :mod:`repro.errors` types escape the public/CLI
-boundary (see ``DESIGN.md`` §2.13–2.14).
+module call graph (:mod:`repro.lint.callgraph`) — ``print`` in model
+code, and a silent ``except: pass`` in model code (see ``DESIGN.md``
+§2.14). Only the module-graph rules (LINT017, LINT018) read more than
+one file: they build the import graph
+(:mod:`repro.lint.importgraph`), check it against the repo's declared
+``architecture.toml`` layer contract and find code unreachable from
+the declared roots (:mod:`repro.lint.deadcode`).
 
 Public surface:
 

@@ -12,7 +12,6 @@ from typing import TYPE_CHECKING, Callable, List, Optional
 
 if TYPE_CHECKING:
     from repro.lint.arch import ArchContext
-    from repro.lint.effects import Program
 
 
 @dataclass(frozen=True, order=True)
@@ -36,14 +35,6 @@ class FileContext:
     norm_path: str
     """Forward-slash path used for scope matching."""
 
-    program: Optional["Program"] = None
-    """Whole-program raise-set summaries (:mod:`repro.lint.effects`).
-
-    Populated by the engine whenever an interprocedural rule is
-    selected; ``None`` otherwise. Interprocedural checkers return no
-    findings without it rather than guessing from one file.
-    """
-
     arch: Optional["ArchContext"] = None
     """Module-graph context (:mod:`repro.lint.arch`).
 
@@ -65,22 +56,13 @@ class Rule:
     summary: str
     checker: Checker
 
-    interprocedural: bool = False
-    """Findings may depend on code outside the file being linted.
-
-    The engine builds a whole-program :class:`~repro.lint.effects.Program`
-    when any selected rule sets this, and keys every file's cached
-    result on it: a callee edit in one file can change findings
-    reported in another.
-    """
-
     module_graph: bool = False
     """Findings depend on the module/import graph of the whole tree.
 
     The engine builds an :class:`~repro.lint.arch.ArchContext` when any
-    selected rule sets this. These rules are whole-program too:
-    deleting an import in one file can orphan (or legitimize) a symbol
-    in another.
+    selected rule sets this, and keys every file's cached result on
+    it: deleting an import in one file can orphan (or legitimize) a
+    symbol in another. Every other rule reads only its own file.
     """
 
 

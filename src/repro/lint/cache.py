@@ -52,9 +52,9 @@ class LintCache:
         """Cache key for one file's lint run (path-independent).
 
         ``extra`` folds additional invalidation context into the key —
-        the engine passes the whole-program effect fingerprint when
-        interprocedural rules are selected, so a finding computed
-        against one program state is never served against another.
+        the engine passes the import-graph fingerprint when module-graph
+        rules are selected, so a finding computed against one tree is
+        never served against another.
         """
         digest = hashlib.sha256()
         digest.update(self._fingerprint.encode("utf-8"))

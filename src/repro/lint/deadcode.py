@@ -33,8 +33,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.lint.effects import collect_imports, module_name_for
-from repro.lint.importgraph import LayerContract
+from repro.lint.importgraph import (
+    LayerContract,
+    collect_imports,
+    module_name_for,
+)
 
 Ref = Tuple[str, str]
 """(module, symbol) — symbol ``"*"`` means the whole module escapes."""

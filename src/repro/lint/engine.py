@@ -9,7 +9,6 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from repro.errors import LintError
 from repro.lint.arch import ArchContext, build_arch_context
 from repro.lint.cache import LintCache
-from repro.lint.effects import EffectsCache, Program, build_program
 from repro.lint.rules import (
     FileContext,
     Finding,
@@ -28,10 +27,6 @@ PARSE_RULE_ID = "LINT000"
 Profile = Dict[str, float]
 
 
-def _needs_program(rules: Sequence[Rule]) -> bool:
-    return any(rule.interprocedural for rule in rules)
-
-
 def _needs_arch(rules: Sequence[Rule]) -> bool:
     return any(rule.module_graph for rule in rules)
 
@@ -40,29 +35,21 @@ def lint_source(
     source: str,
     path: str = "<string>",
     rule_ids: Optional[Sequence[str]] = None,
-    program: Optional[Program] = None,
     arch: Optional[ArchContext] = None,
     profile: Optional[Profile] = None,
 ) -> List[Finding]:
     """Lint one source string; ``path`` scopes path-sensitive rules.
 
-    When an interprocedural (or module-graph) rule is selected and no
-    ``program`` (or ``arch``) is supplied, a single-module view is
-    built from this source alone — whole-file analyses still run, they
-    just cannot see other modules, and declaration discovery starts
-    from ``path`` (an in-memory path discovers nothing).
+    When a module-graph rule is selected and no ``arch`` is supplied,
+    a single-module view is built from this source alone — the rules
+    still run, they just cannot see other modules, and declaration
+    discovery starts from ``path`` (an in-memory path discovers
+    nothing).
     """
     rules = resolve_rules(rule_ids)
-    if program is None and _needs_program(rules):
-        program = build_program([(path, source)])
     if arch is None and _needs_arch(rules):
         arch = build_arch_context([(path, source)])
-    ctx = FileContext(
-        path=path,
-        norm_path=Path(path).as_posix(),
-        program=program,
-        arch=arch,
-    )
+    ctx = FileContext(path=path, norm_path=Path(path).as_posix(), arch=arch)
     try:
         tree = ast.parse(source, filename=path)
     except SyntaxError as exc:
@@ -110,34 +97,24 @@ def lint_files(
 ) -> List[Finding]:
     """Lint an explicit file list, optionally through a result cache.
 
-    When any selected rule is interprocedural, every file's source is
-    read up front and a whole-program :class:`Program` is built over
-    them (per-module summaries cached beside the lint result cache).
     When any selected rule is module-graph, an
     :class:`~repro.lint.arch.ArchContext` — the import graph plus the
-    discovered ``architecture.toml`` — is built over the same sources.
-    Per-file result entries are keyed on both fingerprints as well —
-    editing any file, the contract, or an external root file (a test
-    that was the last reference to a helper) soundly invalidates
-    findings that might have depended on it.
+    discovered ``architecture.toml`` — is built over every file's
+    source, and per-file result entries are keyed on its fingerprint
+    as well: editing any file, the contract, or an external root file
+    (a test that was the last reference to a helper) soundly
+    invalidates findings that might have depended on it.
     """
     rules = resolve_rules(rule_ids)  # fail fast on unknown ids
     sources: List[Tuple[str, str]] = [
         (str(file_path), file_path.read_text(encoding="utf-8"))
         for file_path in files
     ]
-    program: Optional[Program] = None
     arch: Optional[ArchContext] = None
     cache_extra = ""
-    if _needs_program(rules):
-        effects_cache = (
-            EffectsCache(cache.directory) if cache is not None else None
-        )
-        program = build_program(sources, cache=effects_cache)
-        cache_extra = program.fingerprint()
     if _needs_arch(rules):
         arch = build_arch_context(sources)
-        cache_extra += arch.fingerprint
+        cache_extra = arch.fingerprint
     findings: List[Finding] = []
     for path, source in sources:
         if cache is not None:
@@ -150,7 +127,6 @@ def lint_files(
                 source,
                 path=path,
                 rule_ids=rule_ids,
-                program=program,
                 arch=arch,
                 profile=profile,
             )
@@ -162,7 +138,6 @@ def lint_files(
                     source,
                     path=path,
                     rule_ids=rule_ids,
-                    program=program,
                     arch=arch,
                     profile=profile,
                 )

@@ -1,11 +1,10 @@
 """Module/package import graph and the declared layer contract.
 
-The raise-set analysis (:mod:`repro.lint.effects`) gives the linter
-function-level knowledge (a whole-program call graph). The
-architecture rules (LINT017/018) need one level up: *which module
-imports which*, at what strength, and
-whether those edges respect the layering the repository declares in
-``architecture.toml``.
+The architecture rules (LINT017/018) ask *which module imports which*,
+at what strength, and whether those edges respect the layering the
+repository declares in ``architecture.toml``. Module naming and
+per-module import tables live here too: dead-code reachability and
+the single-file rules resolve names through them.
 
 Three edge kinds are distinguished, because they mean different things
 architecturally:
@@ -34,9 +33,57 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import LintError
-from repro.lint.effects import module_name_for
 
 CONTRACT_FILE_NAME = "architecture.toml"
+
+
+# ----------------------------------------------------------------------
+# Module naming and import tables
+# ----------------------------------------------------------------------
+def module_name_for(path: str) -> str:
+    """Dotted module name for a file path.
+
+    Files inside a ``repro`` package directory are named from that root
+    (``.../src/repro/perf/jobs.py`` -> ``repro.perf.jobs``) so absolute
+    imports between linted files resolve. Anything else (test fixtures
+    in temporary directories) is named by its stem, matching the flat
+    ``from helper import f`` imports fixtures use.
+    """
+    parts = list(Path(path).parts)
+    stem = Path(path).stem
+    if parts and parts[-1].endswith(".py"):
+        parts[-1] = stem
+    for idx in range(len(parts) - 1, -1, -1):
+        if parts[idx] == "repro":
+            dotted = [p for p in parts[idx:] if p != "__init__"]
+            return ".".join(dotted)
+    return stem
+
+
+def collect_imports(tree: ast.Module, module_name: str) -> Dict[str, str]:
+    """Local name -> import target, collected module-wide.
+
+    Targets are ``"module"`` for plain module imports and
+    ``"module:attr"`` for from-imports. Imports inside function bodies
+    are included: the perf/experiments layers import lazily on purpose.
+    """
+    imports: Dict[str, str] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                root = alias.name.split(".")[0]
+                imports[alias.asname or root] = (
+                    alias.name if alias.asname else root
+                )
+        elif isinstance(node, ast.ImportFrom):
+            base = _resolve_from_base(node, module_name)
+            if base is None:
+                continue
+            for alias in node.names:
+                if alias.name != "*":
+                    local = alias.asname or alias.name
+                    imports[local] = f"{base}:{alias.name}"
+    return imports
 
 
 # ----------------------------------------------------------------------
@@ -716,11 +763,13 @@ __all__ = [
     "ImportGraph",
     "LayerContract",
     "build_import_graph",
+    "collect_imports",
     "cycle_findings",
     "find_contract",
     "graph_fingerprint",
     "layering_violations",
     "load_contract",
+    "module_name_for",
     "package_edges",
     "parse_toml_subset",
     "to_dot",

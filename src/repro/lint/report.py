@@ -12,12 +12,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List, Sequence
 
-from repro.lint.rules import (
-    Finding,
-    RULES_BY_ID,
-    explain_rule,
-    rule_table,
-)
+from repro.lint.rules import Finding, explain_rule, rule_table
 
 JSON_SCHEMA_VERSION = 1
 
@@ -78,11 +73,6 @@ def _sarif_rules() -> List[Dict[str, Any]]:
                 "shortDescription": {"text": summary},
                 "fullDescription": {"text": explain_rule(rule_id)},
                 "defaultConfiguration": {"level": "error"},
-                "properties": {
-                    "interprocedural": RULES_BY_ID[
-                        rule_id
-                    ].interprocedural,
-                },
             }
         )
     return rules

@@ -1,6 +1,7 @@
-"""TP/TN fixtures for the architecture rules (LINT017-019), plus the
-mechanized acceptance check that every ``[[allow]]`` entry in the real
-``architecture.toml`` is load-bearing.
+"""TP/TN fixtures for the architecture rules (LINT017-018) and the
+exception-discipline rules (LINT007 at each raise, LINT019's silent
+except-pass), plus the mechanized acceptance check that every
+``[[allow]]`` entry in the real ``architecture.toml`` is load-bearing.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from repro.lint.importgraph import (
     layering_violations,
     load_contract,
 )
-from repro.lint.rules import ALL_RULE_IDS, RULES_BY_ID
+from repro.lint.rules import ALL_RULE_IDS, RULES_BY_ID, explain_rule
 
 PACKAGE_ROOT = Path(repro.__file__).parent
 
@@ -70,13 +71,15 @@ class TestRegistryWiring:
             assert rule_id in ALL_RULE_IDS
 
     def test_rule_class_constants(self):
-        assert RULES_BY_ID["LINT019"].interprocedural
         module_graph = {
             rule_id
             for rule_id, rule in RULES_BY_ID.items()
             if rule.module_graph
         }
         assert module_graph == {"LINT017", "LINT018"}
+        # Every other rule reads only the file it reports on.
+        for rule_id in sorted(set(ALL_RULE_IDS) - module_graph):
+            assert "Scope: single file." in explain_rule(rule_id)
 
 
 class TestLint017Layering:
@@ -322,20 +325,25 @@ class TestLint018LazyExports:
         assert "_LAZY_EXPORTS must be a dict literal" in messages
 
 
-LINT019 = ["LINT019"]
+EXCEPTION_RULES = ["LINT007", "LINT019"]
 SOC_PATH = "src/repro/soc/fixture.py"
 
 
-def source_rule_ids(source: str, path: str = SOC_PATH, rules=LINT019):
+def source_findings(source: str, path: str = SOC_PATH):
     return [
-        f.rule
+        (f.rule, f.line)
         for f in lint_source(
-            textwrap.dedent(source), path=path, rule_ids=rules
+            textwrap.dedent(source), path=path, rule_ids=EXCEPTION_RULES
         )
     ]
 
 
 class TestLint019ExceptionFlow:
+    """The exception discipline: LINT007 checks the class each raise
+    names, where it stands; LINT019 flags a silent except-pass in
+    model code. Fixture lines count from the dedented source's blank
+    first line."""
+
     def test_positive_keyerror_escapes_public_function(self):
         src = """
         def lookup(table, key):
@@ -343,7 +351,7 @@ class TestLint019ExceptionFlow:
                 raise KeyError(key)
             return table[key]
         """
-        assert source_rule_ids(src) == ["LINT019"]
+        assert source_findings(src) == [("LINT007", 4)]
 
     def test_positive_escape_via_private_helper(self):
         src = """
@@ -354,10 +362,10 @@ class TestLint019ExceptionFlow:
             return _read(path)
         """
         findings = lint_source(
-            textwrap.dedent(src), path=SOC_PATH, rule_ids=LINT019
+            textwrap.dedent(src), path=SOC_PATH, rule_ids=EXCEPTION_RULES
         )
-        assert [f.rule for f in findings] == ["LINT019"]
-        assert "raised in _read()" in findings[0].message
+        assert [(f.rule, f.line) for f in findings] == [("LINT007", 3)]
+        assert "raise OSError bypasses" in findings[0].message
 
     def test_positive_silent_except_pass_in_model_code(self):
         src = """
@@ -368,7 +376,7 @@ class TestLint019ExceptionFlow:
                 pass
         """
         findings = lint_source(
-            textwrap.dedent(src), path=SOC_PATH, rule_ids=LINT019
+            textwrap.dedent(src), path=SOC_PATH, rule_ids=EXCEPTION_RULES
         )
         assert [f.rule for f in findings] == ["LINT019"]
         assert "silent except-pass" in findings[0].message
@@ -382,9 +390,11 @@ class TestLint019ExceptionFlow:
                 raise SimulationError("no streams")
             return streams[0]
         """
-        assert source_rule_ids(src) == []
+        assert source_findings(src) == []
 
-    def test_negative_absorbed_before_the_boundary(self):
+    def test_positive_raise_absorbed_before_the_boundary(self):
+        """A builtin its public caller catches is still a finding: the
+        check is at the raise, not at the boundary."""
         src = """
         def _read(path):
             raise OSError(path)
@@ -395,14 +405,14 @@ class TestLint019ExceptionFlow:
             except OSError:
                 return None
         """
-        assert source_rule_ids(src) == []
+        assert source_findings(src) == [("LINT007", 3)]
 
-    def test_negative_private_function_is_not_a_boundary(self):
+    def test_positive_private_function_raise(self):
         src = """
         def _lookup(table, key):
             raise KeyError(key)
         """
-        assert source_rule_ids(src) == []
+        assert source_findings(src) == [("LINT007", 3)]
 
     def test_negative_notimplementederror_whitelisted(self):
         src = """
@@ -410,7 +420,7 @@ class TestLint019ExceptionFlow:
             def select(self, queue):
                 raise NotImplementedError
         """
-        assert source_rule_ids(src) == []
+        assert source_findings(src) == []
 
 
 class TestAcceptance:

@@ -11,10 +11,12 @@ from repro.errors import LintError
 from repro.lint.importgraph import (
     CONTRACT_FILE_NAME,
     build_import_graph,
+    collect_imports,
     cycle_findings,
     find_contract,
     layering_violations,
     load_contract,
+    module_name_for,
     parse_toml_subset,
     to_dot,
     to_json_payload,
@@ -46,6 +48,46 @@ core = ["repro.errors"]
 model = ["repro.soc"]
 cli = ["repro.cli"]
 """
+
+
+class TestModuleNaming:
+    def test_repro_paths_get_dotted_names(self):
+        assert (
+            module_name_for("src/repro/perf/jobs.py") == "repro.perf.jobs"
+        )
+
+    def test_init_collapses_to_the_package(self):
+        assert module_name_for("src/repro/obs/__init__.py") == "repro.obs"
+
+    def test_fixture_paths_use_the_stem(self):
+        assert module_name_for("/tmp/xyz/helper.py") == "helper"
+
+
+class TestCollectImports:
+    def test_plain_aliased_and_from_imports(self):
+        import ast
+
+        tree = ast.parse(
+            "import os\n"
+            "import numpy as np\n"
+            "from repro.obs import runtime as obs_runtime\n"
+            "def f():\n"
+            "    from repro.perf.pool import map_on_pool\n"
+        )
+        imports = collect_imports(tree, "repro.soc.engine")
+        assert imports["os"] == "os"
+        assert imports["np"] == "numpy"
+        assert imports["obs_runtime"] == "repro.obs:runtime"
+        # Function-local lazy imports are seen module-wide.
+        assert imports["map_on_pool"] == "repro.perf.pool:map_on_pool"
+
+    def test_relative_import_resolves_against_the_package(self):
+        import ast
+
+        tree = ast.parse("from . import spec\nfrom .configs import soc\n")
+        imports = collect_imports(tree, "repro.soc.engine")
+        assert imports["spec"] == "repro.soc:spec"
+        assert imports["soc"] == "repro.soc.configs:soc"
 
 
 class TestEdgeKinds:

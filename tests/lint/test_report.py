@@ -173,7 +173,8 @@ class TestExplain:
 
         assert "architecture.toml" in explain_rule("LINT017")
         assert "_LAZY_EXPORTS" in explain_rule("LINT018")
-        assert "UnknownKeyError" in explain_rule("LINT019")
+        assert "UnknownKeyError" in explain_rule("LINT007")
+        assert "except-pass" in explain_rule("LINT019")
 
     def test_unknown_rule_raises(self):
         from repro.errors import LintError

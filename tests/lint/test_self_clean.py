@@ -42,7 +42,7 @@ class TestSelfClean:
     def test_flow_rules_run_in_default_set(self, self_lint):
         # The profile records every checker that ran, so the clean
         # default-set result cannot come from a registry wiring bug that
-        # skips one of the interprocedural or module-graph rules.
+        # skips one of the flow or module-graph rules.
         _, profile = self_lint
         assert set(profile) == set(ALL_RULE_IDS)
         for rule_id in (

@@ -36,18 +36,18 @@ class TestMultiRulePragmas:
     def test_one_pragma_silences_two_rules_on_the_same_line(self):
         src = """
         def lookup(key):
-            raise KeyError(key)  # lint: disable=LINT019
+            if key == 0.5: raise KeyError(key)  # lint: disable=LINT004,LINT007
         """
-        # LINT019 anchors at the raise line; the pragma takes it out
-        # while an unrelated selected rule still runs elsewhere.
-        assert rule_ids(src, rules=["LINT007", "LINT019"]) == []
+        # LINT004 (the comparison) and LINT007 (the raise) both anchor
+        # on this line; one pragma names both.
+        assert rule_ids(src, rules=["LINT004", "LINT007"]) == []
 
     def test_partial_pragma_leaves_the_other_rule(self):
         src = """
-        def boom():
-            raise ValueError("x")  # lint: disable=LINT019
+        def boom(x):
+            if x == 0.5: raise ValueError("x")  # lint: disable=LINT004
         """
-        assert rule_ids(src, rules=["LINT007", "LINT019"]) == ["LINT007"]
+        assert rule_ids(src, rules=["LINT004", "LINT007"]) == ["LINT007"]
 
 
 class TestDecoratedDefs:

@@ -164,39 +164,3 @@ class TestSuppression:
             """
         )
         assert findings == []
-
-
-class TestScope:
-    def test_lint012_alone_builds_no_program(self, tmp_path, monkeypatch):
-        """LINT012 reads one module's call graph and never the
-        whole-program summaries, so selecting it alone must not build
-        them, and ``--explain`` must say it is a single-file rule."""
-        from repro.lint import engine
-        from repro.lint.rules import explain_rule
-
-        built = []
-        real = engine.build_program
-
-        def spy(*args, **kwargs):
-            built.append(args)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(engine, "build_program", spy)
-        fixture = tmp_path / "jobs.py"
-        fixture.write_text(
-            textwrap.dedent(
-                """
-                def make_key():
-                    return lambda r: r.name
-
-
-                class SweepJob:
-                    def __init__(self):
-                        self.key = make_key()
-                """
-            )
-        )
-        findings = engine.lint_paths([str(tmp_path)], rule_ids=["LINT012"])
-        assert [f.rule for f in findings] == ["LINT012"]
-        assert built == []
-        assert "Scope: single file." in explain_rule("LINT012")
