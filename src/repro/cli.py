@@ -6,7 +6,8 @@ Commands
 - ``profile`` — standalone-profile a workload suite on a PU.
 - ``calibrate`` — construct a PU's PCCS parameters and print them.
 - ``predict`` — predict co-run relative speed for (demand, external).
-- ``experiment`` — run paper experiments (delegates to the runner).
+- ``experiment`` — run paper experiments (the runner parses the
+  arguments: ``pccs experiment --help``).
 - ``trace`` — run one experiment under tracing (``--jobs N`` stitches
   worker buffers onto one timeline) and export the trace.
 - ``lint`` — run the simulator-invariant checker (``repro.lint``).
@@ -109,22 +110,7 @@ def _cmd_predict(args) -> int:
 def _cmd_experiment(args) -> int:
     from repro.experiments.runner import main as runner_main
 
-    forwarded: List[str] = list(args.names)
-    if args.all:
-        forwarded.append("--all")
-    if args.out:
-        forwarded.extend(["--out", args.out])
-    if args.jobs != 1:
-        forwarded.extend(["--jobs", str(args.jobs)])
-    if args.sim_cache:
-        forwarded.append(f"--sim-cache={args.sim_cache}")
-    if args.checkpoint:
-        forwarded.append(f"--checkpoint={args.checkpoint}")
-    if args.trace:
-        forwarded.extend(["--trace", args.trace])
-    if args.metrics:
-        forwarded.append("--metrics")
-    return runner_main(forwarded)
+    return runner_main(args.runner_args)
 
 
 def _cmd_trace(args) -> int:
@@ -365,54 +351,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_predict)
 
-    p = sub.add_parser("experiment", help="run paper experiments")
-    p.add_argument("names", nargs="*")
-    p.add_argument("--all", action="store_true")
-    p.add_argument("--out")
-    p.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes for each experiment's simulations (default: 1)",
-    )
-    p.add_argument(
-        "--sim-cache",
-        nargs="?",
-        const=".sim-cache",
-        default=None,
-        metavar="DIR",
-        dest="sim_cache",
-        help=(
-            "memoize simulation results on disk (content-addressed; "
-            "warm re-runs are bit-identical and near-instant; "
-            "default DIR: .sim-cache)"
-        ),
-    )
-    p.add_argument(
-        "--checkpoint",
-        nargs="?",
-        const=".sim-cache",
-        default=None,
-        metavar="DIR",
-        help=(
-            "persist each job's result as it completes so an "
-            "interrupted run resumes from completed work "
-            "(default DIR: .sim-cache)"
-        ),
-    )
-    p.add_argument(
-        "--trace",
-        metavar="FILE",
-        help=(
-            "record a Chrome trace-event JSON (worker buffers are "
-            "stitched onto one timeline under --jobs N)"
-        ),
-    )
-    p.add_argument(
-        "--metrics",
-        action="store_true",
-        help="collect and print simulator metrics (merged across jobs)",
+    # Everything after ``experiment`` goes to the runner's own parser
+    # (see ``main``), so ``pccs experiment --help`` is the runner's help.
+    p = sub.add_parser(
+        "experiment",
+        help="run paper experiments (see: pccs experiment --help)",
+        add_help=False,
     )
     p.set_defaults(func=_cmd_experiment)
 
@@ -569,7 +513,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    # parse_known_args keeps the leftover arguments in order, leading
+    # flags included (argparse.REMAINDER drops a leading --flag).
+    args, rest = parser.parse_known_args(argv)
+    if args.func is _cmd_experiment:
+        args.runner_args = rest
+    elif rest:
+        parser.error(f"unrecognized arguments: {' '.join(rest)}")
     return args.func(args)
 
 

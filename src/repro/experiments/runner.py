@@ -145,22 +145,11 @@ def main(argv=None) -> int:
         dest="sim_cache",
         help=(
             "memoize simulation results on disk, keyed by content "
-            "(job inputs + SoC spec + code fingerprint); a warm re-run "
-            "skips the simulations entirely and is bit-identical to a "
-            "cold one (default DIR: .sim-cache)"
-        ),
-    )
-    parser.add_argument(
-        "--checkpoint",
-        nargs="?",
-        const=".sim-cache",
-        default=None,
-        metavar="DIR",
-        help=(
-            "persist each job's result to the sim-cache as it completes, "
-            "so an interrupted sweep (Ctrl-C, OOM kill) re-run with the "
-            "same flag resumes from the completed jobs instead of "
-            "restarting; implies --sim-cache DIR (default DIR: .sim-cache)"
+            "(job inputs + SoC spec + code fingerprint); each result is "
+            "stored as it completes, so an interrupted run (Ctrl-C, OOM "
+            "kill) re-run with the same DIR resumes from the completed "
+            "jobs, and a warm re-run skips the simulations entirely and "
+            "is bit-identical to a cold one (default DIR: .sim-cache)"
         ),
     )
     parser.add_argument(
@@ -192,14 +181,6 @@ def main(argv=None) -> int:
         parser.error("--jobs must be >= 1")
     if args.csv and not args.out:
         parser.error("--csv needs --out")
-    cache_dir = args.sim_cache
-    if args.checkpoint:
-        if cache_dir is not None and Path(cache_dir) != Path(args.checkpoint):
-            parser.error(
-                "--checkpoint and --sim-cache point at different "
-                "directories; pick one"
-            )
-        cache_dir = args.checkpoint
     names = list(EXPERIMENTS) if args.all else args.names
     if not names:
         parser.print_help()
@@ -226,8 +207,8 @@ def main(argv=None) -> int:
     previous_default = default_max_workers()
     set_default_max_workers(args.jobs)
     previous_cache = active_sim_cache()
-    if cache_dir:
-        activate_sim_cache(cache_dir)
+    if args.sim_cache:
+        activate_sim_cache(args.sim_cache)
     recovery_before = recovery_counters()
     # Pool workers ship each chunk's metrics and trace records into
     # this session; jobs run in this process record into it directly.
@@ -277,7 +258,7 @@ def main(argv=None) -> int:
             note = ", ".join(f"{k}={v}" for k, v in recovered.items())
             print(f"recovery: {note}", file=sys.stderr)
         cache = active_sim_cache()
-        if cache_dir and cache is not None:
+        if args.sim_cache and cache is not None:
             print(cache.stats_line(), file=sys.stderr)
         set_sim_cache(previous_cache)
 

@@ -138,7 +138,7 @@ def parallel_map(
     # Stores are eager — each result is persisted as it arrives, not
     # batched after the sweep — so an interrupted run (Ctrl-C, OOM kill)
     # keeps every completed job and a later run with the same cache
-    # directory resumes from them (``runner --checkpoint``).
+    # directory resumes from them (``runner --sim-cache DIR``).
     def _store_result(i: int, value: object) -> None:
         key = keys.get(i)
         if cache is not None and key is not None:

@@ -1,9 +1,9 @@
 """Checkpoint/resume: interrupted sweeps keep their completed work.
 
-``runner --checkpoint`` is the sim-cache plus eager per-result stores:
-each job's result is persisted the moment it arrives, so whatever a
-Ctrl-C or OOM kill interrupts, the next run with the same directory
-serves the finished jobs from disk and computes only the rest.
+``runner --sim-cache DIR`` stores each job's result the moment it
+arrives, on the serial and the pool path alike, so whatever a Ctrl-C or
+OOM kill interrupts, the next run with the same directory serves the
+finished jobs from disk and computes only the rest.
 """
 
 from dataclasses import dataclass
@@ -152,7 +152,7 @@ class TestResumeFromPartialSweep:
     def test_interrupted_fig5_resumes_from_its_simulations(
         self, tmp_path, monkeypatch
     ):
-        """What ``runner fig5_table3 --jobs 2 --checkpoint`` does on a
+        """What ``runner fig5_table3 --jobs 2 --sim-cache`` does on a
         small grid, with Ctrl-C after three DRAM runs were stored: the
         resume serves those three from disk and runs only the other
         nine."""

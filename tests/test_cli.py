@@ -66,6 +66,30 @@ class TestExperimentSubcommand:
         with pytest.raises(SystemExit):
             main(["experiment", "fig2", "--jobs", "0"])
 
+    def test_runner_flags_reach_the_runner(self, tmp_path, capsys):
+        """The runner parses the arguments itself, so each of its
+        flags works here, a leading one included."""
+        out_dir = tmp_path / "out"
+        argv = ["experiment", "fig2", "--out", str(out_dir), "--csv"]
+        assert main(argv) == 0
+        assert (out_dir / "fig2.txt").is_file()
+        assert list(out_dir.glob("fig2_*.csv"))
+        capsys.readouterr()
+        assert main(["experiment", "--list"]) == 0
+        assert "fig5_table3" in capsys.readouterr().out.split()
+
+    def test_help_is_the_runners(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", "--help"])
+        assert exc.value.code == 0
+        assert "--csv" in capsys.readouterr().out
+
+    def test_other_commands_reject_unknown_flags(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["platforms", "--csv"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --csv" in capsys.readouterr().err
+
 
 class TestParser:
     def test_missing_command_rejected(self):
