@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 import repro
+from repro.obs import manifest
 from repro.obs.manifest import build_manifest, code_version, config_hash
 
 
@@ -28,12 +31,59 @@ class TestConfigHash:
         int(digest, 16)  # hex-parsable
 
 
+COMMIT = "0123456789abcdef0123456789abcdef01234567"
+OTHER = "fedcba9876543210fedcba9876543210fedcba98"
+
+
+def fake_checkout(tmp_path, head, files=()):
+    """A ``.git`` holding ``HEAD`` and the given (path, text) files."""
+    git = tmp_path / ".git"
+    git.mkdir()
+    (git / "HEAD").write_text(head)
+    for rel, text in files:
+        (git / rel).parent.mkdir(parents=True, exist_ok=True)
+        (git / rel).write_text(text)
+    return tmp_path
+
+
 class TestCodeVersion:
+    """``code_version`` reads ``.git`` by hand; each layout is checked
+    on a fake checkout, so the suite passes outside a git checkout."""
+
     def test_includes_package_version(self):
         assert code_version().startswith(repro.__version__)
 
-    def test_includes_git_head_in_this_checkout(self):
-        assert "+g" in code_version()
+    @pytest.mark.parametrize(
+        "head, files",
+        [
+            pytest.param(
+                "ref: refs/heads/main\n",
+                [("refs/heads/main", COMMIT + "\n")],
+                id="ref-file",
+            ),
+            pytest.param(
+                "ref: refs/heads/main\n",
+                [
+                    (
+                        "packed-refs",
+                        "# pack-refs with: peeled fully-peeled sorted\n"
+                        f"{OTHER} refs/heads/other\n"
+                        f"{COMMIT} refs/heads/main\n",
+                    )
+                ],
+                id="packed-refs",
+            ),
+            pytest.param(COMMIT + "\n", [], id="detached-head"),
+        ],
+    )
+    def test_git_head_of_a_checkout(self, tmp_path, monkeypatch, head, files):
+        root = fake_checkout(tmp_path, head, files)
+        monkeypatch.setattr(manifest, "_repo_root", lambda: root)
+        assert code_version() == f"{repro.__version__}+g{COMMIT[:12]}"
+
+    def test_bare_version_outside_a_checkout(self, monkeypatch):
+        monkeypatch.setattr(manifest, "_repo_root", lambda: None)
+        assert code_version() == repro.__version__
 
 
 class TestBuildManifest:
