@@ -113,7 +113,8 @@ def save_result_csvs(name: str, result, out_dir: Path) -> int:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="Regenerate the paper's tables and figures."
+        prog="pccs experiment",
+        description="Regenerate the paper's tables and figures.",
     )
     parser.add_argument("names", nargs="*", help="experiments to run")
     parser.add_argument("--all", action="store_true", help="run everything")

@@ -61,6 +61,17 @@ class ArchContext:
             }
         return self._module_by_path.get(Path(path).as_posix())
 
+    def imports_for(self, path: str) -> Optional[Dict[str, str]]:
+        """The import table the dead-code index built for ``path``.
+
+        None when the run has no dead-code index (no contract) or did
+        not index the file under this path.
+        """
+        if self.deadcode is None:
+            return None
+        module = self.module_for_path(path)
+        return None if module is None else self.deadcode.imports.get(module)
+
     def contract_findings(self) -> Dict[str, List[Tuple[int, str]]]:
         """module -> (line, message) layering + cycle findings.
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, List, Optional
+from typing import TYPE_CHECKING, Callable, List, Mapping, Optional
 
 if TYPE_CHECKING:
     from repro.lint.arch import ArchContext
@@ -34,6 +34,12 @@ class FileContext:
 
     norm_path: str
     """Forward-slash path used for scope matching."""
+
+    imports: Mapping[str, str]
+    """The file's import table
+    (:func:`repro.lint.importgraph.collect_imports`), built once per
+    file: by the dead-code index when the run has one, else by the
+    engine. The rules that resolve names read it here."""
 
     arch: Optional["ArchContext"] = None
     """Module-graph context (:mod:`repro.lint.arch`).

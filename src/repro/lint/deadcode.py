@@ -36,6 +36,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from repro.lint.importgraph import (
     LayerContract,
     collect_imports,
+    is_package_path,
     module_name_for,
 )
 
@@ -95,6 +96,9 @@ class DeadCodeIndex:
         default_factory=dict
     )
     """module -> (line, message) per unresolvable lazy-export entry."""
+    imports: Dict[str, Dict[str, str]] = field(default_factory=dict)
+    """module -> its import table; the engine hands it to the
+    single-file rules, so each file's table is built once per run."""
 
     _reachable: Optional[Set[Ref]] = None
 
@@ -327,7 +331,8 @@ def _index_module(
     tree: ast.Module,
     known: Set[str],
 ) -> None:
-    imports = collect_imports(tree, module)
+    imports = collect_imports(tree, module, is_package_path(path))
+    index.imports[module] = imports
     own: Set[str] = set()
     for stmt in tree.body:
         if isinstance(stmt, _FUNCTION_NODES + (ast.ClassDef,)):
@@ -517,7 +522,9 @@ def _scan_external_roots(
                 )
             )
             module = module_name_for(str(file_path))
-            imports = collect_imports(tree, module)
+            imports = collect_imports(
+                tree, module, is_package_path(str(file_path))
+            )
             collector = _RefCollector(module, imports, set(), known)
             index.roots.update(collector.collect([tree]))
             for export in _all_export_strings(tree):

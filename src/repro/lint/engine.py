@@ -9,6 +9,11 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from repro.errors import LintError
 from repro.lint.arch import ArchContext, build_arch_context
 from repro.lint.cache import LintCache
+from repro.lint.importgraph import (
+    collect_imports,
+    is_package_path,
+    module_name_for,
+)
 from repro.lint.rules import (
     FileContext,
     Finding,
@@ -49,7 +54,6 @@ def lint_source(
     rules = resolve_rules(rule_ids)
     if arch is None and _needs_arch(rules):
         arch = build_arch_context([(path, source)])
-    ctx = FileContext(path=path, norm_path=Path(path).as_posix(), arch=arch)
     try:
         tree = ast.parse(source, filename=path)
     except SyntaxError as exc:
@@ -62,6 +66,17 @@ def lint_source(
                 message=f"file does not parse: {exc.msg}",
             )
         ]
+    imports = arch.imports_for(path) if arch is not None else None
+    if imports is None:
+        imports = collect_imports(
+            tree, module_name_for(path), is_package_path(path)
+        )
+    ctx = FileContext(
+        path=path,
+        norm_path=Path(path).as_posix(),
+        imports=imports,
+        arch=arch,
+    )
     suppressions = parse_suppressions(source)
     findings: List[Finding] = []
     for rule in rules:

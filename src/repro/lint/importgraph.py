@@ -60,12 +60,26 @@ def module_name_for(path: str) -> str:
     return stem
 
 
-def collect_imports(tree: ast.Module, module_name: str) -> Dict[str, str]:
+def is_package_path(path: str) -> bool:
+    """Whether :func:`module_name_for` names ``path`` after its package.
+
+    True for a package's ``__init__.py`` inside a ``repro`` tree, whose
+    relative imports resolve from the package itself.
+    """
+    candidate = Path(path)
+    return candidate.name == "__init__.py" and "repro" in candidate.parts
+
+
+def collect_imports(
+    tree: ast.Module, module_name: str, is_package: bool = False
+) -> Dict[str, str]:
     """Local name -> import target, collected module-wide.
 
     Targets are ``"module"`` for plain module imports and
     ``"module:attr"`` for from-imports. Imports inside function bodies
     are included: the perf/experiments layers import lazily on purpose.
+    ``is_package`` marks a package ``__init__`` (see
+    :func:`is_package_path`).
     """
     imports: Dict[str, str] = {}
     for node in ast.walk(tree):
@@ -76,7 +90,7 @@ def collect_imports(tree: ast.Module, module_name: str) -> Dict[str, str]:
                     alias.name if alias.asname else root
                 )
         elif isinstance(node, ast.ImportFrom):
-            base = _resolve_from_base(node, module_name)
+            base = _resolve_from_base(node, module_name, is_package)
             if base is None:
                 continue
             for alias in node.names:
@@ -206,14 +220,19 @@ def _is_type_checking_test(test: ast.expr) -> bool:
 
 
 def _resolve_from_base(
-    node: ast.ImportFrom, module_name: str
+    node: ast.ImportFrom, module_name: str, is_package: bool
 ) -> Optional[str]:
-    """Absolute dotted base of a from-import (resolving relativity)."""
+    """Absolute dotted base of a from-import (resolving relativity).
+
+    One level of ``from .`` is the package the importing module runs
+    in: the module itself for a package ``__init__``, its parent
+    otherwise.
+    """
     base = node.module or ""
     if not node.level:
         return base or None
     parts = module_name.split(".")
-    cut = len(parts) - node.level
+    cut = len(parts) - node.level + (1 if is_package else 0)
     if cut < 0:
         return None
     prefix = ".".join(parts[:cut])
@@ -232,7 +251,7 @@ def build_import_graph(
     dependency is really on the submodule then.
     """
     graph = ImportGraph()
-    trees: List[Tuple[str, ast.Module]] = []
+    trees: List[Tuple[str, ast.Module, bool]] = []
     for path, source in sources:
         name = module_name_for(path)
         if name in graph.modules:
@@ -242,11 +261,11 @@ def build_import_graph(
         except SyntaxError:
             continue  # the engine reports LINT000 for this file
         graph.modules[name] = path
-        trees.append((name, tree))
+        trees.append((name, tree, is_package_path(path)))
     known = set(graph.modules)
 
-    for name, tree in trees:
-        _collect_edges(graph, name, tree, known)
+    for name, tree, is_package in trees:
+        _collect_edges(graph, name, tree, is_package, known)
     graph.edges.sort()
     return graph
 
@@ -255,6 +274,7 @@ def _collect_edges(
     graph: ImportGraph,
     module_name: str,
     tree: ast.Module,
+    is_package: bool,
     known: Set[str],
 ) -> None:
     def visit(node: ast.AST, kind: str) -> None:
@@ -265,7 +285,7 @@ def _collect_edges(
                 )
             return
         if isinstance(node, ast.ImportFrom):
-            base = _resolve_from_base(node, module_name)
+            base = _resolve_from_base(node, module_name, is_package)
             if base is None:
                 return
             graph.edges.append(
@@ -767,6 +787,7 @@ __all__ = [
     "cycle_findings",
     "find_contract",
     "graph_fingerprint",
+    "is_package_path",
     "layering_violations",
     "load_contract",
     "module_name_for",

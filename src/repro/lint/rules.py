@@ -32,7 +32,7 @@ from repro.lint.callgraph import (
     direct_unpicklable,
     module_unpicklable_globals,
 )
-from repro.lint.importgraph import collect_imports, module_name_for
+from repro.lint.importgraph import module_name_for
 
 
 # ----------------------------------------------------------------------
@@ -441,7 +441,7 @@ def _check_raised_types(tree: ast.Module, ctx: FileContext) -> List[Finding]:
     if not raises:
         return []
     module = module_name_for(ctx.path)
-    imports = collect_imports(tree, module)
+    imports = ctx.imports
     local_classes = {cls.name: f"{module}.{cls.name}" for cls in classes}
     sanctioned: Set[str] = set()
 
@@ -550,7 +550,7 @@ _GLOBAL_RNG = (
 )
 
 
-def _import_origins(tree: ast.Module, ctx: FileContext) -> Dict[str, str]:
+def _import_origins(imports: Mapping[str, str]) -> Dict[str, str]:
     """Local names bound to the clock/RNG/entropy modules -> dotted origin.
 
     ``import numpy as np`` gives ``np -> numpy``; ``from numpy.random
@@ -558,7 +558,6 @@ def _import_origins(tree: ast.Module, ctx: FileContext) -> Dict[str, str]:
     imports count too, and shadowing is ignored (the conservative
     reading for a determinism lint).
     """
-    imports = collect_imports(tree, module_name_for(ctx.path))
     return {
         local: target.replace(":", ".")
         for local, target in imports.items()
@@ -622,7 +621,7 @@ def _check_nondeterminism(
     only for a value that provably never reaches a result, such as a
     log line.
     """
-    origins = _import_origins(tree, ctx)
+    origins = _import_origins(ctx.imports)
     if not origins:
         return []
     wallclock_exempt = any(

@@ -143,65 +143,56 @@ def time_per_gb(
     return base
 
 
-def _allocate_pair(
-    capacity: float,
-    guarantee_fraction: float,
-    cap: float,
-    t0: float,
-    t1: float,
-    w0: float,
-    w1: float,
-) -> Tuple[float, float]:
-    """:meth:`SharedMemorySystem._allocate` for two streams, on scalars.
+_Active = Tuple[
+    int, float, float, float, float, float, float, float, float, float
+]
 
-    Both streams have the cap ``cap``. The float operations are
-    ``_allocate``'s, in its order, so the grants are the same bits: a
-    two-term ``left_sum`` is written ``a + b`` and a one-term one is its
-    term, each ``done`` test reads ``remaining`` before any update,
-    updates run in index order, and each ``min``/``max`` is the
-    comparison that returns the built-in's operand.
+
+def _active_streams(streams: Sequence[StreamDemand]) -> List[_Active]:
+    """What the co-run evaluation reads of each active stream.
+
+    A stream is active when its demand exceeds ``_EPS_BW``. Its tuple
+    holds its index, its demand, the first two operands of
+    ``min(burst_bw, max_bw, pu_burst_bw(L))``, ``max_bw``, ``L_sat`` and
+    the sensitivity of the :meth:`SharedMemorySystem.pu_burst_bw` rule,
+    and the compute time, overlap, ``1 - overlap`` and exposure of the
+    :func:`time_per_gb` rule: all fixed for the call.
     """
-    floor_level = guarantee_fraction * capacity
-    f0 = floor_level if floor_level < t0 else t0
-    f1 = floor_level if floor_level < t1 else t1
-    total_floors = f0 + f1
-    if total_floors >= capacity:
-        scale = capacity / total_floors if total_floors > 0 else 0.0
-        return f0 * scale, f1 * scale
-    a0 = f0
-    a1 = f1
-    remaining = capacity - total_floors
-    s0 = w0 * (t0 - f0)
-    s1 = w1 * (t1 - f1)
-    capped = (cap if cap < t0 else t0, cap if cap < t1 else t1)
-    for l0, l1 in (capped, (t0, t1)):
-        h0 = l0 - a0 > _EPS_BW
-        h1 = l1 - a1 > _EPS_BW
-        while (h0 or h1) and remaining > _EPS_BW:
-            if h0 and h1:
-                total_w = s0 + s1
-            else:
-                total_w = s0 if h0 else s1
-            d0 = h0 and l0 - a0 <= remaining * s0 / total_w
-            d1 = h1 and l1 - a1 <= remaining * s1 / total_w
-            if d0 or d1:
-                if d0:
-                    remaining -= l0 - a0
-                    a0 = l0
-                    h0 = False
-                if d1:
-                    remaining -= l1 - a1
-                    a1 = l1
-                    h1 = False
-            else:
-                if h0:
-                    a0 += remaining * s0 / total_w
-                if h1:
-                    a1 += remaining * s1 / total_w
-                remaining = 0.0
-        if remaining <= _EPS_BW:
-            break
-    return a0, a1
+    return [
+        (
+            i,
+            s.demand,
+            min(s.burst_bw, s.max_bw),
+            s.max_bw,
+            s.mlp_lines * CACHELINE_BYTES / s.max_bw,
+            s.latency_sensitivity,
+            s.compute_time_per_gb,
+            s.overlap,
+            1.0 - s.overlap,
+            s.latency_exposure,
+        )
+        for i, s in enumerate(streams)
+        if s.demand > _EPS_BW
+    ]
+
+
+def _stream_grants(
+    streams: Sequence[StreamDemand],
+    grants: Sequence[float],
+    bursts: Sequence[float],
+    latency: float,
+) -> List[StreamGrant]:
+    """One :class:`StreamGrant` per stream, its grant capped at its demand."""
+    return [
+        StreamGrant(
+            name=s.name,
+            demand=s.demand,
+            granted=min(g, s.demand),
+            latency_ns=latency,
+            burst_bw=burst,
+        )
+        for s, g, burst in zip(streams, grants, bursts)
+    ]
 
 
 class SharedMemorySystem:
@@ -375,9 +366,10 @@ class SharedMemorySystem:
         order, floats are added left to right with
         :func:`repro.units.left_sum` (from Python 3.12 ``sum()``
         rounds differently), and each ``min``/``max`` is the comparison
-        that returns the operand the built-in would. Two streams, the pairwise
-        co-runs of every sweep, are allocated by :func:`_allocate_pair`
-        on scalars; any other count by :meth:`_allocate`.
+        that returns the operand the built-in would. Exactly two active
+        streams, the pairwise co-runs of every sweep, are solved on
+        scalars by :meth:`_resolve_pair`; any other count by
+        :meth:`_resolve_streams`. Both give the same bits.
 
         Raises :class:`SimulationError` for a stream the solver cannot
         handle: demand must be finite and >= 0; ``max_bw``,
@@ -404,32 +396,27 @@ class SharedMemorySystem:
                 raise SimulationError(
                     f"invalid stream demand for {s.name!r}: {s}"
                 )
+        active = _active_streams(streams)
+        if len(active) == 2:
+            return self._resolve_pair(streams, active)
+        return self._resolve_streams(streams, active)
+
+    def _resolve_streams(
+        self, streams: Sequence[StreamDemand], active: Sequence[_Active]
+    ) -> List[StreamGrant]:
+        """The fixed point of :meth:`resolve` for any number of streams.
+
+        ``active`` is :func:`_active_streams` of ``streams``. Each
+        iteration evaluates the active streams in one loop and
+        allocates with :meth:`_allocate`. :meth:`resolve` runs this for
+        one active stream and for three or more.
+        """
         b = self.behavior
         n = len(streams)
         capacity = self.effective_bw(streams)
-        # Per active stream, what the evaluation reads, fixed for the
-        # call: L_sat of the pu_burst_bw rule and the first two operands
-        # of min(burst_bw, max_bw, pu_burst_bw(L)).
-        active = [
-            (
-                i,
-                s.demand,
-                min(s.burst_bw, s.max_bw),
-                s.max_bw,
-                s.mlp_lines * CACHELINE_BYTES / s.max_bw,
-                s.latency_sensitivity,
-                s.compute_time_per_gb,
-                s.overlap,
-                1.0 - s.overlap,
-                s.latency_exposure,
-            )
-            for i, s in enumerate(streams)
-            if s.demand > _EPS_BW
-        ]
         cap = b.cap_fraction * capacity if len(active) > 1 else math.inf
         caps = [cap] * n
         weights = [s.arbitration_weight for s in streams]
-        guarantee = b.guarantee_fraction
         base_latency = b.base_latency_ns
         queue_factor = b.queue_factor
         queue_saturation = b.queue_saturation
@@ -470,15 +457,8 @@ class SharedMemorySystem:
                 rate = 1.0 / t
                 targets[i] = demand if demand < rate else rate
                 bursts[i] = burst
-            if n == 2:
-                grants = _allocate_pair(
-                    capacity, guarantee, cap,
-                    targets[0], targets[1], weights[0], weights[1],
-                )
-                total = grants[0] + grants[1]
-            else:
-                grants = self._allocate(capacity, targets, caps, weights)
-                total = left_sum(grants)
+            grants = self._allocate(capacity, targets, caps, weights)
+            total = left_sum(grants)
             rho = total / capacity if capacity > 0 else 1.0
             # The loaded_latency_ns rule, its clamp to [0, max_utilization]
             # inlined.
@@ -488,13 +468,174 @@ class SharedMemorySystem:
                 1.0 + queue_factor * rho / (1.0 - queue_saturation * rho)
             )
             latency = _DAMPING * latency + (1.0 - _DAMPING) * new_latency
-        return [
-            StreamGrant(
-                name=s.name,
-                demand=s.demand,
-                granted=min(g, s.demand),
-                latency_ns=latency,
-                burst_bw=burst,
+        return _stream_grants(streams, grants, bursts, latency)
+
+    def _resolve_pair(
+        self, streams: Sequence[StreamDemand], active: Sequence[_Active]
+    ) -> List[StreamGrant]:
+        """:meth:`_resolve_streams` for exactly two active streams.
+
+        One loop runs the iterations on scalars: both stream evaluations
+        are written out, and so is :meth:`_allocate`'s water-fill, so an
+        iteration builds no list and makes no call. The float operations
+        are the generic loop's, in its order, so the grants, bursts and
+        latency are the same bits:
+
+        - while the MLP limit does not bind, a stream's evaluation reads
+          terms that do not depend on L: the floored burst at ``top``,
+          its ``t_mem`` and ``t_sum``, the base time and ``t_cmp /
+          t_sum``. They are computed once per call;
+        - a stream with ``latency_sensitivity == 0`` is never MLP-limited,
+          so its limit starts at an infinite L;
+        - L never falls below ``base_latency_ns > 0``, so the exposure
+          term needs no ``latency > 0`` test;
+        - in the allocation, a two-term ``left_sum`` is written ``a +
+          b`` and a one-term one is its term, each ``done`` test reads
+          ``remaining`` before any update, and the updates run in index
+          order;
+        - each ``min``/``max`` is the comparison that returns the
+          built-in's operand.
+        """
+        b = self.behavior
+        capacity = self.effective_bw(streams)
+        cap = b.cap_fraction * capacity
+        floor_level = b.guarantee_fraction * capacity
+        base_latency = b.base_latency_ns
+        queue_factor = b.queue_factor
+        queue_saturation = b.queue_saturation
+        max_utilization = b.max_utilization
+        eps = _EPS_BW
+        lines_per_gb = _LINES_PER_GB
+        (
+            (
+                i0, demand0, top0, max_bw0, l_sat0, sensitivity0,
+                t_cmp0, overlap0, serial0, exposure0,
+            ),
+            (
+                i1, demand1, top1, max_bw1, l_sat1, sensitivity1,
+                t_cmp1, overlap1, serial1, exposure1,
+            ),
+        ) = active
+        w0 = streams[i0].arbitration_weight
+        w1 = streams[i1].arbitration_weight
+        limit_from0 = l_sat0 if sensitivity0 != 0 else math.inf
+        limit_from1 = l_sat1 if sensitivity1 != 0 else math.inf
+        # Each stream's evaluation while the MLP limit does not bind.
+        top_burst0 = eps if eps > top0 else top0
+        t_mem = 1.0 / top_burst0
+        top_sum0 = t_cmp0 + t_mem
+        top_time0 = serial0 * top_sum0 + overlap0 * (
+            t_mem if t_mem > t_cmp0 else t_cmp0
+        )
+        top_weight0 = t_cmp0 / top_sum0
+        top_burst1 = eps if eps > top1 else top1
+        t_mem = 1.0 / top_burst1
+        top_sum1 = t_cmp1 + t_mem
+        top_time1 = serial1 * top_sum1 + overlap1 * (
+            t_mem if t_mem > t_cmp1 else t_cmp1
+        )
+        top_weight1 = t_cmp1 / top_sum1
+
+        latency = base_latency
+        burst0 = top_burst0
+        burst1 = top_burst1
+        a0 = a1 = 0.0
+        for _ in range(_FIXED_POINT_ITERS):
+            # Stream 0: pu_burst_bw, the min and floor, time_per_gb.
+            burst0 = top_burst0
+            t = top_time0
+            weight = top_weight0
+            if latency > limit_from0:
+                limited = max_bw0 * (l_sat0 / latency) ** sensitivity0
+                if limited < top0:
+                    burst0 = eps if eps > limited else limited
+                    t_mem = 1.0 / burst0
+                    t_sum = t_cmp0 + t_mem
+                    t = serial0 * t_sum + overlap0 * (
+                        t_mem if t_mem > t_cmp0 else t_cmp0
+                    )
+                    weight = t_cmp0 / t_sum
+            if exposure0 > 0:
+                t += exposure0 * latency * 1e-9 * lines_per_gb * weight
+            rate = 1.0 / t
+            t0 = demand0 if demand0 < rate else rate
+            # Stream 1, the same.
+            burst1 = top_burst1
+            t = top_time1
+            weight = top_weight1
+            if latency > limit_from1:
+                limited = max_bw1 * (l_sat1 / latency) ** sensitivity1
+                if limited < top1:
+                    burst1 = eps if eps > limited else limited
+                    t_mem = 1.0 / burst1
+                    t_sum = t_cmp1 + t_mem
+                    t = serial1 * t_sum + overlap1 * (
+                        t_mem if t_mem > t_cmp1 else t_cmp1
+                    )
+                    weight = t_cmp1 / t_sum
+            if exposure1 > 0:
+                t += exposure1 * latency * 1e-9 * lines_per_gb * weight
+            rate = 1.0 / t
+            t1 = demand1 if demand1 < rate else rate
+            # _allocate on (t0, t1): guarantee floors, then the capped
+            # fill and, with capacity left, the caps-released one.
+            f0 = floor_level if floor_level < t0 else t0
+            f1 = floor_level if floor_level < t1 else t1
+            floors = f0 + f1
+            if floors >= capacity:
+                scale = capacity / floors if floors > 0 else 0.0
+                a0 = f0 * scale
+                a1 = f1 * scale
+            else:
+                a0 = f0
+                a1 = f1
+                remaining = capacity - floors
+                s0 = w0 * (t0 - f0)
+                s1 = w1 * (t1 - f1)
+                l0 = cap if cap < t0 else t0
+                l1 = cap if cap < t1 else t1
+                for _fill in (0, 1):
+                    h0 = l0 - a0 > eps
+                    h1 = l1 - a1 > eps
+                    while (h0 or h1) and remaining > eps:
+                        if h0 and h1:
+                            total_w = s0 + s1
+                        else:
+                            total_w = s0 if h0 else s1
+                        d0 = h0 and l0 - a0 <= remaining * s0 / total_w
+                        d1 = h1 and l1 - a1 <= remaining * s1 / total_w
+                        if d0 or d1:
+                            if d0:
+                                remaining -= l0 - a0
+                                a0 = l0
+                                h0 = False
+                            if d1:
+                                remaining -= l1 - a1
+                                a1 = l1
+                                h1 = False
+                        else:
+                            if h0:
+                                a0 += remaining * s0 / total_w
+                            if h1:
+                                a1 += remaining * s1 / total_w
+                            remaining = 0.0
+                    if remaining <= eps:
+                        break
+                    l0 = t0
+                    l1 = t1
+            # rho and the loaded_latency_ns rule, as in the generic loop.
+            rho = (a0 + a1) / capacity if capacity > 0 else 1.0
+            rho = rho if rho < max_utilization else max_utilization
+            rho = rho if rho > 0.0 else 0.0
+            new_latency = base_latency * (
+                1.0 + queue_factor * rho / (1.0 - queue_saturation * rho)
             )
-            for s, g, burst in zip(streams, grants, bursts)
-        ]
+            latency = _DAMPING * latency + (1.0 - _DAMPING) * new_latency
+        grants = [0.0] * len(streams)
+        bursts = [s.burst_bw for s in streams]
+        grants[i0] = a0
+        grants[i1] = a1
+        bursts[i0] = burst0
+        bursts[i1] = burst1
+        return _stream_grants(streams, grants, bursts, latency)
+

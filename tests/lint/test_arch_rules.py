@@ -423,6 +423,57 @@ class TestLint019ExceptionFlow:
         assert source_findings(src) == []
 
 
+class TestSharedImportTables:
+    """LINT007, LINT011 and the dead-code index resolve names through
+    one import table per file, built once per lint run."""
+
+    FILES = {
+        "src/repro/soc/__init__.py": "from . import a\n",
+        "src/repro/soc/a.py": """\
+            import random
+            from json import JSONDecodeError
+
+
+            def f():
+                if random.random() > 2:
+                    raise JSONDecodeError("x", "", 0)
+            """,
+        "src/repro/cli.py": """\
+            from repro.soc import a
+
+
+            def main():
+                return a.f()
+            """,
+    }
+
+    @pytest.mark.parametrize(
+        "rules", [None, ["LINT007", "LINT011"]], ids=["all", "single-file"]
+    )
+    def test_each_table_is_built_once(self, tmp_path, monkeypatch, rules):
+        from repro.lint import deadcode, engine, importgraph, rules as checks
+
+        built = []
+        original = importgraph.collect_imports
+
+        def counting(tree, name, is_package=False):
+            built.append(name)
+            return original(tree, name, is_package)
+
+        for module in (engine, deadcode, checks):
+            monkeypatch.setattr(
+                module, "collect_imports", counting, raising=False
+            )
+        write_tree(tmp_path, self.FILES)
+        findings = lint_tree(tmp_path, rules)
+        assert sorted(built) == ["repro.cli", "repro.soc", "repro.soc.a"]
+        # Both rules still resolve names through the shared table.
+        assert [(f.rule, Path(f.file).name, f.line) for f in findings] == [
+            ("LINT011", "a.py", 6),
+            ("LINT007", "a.py", 7),
+        ]
+
+
 class TestAcceptance:
     """The repo's own layer contract is load-bearing, edge by edge."""
 

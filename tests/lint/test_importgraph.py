@@ -14,6 +14,7 @@ from repro.lint.importgraph import (
     collect_imports,
     cycle_findings,
     find_contract,
+    is_package_path,
     layering_violations,
     load_contract,
     module_name_for,
@@ -62,6 +63,11 @@ class TestModuleNaming:
     def test_fixture_paths_use_the_stem(self):
         assert module_name_for("/tmp/xyz/helper.py") == "helper"
 
+    def test_only_a_repro_init_is_named_as_a_package(self):
+        assert is_package_path("src/repro/obs/__init__.py")
+        assert not is_package_path("src/repro/obs/runtime.py")
+        assert not is_package_path("/tmp/xyz/__init__.py")
+
 
 class TestCollectImports:
     def test_plain_aliased_and_from_imports(self):
@@ -88,6 +94,19 @@ class TestCollectImports:
         imports = collect_imports(tree, "repro.soc.engine")
         assert imports["spec"] == "repro.soc:spec"
         assert imports["soc"] == "repro.soc.configs:soc"
+
+    def test_relative_import_in_a_package_init_starts_at_the_package(self):
+        import ast
+
+        tree = ast.parse("from . import runtime\nfrom .. import errors\n")
+        assert collect_imports(tree, "repro.obs", is_package=True) == {
+            "runtime": "repro.obs:runtime",
+            "errors": "repro:errors",
+        }
+        # The same lines in a plain module repro/obs.py.
+        assert collect_imports(tree, "repro.obs") == {
+            "runtime": "repro:runtime",
+        }
 
 
 class TestEdgeKinds:
@@ -139,6 +158,15 @@ class TestEdgeKinds:
             ("src/repro/soc/a.py", "from . import b\n"),
         )
         assert ("repro.soc.a", "repro.soc.b", "top") in edge_set(graph)
+
+    def test_relative_import_in_a_package_init_targets_its_submodule(self):
+        graph = graph_of(
+            ("src/repro/obs/__init__.py", "from . import runtime\n"),
+            ("src/repro/obs/runtime.py", "X = 1\n"),
+        )
+        edges = edge_set(graph)
+        assert ("repro.obs", "repro.obs.runtime", "top") in edges
+        assert ("repro.obs", "repro", "top") not in edges
 
     def test_syntax_error_file_is_skipped(self):
         graph = graph_of(("src/repro/soc/a.py", "def broken(:\n"))

@@ -12,7 +12,7 @@ from repro.soc.memsys import (
     _EPS_BW,
     SharedMemorySystem,
     StreamDemand,
-    _allocate_pair,
+    _active_streams,
     time_per_gb,
 )
 from repro.soc.spec import MCBehavior
@@ -194,24 +194,40 @@ def allocations(draw, sizes=st.integers(1, 4)):
 ALLOCATION = settings(max_examples=400, derandomize=True, deadline=None)
 
 
+def flat_stream(demand, name, weight):
+    """A stream whose target is its demand at every L: no compute time,
+    latency exposure or latency sensitivity, and a burst bandwidth far
+    above the demand."""
+    return StreamDemand(
+        name=name,
+        demand=demand,
+        compute_time_per_gb=0.0,
+        burst_bw=1e4,
+        overlap=1.0,
+        mlp_lines=100.0,
+        max_bw=1e4,
+        latency_sensitivity=0.0,
+        latency_exposure=0.0,
+        arbitration_weight=weight,
+    )
+
+
+def generic_resolve(mem, streams):
+    """``resolve`` through the loop it runs for any count but two."""
+    return mem._resolve_streams(streams, _active_streams(streams))
+
+
 class TestAllocation:
     @ALLOCATION
     @given(allocations())
     def test_fairness_invariants(self, case):
-        """The allocation ``resolve`` runs (the pair function for two
-        targets, ``_allocate`` otherwise) keeps grants within targets
-        and capacity, meets guarantee floors when they fit, and hands a
-        saturated bus out in full."""
+        """``_allocate`` keeps grants within targets and capacity, meets
+        guarantee floors when they fit, and hands a saturated bus out in
+        full. ``resolve``'s pair loop allocates the same bits (below)."""
         behavior, capacity, targets, cap, weights = case
         n = len(targets)
-        if n == 2:
-            grants = _allocate_pair(
-                capacity, behavior.guarantee_fraction, cap,
-                *targets, *weights,
-            )
-        else:
-            mem = SharedMemorySystem(PEAK, behavior)
-            grants = mem._allocate(capacity, targets, [cap] * n, weights)
+        mem = SharedMemorySystem(PEAK, behavior)
+        grants = mem._allocate(capacity, targets, [cap] * n, weights)
         assert len(grants) == n
         for g, t in zip(grants, targets):
             assert 0.0 <= g <= t
@@ -225,7 +241,11 @@ class TestAllocation:
             assert sum(grants) >= capacity - n * _EPS_BW
 
     @ALLOCATION
-    @given(allocations(sizes=st.just(2)))
+    @given(
+        allocations(sizes=st.just(2)).filter(
+            lambda case: min(case[2]) > _EPS_BW
+        )
+    )
     # Both streams finish in the capped fill and the capped one then
     # takes the rest, so its grant shows the order of the two updates
     # of ``remaining``.
@@ -238,17 +258,32 @@ class TestAllocation:
         MCBehavior(guarantee_fraction=0.6, cap_fraction=0.8),
         50.0, [40.0, 45.0], 0.8 * 50.0, [1.0, 1.0],
     ))
-    def test_pair_function_is_allocate_bit_for_bit(self, case):
-        """For two targets the scalar allocation returns ``_allocate``'s
-        bits."""
-        behavior, capacity, targets, cap, weights = case
-        mem = SharedMemorySystem(PEAK, behavior)
-        assert list(
-            _allocate_pair(
-                capacity, behavior.guarantee_fraction, cap,
-                *targets, *weights,
-            )
-        ) == mem._allocate(capacity, targets, [cap, cap], weights)
+    def test_pair_loop_is_generic_loop_bit_for_bit(self, case):
+        """Two active streams: ``resolve``'s pair loop returns the
+        generic loop's bits. The streams' targets are their demands at
+        every L and the effective bandwidth is the peak, so every
+        iteration allocates the drawn case with the cap ``resolve`` sets
+        for two streams, and the grants are ``_allocate``'s."""
+        behavior, capacity, targets, _, weights = case
+        mem = SharedMemorySystem(
+            capacity,
+            replace(
+                behavior,
+                single_stream_efficiency=1.0,
+                multi_stream_efficiency=1.0,
+            ),
+        )
+        streams = [
+            flat_stream(t, f"s{i}", w)
+            for i, (t, w) in enumerate(zip(targets, weights))
+        ]
+        got = mem.resolve(streams)
+        assert got == generic_resolve(mem, streams)
+        cap = behavior.cap_fraction * capacity
+        allocated = mem._allocate(capacity, targets, [cap, cap], weights)
+        assert [g.granted for g in got] == [
+            min(a, t) for a, t in zip(allocated, targets)
+        ]
 
 
 class TestResolve:

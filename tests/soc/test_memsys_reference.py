@@ -2,20 +2,23 @@
 
 To save interpreter work, ``SharedMemorySystem.resolve`` inlines the
 documented rules (``pu_burst_bw``, ``time_per_gb``,
-``loaded_latency_ns``) and allocates two streams with ``_allocate_pair``
-on scalars, any other count with ``_allocate``; ``profile_phase``
-inlines all three rules in its loop too (``loaded_latency_ns`` read from
-``mem.behavior``, ``pu_burst_bw`` with the three-way ``min``,
-``time_per_gb`` with its error and exposure term), calling
-``time_per_gb`` only for its starting rate. The inlined code must
-return the same bits, so each result is compared with ``==`` against
-the verbatim earlier code in ``reference_memsys.py``: ``StreamGrant`` and
-``PhaseProfile`` equality is exact float equality on every field. The
-drawn stream sets reach every branch of ``_allocate_pair`` but the
-``else`` arm of its ``total_floors > 0`` guard, which needs a capacity
-<= 0. They reach its floors-exceed-capacity scale only at a guarantee
-fraction of 0.5, where the scale is 1; ``TestAllocation`` in
-``test_memsys.py`` checks that scale.
+``loaded_latency_ns``). Exactly two active streams run the pair loop,
+``_resolve_pair``, which also writes out ``_allocate``'s water-fill on
+scalars and computes each stream's L-independent terms once per call;
+any other count runs ``_resolve_streams``, which calls ``_allocate``.
+``profile_phase`` inlines all three rules in its loop too
+(``loaded_latency_ns`` read from ``mem.behavior``, ``pu_burst_bw`` with
+the three-way ``min``, ``time_per_gb`` with its error and exposure
+term), calling ``time_per_gb`` only for its starting rate. The inlined
+code must return the same bits, so each result is compared with ``==``
+against the verbatim earlier code in ``reference_memsys.py``:
+``StreamGrant`` and ``PhaseProfile`` equality is exact float equality
+on every field. The drawn stream sets run every statement of the pair
+loop and take each of its ``if`` and ``while`` tests both ways; the
+``else`` arm of its ``floors > 0`` guard needs a capacity <= 0, which
+``resolve`` never passes. They reach its floors-exceed-capacity scale
+only where the scale is 1; ``TestAllocation`` in ``test_memsys.py``
+checks that scale, and the order of the two ``remaining`` updates.
 
 ``profile_phase`` also leaves its 40-iteration loop once an iteration
 gives (burst, rate) back bit for bit; the copy runs all 40.

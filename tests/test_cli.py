@@ -84,6 +84,19 @@ class TestExperimentSubcommand:
         assert exc.value.code == 0
         assert "--csv" in capsys.readouterr().out
 
+    def test_usage_names_the_subcommand(self, capsys):
+        """Help and usage errors name ``pccs experiment``, whatever
+        script started the process."""
+        with pytest.raises(SystemExit):
+            main(["experiment", "--help"])
+        assert capsys.readouterr().out.startswith("usage: pccs experiment ")
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", "fig2", "--jobs", "x"])
+        assert exc.value.code == 2
+        assert "pccs experiment: error: argument --jobs" in (
+            capsys.readouterr().err
+        )
+
     def test_other_commands_reject_unknown_flags(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["platforms", "--csv"])
