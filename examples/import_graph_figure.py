@@ -23,6 +23,7 @@ from repro.lint.importgraph import (
     find_contract,
     layering_violations,
     load_contract,
+    parse_modules,
     to_dot,
 )
 
@@ -33,7 +34,7 @@ def main() -> None:
     sources = [
         (str(path), path.read_text(encoding="utf-8")) for path in files
     ]
-    graph = build_import_graph(sources)
+    graph = build_import_graph(parse_modules(sources))
 
     contract_path = find_contract(package_root)
     if contract_path is None:

@@ -271,6 +271,7 @@ def _cmd_graph(args) -> int:
         build_import_graph,
         find_contract,
         load_contract,
+        parse_modules,
         to_dot,
         to_json_payload,
     )
@@ -286,7 +287,7 @@ def _cmd_graph(args) -> int:
             contract_path = find_contract(files[0].resolve().parent)
             if contract_path is not None:
                 contract = load_contract(contract_path)
-        graph = build_import_graph(sources)
+        graph = build_import_graph(parse_modules(sources))
     except (LintError, OSError) as exc:
         print(f"pccs graph: error: {exc}", file=sys.stderr)
         return 2

@@ -22,8 +22,9 @@ the helper's cached findings.
 
 from __future__ import annotations
 
+import ast
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -37,6 +38,7 @@ from repro.lint.importgraph import (
     graph_fingerprint,
     layering_violations,
     load_contract,
+    parse_modules,
 )
 
 
@@ -49,6 +51,9 @@ class ArchContext:
     contract_path: Optional[Path]
     deadcode: Optional[DeadCodeIndex]
     fingerprint: str
+    #: Each linted module's tree, by module name: the one parse of the
+    #: file that the graph, the dead-code index and the rules share.
+    trees: Dict[str, ast.Module] = field(default_factory=dict)
     _module_by_path: Optional[Dict[str, str]] = None
     _contract_findings: Optional[Dict[str, List[Tuple[int, str]]]] = None
 
@@ -60,6 +65,12 @@ class ArchContext:
                 for name, module_path in self.graph.modules.items()
             }
         return self._module_by_path.get(Path(path).as_posix())
+
+    def tree_for(self, path: str) -> Optional[ast.Module]:
+        """The tree the run parsed for ``path``; None when it did not
+        parse the file under this path (or the file does not parse)."""
+        module = self.module_for_path(path)
+        return None if module is None else self.trees.get(module)
 
     def imports_for(self, path: str) -> Optional[Dict[str, str]]:
         """The import table the dead-code index built for ``path``.
@@ -110,7 +121,8 @@ def build_arch_context(
     in-memory sources only (``lint_source``) finds no declarations and
     the declaration-driven rules stay silent.
     """
-    graph = build_import_graph(sources)
+    modules = parse_modules(sources)
+    graph = build_import_graph(modules)
     start = _discovery_start(sources)
 
     contract: Optional[LayerContract] = None
@@ -122,7 +134,7 @@ def build_arch_context(
 
     deadcode: Optional[DeadCodeIndex] = None
     if contract is not None:
-        deadcode = build_deadcode_index(sources, contract, contract_path)
+        deadcode = build_deadcode_index(modules, contract, contract_path)
 
     digest = hashlib.sha256()
     digest.update(graph_fingerprint(sources).encode("utf-8"))
@@ -141,6 +153,7 @@ def build_arch_context(
         contract_path=contract_path,
         deadcode=deadcode,
         fingerprint=digest.hexdigest(),
+        trees={module.name: module.tree for module in modules},
     )
 
 

@@ -35,6 +35,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.lint.importgraph import (
     LayerContract,
+    ParsedModule,
     collect_imports,
     is_package_path,
     module_name_for,
@@ -287,28 +288,16 @@ def _all_export_strings(tree: ast.Module) -> List[str]:
 # Index construction
 # ----------------------------------------------------------------------
 def build_deadcode_index(
-    sources: Sequence[Tuple[str, str]],
+    modules: Sequence[ParsedModule],
     contract: Optional[LayerContract],
     contract_path: Optional[Path],
 ) -> DeadCodeIndex:
     index = DeadCodeIndex()
-    parsed: List[Tuple[str, str, ast.Module]] = []
-    seen: Set[str] = set()
-    for path, source in sources:
-        name = module_name_for(path)
-        if name in seen:
-            continue
-        try:
-            tree = ast.parse(source, filename=path)
-        except SyntaxError:
-            continue
-        seen.add(name)
-        parsed.append((name, path, tree))
-    known = {name for name, _, _ in parsed}
+    known = {module.name for module in modules}
 
-    for name, path, tree in parsed:
+    for name, path, tree in modules:
         _index_module(index, name, path, tree, known)
-    for name, path, tree in parsed:
+    for name, path, tree in modules:
         if Path(path).name == "__init__.py":
             _root_lazy_exports(index, name, tree, known)
 

@@ -11,10 +11,14 @@ result, so a test can execute it twice in subprocesses under different
 
 Scenarios:
 
-- ``soc`` — a Xavier AGX co-run (a two-phase GPU victim under looping
-  CPU pressure) through :class:`repro.soc.engine.CoRunEngine`, timeline
-  included: the victim changes phase and the pressure kernel loops
-  before the victim finishes;
+- ``soc`` — three Xavier AGX co-runs through
+  :class:`repro.soc.engine.CoRunEngine`, timelines included: a two-phase
+  GPU victim under looping CPU pressure, placed first and then second,
+  which take the engine's two-placement loop (it writes out the
+  branches of each of its two slots), and the same victim under looping
+  CPU and DLA pressure, which takes the general loop. In each the
+  victim changes phase and the CPU kernel loops before the victim
+  finishes;
 - ``dram`` — a 2-core DRAM simulation through
   :class:`repro.dram.system.CMPSystem` with the SMS scheduler (the
   policy whose tie-break once depended on set order), about 25 µs long:
@@ -42,7 +46,7 @@ SCENARIOS = ("soc", "dram")
 
 
 def soc_scenario() -> Dict[str, Any]:
-    """Small Xavier AGX co-run; returns a JSON-ready dict."""
+    """Three small Xavier AGX co-runs; returns a JSON-ready dict."""
     from repro.soc.configs import soc_by_name
     from repro.soc.engine import CoRunEngine
     from repro.workloads.kernel import KernelSpec, Phase, single_phase_kernel
@@ -56,15 +60,30 @@ def soc_scenario() -> Dict[str, Any]:
         ),
     )
     pressure = single_phase_kernel("det-pressure", 0.5, traffic_gb=0.1)
+    dla_pressure = single_phase_kernel("det-dla", 8.0, traffic_gb=0.2)
     result = engine.corun(
         {"gpu": victim, "cpu": pressure},
         looping=("cpu",),
         until="first",
         record_timeline=True,
     )
+    pressure_first = engine.corun(
+        {"cpu": pressure, "gpu": victim},
+        looping=("cpu",),
+        until="first",
+        record_timeline=True,
+    )
+    three_pu = engine.corun(
+        {"gpu": victim, "cpu": pressure, "dla": dla_pressure},
+        looping=("cpu", "dla"),
+        until="first",
+        record_timeline=True,
+    )
     return {
         "scenario": "soc",
         "result": dataclasses.asdict(result),
+        "pressure_first": dataclasses.asdict(pressure_first),
+        "three_pu": dataclasses.asdict(three_pu),
         "resolve_calls": engine.resolve_stats.calls,
     }
 

@@ -49,23 +49,26 @@ def lint_source(
     a single-module view is built from this source alone — the rules
     still run, they just cannot see other modules, and declaration
     discovery starts from ``path`` (an in-memory path discovers
-    nothing).
+    nothing). A supplied ``arch`` is the run's, built over sources that
+    include this one: the file's tree and import table come from it.
     """
     rules = resolve_rules(rule_ids)
     if arch is None and _needs_arch(rules):
         arch = build_arch_context([(path, source)])
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError as exc:
-        return [
-            Finding(
-                file=path,
-                line=exc.lineno or 1,
-                col=(exc.offset or 1) - 1,
-                rule=PARSE_RULE_ID,
-                message=f"file does not parse: {exc.msg}",
-            )
-        ]
+    tree = arch.tree_for(path) if arch is not None else None
+    if tree is None:
+        try:
+            tree = ast.parse(source, filename=path)
+        except SyntaxError as exc:
+            return [
+                Finding(
+                    file=path,
+                    line=exc.lineno or 1,
+                    col=(exc.offset or 1) - 1,
+                    rule=PARSE_RULE_ID,
+                    message=f"file does not parse: {exc.msg}",
+                )
+            ]
     imports = arch.imports_for(path) if arch is not None else None
     if imports is None:
         imports = collect_imports(

@@ -30,7 +30,7 @@ import ast
 import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.errors import LintError
 
@@ -241,31 +241,56 @@ def _resolve_from_base(
     return base or prefix or None
 
 
-def build_import_graph(
+class ParsedModule(NamedTuple):
+    """One linted module: its dotted name, its file and its tree."""
+
+    name: str
+    path: str
+    tree: ast.Module
+
+
+def parse_modules(
     sources: Sequence[Tuple[str, str]]
-) -> ImportGraph:
-    """Parse ``(path, source)`` pairs into an :class:`ImportGraph`.
+) -> List[ParsedModule]:
+    """Parse ``(path, source)`` pairs, each once, in order.
+
+    A module name keeps the first of its sources that parses. A file
+    that does not parse is left out; the engine reports LINT000 for it.
+    The import graph, the dead-code index and the rules all read these
+    trees, so a lint run parses each file once.
+    """
+    modules: List[ParsedModule] = []
+    seen: Set[str] = set()
+    for path, source in sources:
+        name = module_name_for(path)
+        if name in seen:
+            continue
+        try:
+            tree = ast.parse(source, filename=path)
+        except SyntaxError:
+            continue
+        seen.add(name)
+        modules.append(ParsedModule(name, path, tree))
+    return modules
+
+
+def build_import_graph(modules: Sequence[ParsedModule]) -> ImportGraph:
+    """The :class:`ImportGraph` over :func:`parse_modules`' modules.
 
     ``from pkg import name`` records an edge to ``pkg`` and, when
     ``pkg.name`` is itself a linted module, a second edge to it — the
     dependency is really on the submodule then.
     """
     graph = ImportGraph()
-    trees: List[Tuple[str, ast.Module, bool]] = []
-    for path, source in sources:
-        name = module_name_for(path)
-        if name in graph.modules:
-            continue
-        try:
-            tree = ast.parse(source, filename=path)
-        except SyntaxError:
-            continue  # the engine reports LINT000 for this file
-        graph.modules[name] = path
-        trees.append((name, tree, is_package_path(path)))
+    for module in modules:
+        graph.modules[module.name] = module.path
     known = set(graph.modules)
 
-    for name, tree, is_package in trees:
-        _collect_edges(graph, name, tree, is_package, known)
+    for module in modules:
+        _collect_edges(
+            graph, module.name, module.tree, is_package_path(module.path),
+            known,
+        )
     graph.edges.sort()
     return graph
 
@@ -782,6 +807,7 @@ __all__ = [
     "ImportEdge",
     "ImportGraph",
     "LayerContract",
+    "ParsedModule",
     "build_import_graph",
     "collect_imports",
     "cycle_findings",
@@ -792,6 +818,7 @@ __all__ = [
     "load_contract",
     "module_name_for",
     "package_edges",
+    "parse_modules",
     "parse_toml_subset",
     "to_dot",
     "to_json_payload",

@@ -11,7 +11,7 @@ validated against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Set, Tuple
 
 from repro.errors import SimulationError
 from repro.obs import runtime as obs_runtime
@@ -142,6 +142,38 @@ class CoRunResult:
 
     def relative_speed(self, pu_name: str) -> float:
         return self.outcome(pu_name).relative_speed
+
+
+def _outcome(
+    name: str,
+    profile: StandaloneProfile,
+    phase: int,
+    bytes_left: float,
+    bytes_done: float,
+    loops_done: int,
+    finished_at: Optional[float],
+    now: float,
+) -> PUOutcome:
+    """The outcome of one placement whose co-run stopped at ``now``."""
+    elapsed = finished_at if finished_at is not None else now
+    elapsed = elapsed if elapsed and elapsed > 0 else now
+    achieved = bytes_done / 1e9 / elapsed if elapsed > 0 else 0.0
+    # The standalone time equivalent of the work done.
+    done = loops_done * profile.total_seconds
+    for before in profile.phases[:phase]:
+        done += before.seconds
+    current = profile.phases[phase]
+    fraction = 1.0 - bytes_left / current.traffic_bytes
+    return PUOutcome(
+        pu_name=name,
+        kernel_name=profile.kernel_name,
+        finished=finished_at is not None,
+        elapsed=elapsed,
+        standalone_seconds=profile.total_seconds,
+        standalone_seconds_done=done + fraction * current.seconds,
+        avg_achieved_bw=achieved,
+        avg_demand=profile.avg_demand,
+    )
 
 
 class CoRunEngine:
@@ -332,56 +364,23 @@ class CoRunEngine:
     # ------------------------------------------------------------------
     # Co-run
     # ------------------------------------------------------------------
-    def corun(
+    def _corun_any(
         self,
-        placements: Mapping[str, KernelSpec],
-        looping: Iterable[str] = (),
-        until: str = "first",
-        max_seconds: float = 3600.0,
-        record_timeline: bool = False,
+        order: List[str],
+        entries: List[_Placement],
+        loop_set: Set[str],
+        until: str,
+        max_seconds: float,
+        record_timeline: bool,
     ) -> CoRunResult:
-        """Simulate kernels co-running on their assigned PUs.
+        """:meth:`corun` of any number of placements.
 
-        Parameters
-        ----------
-        placements:
-            Map from PU name to the kernel it runs.
-        looping:
-            PUs whose kernels restart when finished (external pressure
-            generators). Looping PUs never terminate the simulation.
-        until:
-            ``"first"`` stops when the first non-looping kernel finishes
-            (the paper's Section 4.2 methodology); ``"all"`` runs until
-            every non-looping kernel finishes.
-        max_seconds:
-            Simulated-time guard against degenerate configurations.
-        record_timeline:
-            Record per-step granted bandwidths (phase dynamics for
-            multi-phase programs); available as ``result.timeline``.
-
-        Returns
-        -------
-        CoRunResult
-            Per-PU relative speeds and achieved bandwidths.
+        Each epoch resolves the runnable placements' current streams
+        together, through the resolve cache when it is on, and advances
+        every placement at its rate to the first phase end, where the
+        kernels whose phase ended move on.
         """
-        if not placements:
-            raise SimulationError("placements must not be empty")
-        if until not in ("first", "all"):
-            raise SimulationError(f"unknown until mode {until!r}")
-        loop_set = set(looping)
-        unknown = loop_set - set(placements)
-        if unknown:
-            raise SimulationError(f"looping PUs not placed: {sorted(unknown)}")
-        victims = [name for name in placements if name not in loop_set]
-        if not victims:
-            raise SimulationError("at least one non-looping kernel required")
-
-        order = list(placements)
         n = len(order)
-        entries = [
-            self._placement(name, kernel)
-            for name, kernel in placements.items()
-        ]
         loops = [name in loop_set for name in order]
         streams_of = [entry.streams for entry in entries]
         ids_of = [entry.stream_ids for entry in entries]
@@ -396,6 +395,7 @@ class CoRunEngine:
         finished_at: List[Optional[float]] = [None] * n
         live = list(range(n))
         finished_victims = 0
+        victims = n - len(loop_set)
         stop_at_first = until == "first"
 
         # Observability: resolved once per corun (not per step), so the
@@ -523,7 +523,7 @@ class CoRunEngine:
                                 ),
                             )
                 if finished_victims and (
-                    stop_at_first or finished_victims == len(victims)
+                    stop_at_first or finished_victims == victims
                 ):
                     break
         finally:
@@ -548,36 +548,318 @@ class CoRunEngine:
         if metrics_on:
             # Only a co-run that returned counts as one.
             session.metrics.counter("soc.coruns").inc()
-
-        outcomes = []
-        for i, name in enumerate(order):
-            profile = entries[i].profile
-            done_at = finished_at[i]
-            elapsed = done_at if done_at is not None else now
-            elapsed = elapsed if elapsed and elapsed > 0 else now
-            achieved = bytes_done[i] / 1e9 / elapsed if elapsed > 0 else 0.0
-            # The standalone time equivalent of the work done.
-            phase = phase_at[i]
-            done = loops_done[i] * profile.total_seconds
-            for before in profile.phases[:phase]:
-                done += before.seconds
-            current = profile.phases[phase]
-            fraction = 1.0 - bytes_left[i] / current.traffic_bytes
-            outcomes.append(
-                PUOutcome(
-                    pu_name=name,
-                    kernel_name=profile.kernel_name,
-                    finished=done_at is not None,
-                    elapsed=elapsed,
-                    standalone_seconds=profile.total_seconds,
-                    standalone_seconds_done=done + fraction * current.seconds,
-                    avg_achieved_bw=achieved,
-                    avg_demand=profile.avg_demand,
-                )
-            )
         return CoRunResult(
             soc_name=self.soc.name,
-            outcomes=tuple(outcomes),
+            outcomes=tuple([
+                _outcome(
+                    name, entries[i].profile, phase_at[i], bytes_left[i],
+                    bytes_done[i], loops_done[i], finished_at[i], now,
+                )
+                for i, name in enumerate(order)
+            ]),
+            elapsed=now,
+            timeline=tuple(timeline),
+        )
+
+    def corun(
+        self,
+        placements: Mapping[str, KernelSpec],
+        looping: Iterable[str] = (),
+        until: str = "first",
+        max_seconds: float = 3600.0,
+        record_timeline: bool = False,
+    ) -> CoRunResult:
+        """Simulate kernels co-running on their assigned PUs.
+
+        Parameters
+        ----------
+        placements:
+            Map from PU name to the kernel it runs.
+        looping:
+            PUs whose kernels restart when finished (external pressure
+            generators). Looping PUs never terminate the simulation.
+        until:
+            ``"first"`` stops when the first non-looping kernel finishes
+            (the paper's Section 4.2 methodology); ``"all"`` runs until
+            every non-looping kernel finishes.
+        max_seconds:
+            Simulated-time guard against degenerate configurations; must
+            be positive (``inf`` sets no guard).
+        record_timeline:
+            Record per-step granted bandwidths (phase dynamics for
+            multi-phase programs); available as ``result.timeline``.
+
+        Returns
+        -------
+        CoRunResult
+            Per-PU relative speeds and achieved bandwidths.
+
+        Two placements that run until the first finish (``until="first"``
+        or one of them loops) take :meth:`_corun_pair`, every other
+        co-run :meth:`_corun_any`; both give the same bits.
+        """
+        if not placements:
+            raise SimulationError("placements must not be empty")
+        if until not in ("first", "all"):
+            raise SimulationError(f"unknown until mode {until!r}")
+        if not max_seconds > 0:
+            raise SimulationError(
+                f"max_seconds must be positive, got {max_seconds!r}"
+            )
+        loop_set = set(looping)
+        unknown = loop_set - set(placements)
+        if unknown:
+            raise SimulationError(f"looping PUs not placed: {sorted(unknown)}")
+        if len(loop_set) == len(placements):
+            raise SimulationError("at least one non-looping kernel required")
+
+        order = list(placements)
+        entries = [
+            self._placement(name, kernel)
+            for name, kernel in placements.items()
+        ]
+        if len(order) == 2 and (until == "first" or loop_set):
+            run = self._corun_pair
+        else:
+            run = self._corun_any
+        return run(order, entries, loop_set, until, max_seconds, record_timeline)
+
+    def _corun_pair(
+        self,
+        order: List[str],
+        entries: List[_Placement],
+        loop_set: Set[str],
+        until: str,
+        max_seconds: float,
+        record_timeline: bool,
+    ) -> CoRunResult:
+        """:meth:`corun` of two placements that ends at the first finish.
+
+        :meth:`_corun_any`'s loop on scalars: each placement's phase,
+        bytes left and done, loops done and finish time are locals, and
+        every float operation is the general loop's, in its order
+        (``min([d0, d1])`` is ``d1 if d1 < d0 else d0``). Both
+        placements run in every epoch: a phase's traffic is positive, so
+        a placement has bytes left until it finishes, and the first
+        finish ends the run.
+
+        With the resolve cache on, an epoch's key changes only when a
+        placement changes phase. A kernel of one phase never does (it
+        restarts at its one phase), one of more phases does at every
+        phase end. Until a key changes, each epoch reuses the last
+        epoch's grants and rates, which is what the cache holds under
+        that key, and counts the hit its lookup would have been.
+        """
+        name0, name1 = order
+        entry0, entry1 = entries
+        loop0 = name0 in loop_set
+        loop1 = name1 in loop_set
+        streams0, streams1 = entry0.streams, entry1.streams
+        ids0, ids1 = entry0.stream_ids, entry1.stream_ids
+        traffic0, traffic1 = entry0.traffic, entry1.traffic
+        last0 = len(traffic0) - 1
+        last1 = len(traffic1) - 1
+        # Each placement's progress: its phase, the bytes left in that
+        # phase, the bytes done, the whole loops done and when it
+        # finished (None while it runs).
+        phase0 = phase1 = 0
+        left0, left1 = traffic0[0], traffic1[0]
+        done0 = done1 = 0.0
+        loops0 = loops1 = 0
+        end0: Optional[float] = None
+        end1: Optional[float] = None
+
+        session = obs_runtime.active()
+        tracer = self._tracer if self._tracer is not None else session.tracer
+        trace_on = tracer.enabled
+        metrics_on = session.metrics.enabled
+        observing = trace_on or metrics_on
+        soc_track = f"soc.{self.soc.name}"
+        tracks = [f"pu.{name0}", f"pu.{name1}"] if trace_on else []
+        steps = 0
+        phase_transitions = 0
+        corun_span = None
+        if trace_on:
+            corun_span = tracer.span(
+                "corun",
+                start=0.0,
+                track=soc_track,
+                category="soc",
+                pus=",".join(order),
+                until=until,
+            )
+
+        cache = self._resolve_cache
+        resolve = self.memory.resolve
+        hits = misses = 0
+        now = 0.0
+        timeline = []
+        # True while the cache holds this epoch's key: the last epoch's
+        # key, grants and rates still stand.
+        held = False
+        try:
+            while now < max_seconds:
+                if held:
+                    hits += 1
+                    hit = True
+                else:
+                    hit = False
+                    if cache is None:
+                        grants = tuple(
+                            resolve([streams0[phase0], streams1[phase1]])
+                        )
+                        rates = _rates(grants)
+                    else:
+                        key = (ids0[phase0], ids1[phase1])
+                        cached = cache.get(key)
+                        if cached is None:
+                            grants = tuple(
+                                resolve([streams0[phase0], streams1[phase1]])
+                            )
+                            rates = _rates(grants)
+                            cache[key] = (grants, rates)
+                            misses += 1
+                        else:
+                            hits += 1
+                            hit = True
+                            grants, rates = cached
+                        held = True
+                    rate0, rate1 = rates
+                if record_timeline:
+                    timeline.append(
+                        TimelineSample(
+                            time=now,
+                            granted=(
+                                ((name0, rate0), (name1, rate1))
+                                if name0 < name1
+                                else ((name1, rate1), (name0, rate0))
+                            ),
+                        )
+                    )
+                d0 = left0 / 1e9 / rate0
+                d1 = left1 / 1e9 / rate1
+                dt = d1 if d1 < d0 else d0
+                rest = max_seconds - now
+                if rest < dt:
+                    dt = rest
+                if trace_on:
+                    self._trace_epoch(
+                        tracer, soc_track, tracks, now, dt, steps, grants, hit
+                    )
+                now += dt
+                steps += 1
+
+                n_bytes = rate0 * 1e9 * dt
+                left = left0 - n_bytes
+                done0 += n_bytes
+                if left > 1e-3:
+                    left0 = left
+                elif phase0 < last0 or loop0:
+                    # The next phase, or the next loop's first.
+                    if phase0 < last0:
+                        phase0 += 1
+                    else:
+                        loops0 += 1
+                        phase0 = 0
+                    left0 = traffic0[phase0]
+                    if last0:
+                        held = False
+                    if observing:
+                        phase_transitions += 1
+                        if trace_on:
+                            tracer.emit_event(
+                                "phase.transition",
+                                time=now,
+                                track=tracks[0],
+                                category="soc",
+                                args=(
+                                    ("loops_done", loops0),
+                                    ("phase", phase0),
+                                ),
+                            )
+                else:
+                    end0 = now
+                    left0 = 0.0
+                    if trace_on:
+                        tracer.emit_event(
+                            "kernel.finished",
+                            time=now,
+                            track=tracks[0],
+                            category="soc",
+                            args=(("kernel", entry0.profile.kernel_name),),
+                        )
+
+                n_bytes = rate1 * 1e9 * dt
+                left = left1 - n_bytes
+                done1 += n_bytes
+                if left > 1e-3:
+                    left1 = left
+                elif phase1 < last1 or loop1:
+                    if phase1 < last1:
+                        phase1 += 1
+                    else:
+                        loops1 += 1
+                        phase1 = 0
+                    left1 = traffic1[phase1]
+                    if last1:
+                        held = False
+                    if observing:
+                        phase_transitions += 1
+                        if trace_on:
+                            tracer.emit_event(
+                                "phase.transition",
+                                time=now,
+                                track=tracks[1],
+                                category="soc",
+                                args=(
+                                    ("loops_done", loops1),
+                                    ("phase", phase1),
+                                ),
+                            )
+                else:
+                    end1 = now
+                    left1 = 0.0
+                    if trace_on:
+                        tracer.emit_event(
+                            "kernel.finished",
+                            time=now,
+                            track=tracks[1],
+                            category="soc",
+                            args=(("kernel", entry1.profile.kernel_name),),
+                        )
+                if end0 is not None or end1 is not None:
+                    break
+        finally:
+            # As in the general loop: once per call, also after a raise.
+            self.resolve_stats._hits.inc(hits)
+            self.resolve_stats._misses.inc(misses)
+            if metrics_on:
+                metrics = session.metrics
+                metrics.counter("soc.epochs").inc(steps)
+                metrics.counter("soc.phase_transitions").inc(
+                    phase_transitions
+                )
+                metrics.counter("soc.resolve_cache.hits").inc(hits)
+                metrics.counter("soc.resolve_cache.misses").inc(misses)
+            if corun_span is not None:
+                corun_span.note(steps=steps)
+                corun_span.finish(now)
+                corun_span.close()
+
+        if metrics_on:
+            session.metrics.counter("soc.coruns").inc()
+        return CoRunResult(
+            soc_name=self.soc.name,
+            outcomes=(
+                _outcome(
+                    name0, entry0.profile, phase0, left0, done0, loops0, end0,
+                    now,
+                ),
+                _outcome(
+                    name1, entry1.profile, phase1, left1, done1, loops1, end1,
+                    now,
+                ),
+            ),
             elapsed=now,
             timeline=tuple(timeline),
         )

@@ -41,7 +41,7 @@ class Phase:
     def __post_init__(self) -> None:
         if self.flops < 0:
             raise WorkloadError(f"phase {self.name!r}: flops must be >= 0")
-        if self.traffic_bytes <= 0:
+        if not self.traffic_bytes > 0:  # NaN too
             raise WorkloadError(
                 f"phase {self.name!r}: traffic_bytes must be positive"
             )

@@ -6,6 +6,7 @@ except-pass), plus the mechanized acceptance check that every
 
 from __future__ import annotations
 
+import ast
 import textwrap
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from repro.lint.importgraph import (
     find_contract,
     layering_violations,
     load_contract,
+    parse_modules,
 )
 from repro.lint.rules import ALL_RULE_IDS, RULES_BY_ID, explain_rule
 
@@ -425,7 +427,8 @@ class TestLint019ExceptionFlow:
 
 class TestSharedImportTables:
     """LINT007, LINT011 and the dead-code index resolve names through
-    one import table per file, built once per lint run."""
+    one import table per file, built once per lint run, from the one
+    tree the run parsed for it."""
 
     FILES = {
         "src/repro/soc/__init__.py": "from . import a\n",
@@ -473,6 +476,29 @@ class TestSharedImportTables:
             ("LINT007", "a.py", 7),
         ]
 
+    @pytest.mark.parametrize(
+        "rules", [None, ["LINT007", "LINT011"]], ids=["all", "single-file"]
+    )
+    def test_each_file_is_parsed_once(self, tmp_path, monkeypatch, rules):
+        """The import graph, the dead-code index and the rules share one
+        tree per file."""
+        parsed = []
+        original = ast.parse
+
+        def counting(source, filename="<unknown>", *args, **kwargs):
+            parsed.append(Path(filename).relative_to(tmp_path).as_posix())
+            return original(source, filename, *args, **kwargs)
+
+        monkeypatch.setattr(ast, "parse", counting)
+        write_tree(tmp_path, self.FILES)
+        findings = lint_tree(tmp_path, rules)
+        assert sorted(parsed) == [
+            "src/repro/cli.py",
+            "src/repro/soc/__init__.py",
+            "src/repro/soc/a.py",
+        ]
+        assert [f.rule for f in findings] == ["LINT011", "LINT007"]
+
 
 class TestAcceptance:
     """The repo's own layer contract is load-bearing, edge by edge."""
@@ -480,7 +506,9 @@ class TestAcceptance:
     def real_graph(self):
         files = sorted(iter_python_files([str(PACKAGE_ROOT)]))
         return build_import_graph(
-            [(str(f), f.read_text(encoding="utf-8")) for f in files]
+            parse_modules(
+                [(str(f), f.read_text(encoding="utf-8")) for f in files]
+            )
         )
 
     def test_every_allow_edge_is_load_bearing(self):

@@ -6,7 +6,11 @@ import textwrap
 from pathlib import Path
 
 from repro.lint.deadcode import build_deadcode_index
-from repro.lint.importgraph import CONTRACT_FILE_NAME, load_contract
+from repro.lint.importgraph import (
+    CONTRACT_FILE_NAME,
+    load_contract,
+    parse_modules,
+)
 
 BASE_CONTRACT = """
 [order]
@@ -23,7 +27,9 @@ entry_points = ["repro.cli:main"]
 
 def index_of(*named_sources, contract=None, contract_path=None):
     return build_deadcode_index(
-        [(path, textwrap.dedent(src)) for path, src in named_sources],
+        parse_modules(
+            [(path, textwrap.dedent(src)) for path, src in named_sources]
+        ),
         contract,
         contract_path,
     )

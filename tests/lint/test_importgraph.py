@@ -18,6 +18,7 @@ from repro.lint.importgraph import (
     layering_violations,
     load_contract,
     module_name_for,
+    parse_modules,
     parse_toml_subset,
     to_dot,
     to_json_payload,
@@ -26,7 +27,9 @@ from repro.lint.importgraph import (
 
 def graph_of(*named_sources):
     return build_import_graph(
-        [(path, textwrap.dedent(src)) for path, src in named_sources]
+        parse_modules(
+            [(path, textwrap.dedent(src)) for path, src in named_sources]
+        )
     )
 
 

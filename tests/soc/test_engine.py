@@ -141,6 +141,21 @@ class TestCoRunContention:
         for o in result.outcomes:
             assert 0.0 < o.relative_speed <= 1.0
 
+    @pytest.mark.parametrize("max_seconds", [0.0, -1.0, float("nan")])
+    def test_max_seconds_that_bounds_no_run_rejected(
+        self, xavier_engine, gpu_kernel, max_seconds
+    ):
+        with pytest.raises(SimulationError, match="max_seconds"):
+            xavier_engine.corun({"gpu": gpu_kernel}, max_seconds=max_seconds)
+
+    def test_infinite_max_seconds_sets_no_guard(
+        self, xavier_engine, gpu_kernel
+    ):
+        result = xavier_engine.corun(
+            {"gpu": gpu_kernel}, max_seconds=float("inf")
+        )
+        assert result.outcome("gpu").finished
+
     def test_max_seconds_guard(self, xavier_engine):
         victim = single_phase_kernel("huge", 20.0, traffic_gb=100.0)
         result = xavier_engine.corun(

@@ -1,11 +1,14 @@
-"""Differential test of the co-run loop.
+"""Differential test of the co-run loops.
 
 ``CoRunEngine.corun`` keeps one table entry per placed (PU, kernel),
-with each phase's stream interned to a small int, keys the resolve
-cache on the tuple of active stream ids, keeps each placement's
-progress in local lists and adds its resolve-cache counts once per
-call. It must give the same bits as the loop it replaced, so each
-result is compared with ``==`` against the verbatim earlier code in
+with each phase's stream interned to a small int, and keys the resolve
+cache on the tuple of active stream ids. Two placements that run until
+the first finish take ``_corun_pair``, which keeps each placement's
+progress in scalars and reuses the last epoch's grants while no phase
+changes; every other co-run takes ``_corun_any``, which keeps it in
+lists. Both add their resolve-cache counts once per call. They must
+give the same bits as the loop they replaced, so each result is
+compared with ``==`` against the verbatim earlier code in
 ``reference_engine.py``: ``CoRunResult`` equality is exact float
 equality on every field of every outcome and timeline sample. The
 resolve-cache hit and miss counts each call adds, the records a traced
@@ -15,13 +18,16 @@ too.
 Each example runs two co-runs on one engine of each kind, so the second
 finds the placement table and the resolve cache warm. Kernels come from
 a pool of two, the second sometimes a reordering of the first's phases,
-whose streams on a PU equal the first's and so share their ids.
+whose streams on a PU equal the first's and so share their ids. The
+pinned examples reach the pair loop's cases the draws miss: a looping
+kernel placed first or second, of one phase or two, and two victims
+that finish in one epoch. The raising co-runs run once in each loop.
 """
 
 from __future__ import annotations
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.errors import SimulationError
 from repro.obs import runtime as obs_runtime
@@ -96,6 +102,19 @@ def coruns(draw, soc, pool):
     )
 
 
+@st.composite
+def cases(draw):
+    """An SoC, cache and session setting, and two co-runs on it."""
+    soc_name = draw(st.sampled_from(sorted(SOCS)))
+    pool = draw(kernel_pools())
+    cache = draw(st.booleans())
+    trace, metrics = draw(
+        st.sampled_from([(False, False), (False, True), (True, True)])
+    )
+    runs = [draw(coruns(SOCS[soc_name], pool)) for _ in range(2)]
+    return soc_name, cache, trace, metrics, runs
+
+
 def observed_corun(engine, kwargs, trace, metrics):
     """The result, resolve-cache deltas and session records of a corun."""
     stats = engine.resolve_stats
@@ -114,25 +133,125 @@ def observed_corun(engine, kwargs, trace, metrics):
     )
 
 
-@DIFFERENTIAL
-@given(data=st.data())
-def test_corun_matches_reference(data):
-    soc = SOCS[data.draw(st.sampled_from(sorted(SOCS)))]
-    pool = data.draw(kernel_pools())
-    cache = data.draw(st.booleans())
-    trace, metrics = data.draw(
-        st.sampled_from([(False, False), (False, True), (True, True)])
+def _run(placements, looping=(), until="first"):
+    return dict(
+        placements=placements,
+        looping=set(looping),
+        until=until,
+        max_seconds=3600.0,
+        record_timeline=True,
     )
+
+
+#: A two-phase victim and two looping kernels, of one phase and of two.
+VICTIM = KernelSpec(
+    name="v",
+    phases=(
+        Phase("v0", flops=1e10, traffic_bytes=1e9),
+        Phase("v1", flops=0.0, traffic_bytes=5e8),
+    ),
+)
+ONE_PHASE = KernelSpec(
+    name="o", phases=(Phase("o0", flops=0.0, traffic_bytes=5e7),)
+)
+TWO_PHASES = KernelSpec(
+    name="p",
+    phases=(
+        Phase("p0", flops=0.0, traffic_bytes=5e7),
+        Phase("p1", flops=4e8, traffic_bytes=2e7),
+    ),
+)
+#: Two one-phase victims whose traffic makes them finish in one epoch.
+SAME_EPOCH = {
+    "gpu": KernelSpec(
+        name="a", phases=(Phase("a0", flops=8e8, traffic_bytes=2e8),)
+    ),
+    "cpu": KernelSpec(
+        name="b",
+        phases=(
+            Phase(
+                "b0", flops=108755053.97178307,
+                traffic_bytes=108755053.97178307,
+            ),
+        ),
+    ),
+}
+
+
+#: Cases the draws miss. The looping PU placed first, then second, of
+#: one phase and of two, with the cache on, where the pair loop reuses a
+#: one-phase kernel's key; without the cache, which it then never does,
+#: two victims until the first finish that finish in one epoch, and a
+#: looping one-phase kernel.
+PINNED_CASES = [
+    (
+        "xavier-agx", True, True, True,
+        [
+            _run({"cpu": ONE_PHASE, "gpu": VICTIM}, {"cpu"}),
+            _run({"cpu": TWO_PHASES, "gpu": VICTIM}, {"cpu"}, "all"),
+        ],
+    ),
+    (
+        "xavier-agx", True, True, True,
+        [
+            _run({"gpu": VICTIM, "cpu": ONE_PHASE}, {"cpu"}, "all"),
+            _run({"gpu": VICTIM, "cpu": TWO_PHASES}, {"cpu"}),
+        ],
+    ),
+    (
+        "xavier-agx", False, True, True,
+        [
+            _run(SAME_EPOCH),
+            _run({"gpu": VICTIM, "cpu": ONE_PHASE}, {"cpu"}),
+        ],
+    ),
+]
+
+
+def pinned(test):
+    for case in PINNED_CASES:
+        test = example(case=case)(test)
+    return test
+
+
+@DIFFERENTIAL
+@given(case=cases())
+@pinned
+def test_corun_matches_reference(case):
+    soc_name, cache, trace, metrics, runs = case
+    soc = SOCS[soc_name]
     live = CoRunEngine(soc, resolve_cache=cache)
     reference = ReferenceCoRunEngine(soc, resolve_cache=cache)
-    for _ in range(2):
-        kwargs = data.draw(coruns(soc, pool))
+    for kwargs in runs:
         got = observed_corun(live, kwargs, trace, metrics)
         want = observed_corun(reference, kwargs, trace, metrics)
         assert got[0] == want[0]
         assert got[1] == want[1]
         assert got[2] == want[2]
         assert got[3] == want[3]
+
+
+class GeneralLoopEngine(CoRunEngine):
+    """Runs every co-run, the two-placement ones too, in the general
+    loop."""
+
+    _corun_pair = CoRunEngine._corun_any
+
+
+@DIFFERENTIAL
+@given(case=cases())
+@pinned
+def test_pair_loop_matches_general_loop(case):
+    """The live general loop is the pair loop's second oracle, so a
+    change to the one that misses the other fails here."""
+    soc_name, cache, trace, metrics, runs = case
+    soc = SOCS[soc_name]
+    live = CoRunEngine(soc, resolve_cache=cache)
+    general = GeneralLoopEngine(soc, resolve_cache=cache)
+    for kwargs in runs:
+        got = observed_corun(live, kwargs, trace, metrics)
+        want = observed_corun(general, kwargs, trace, metrics)
+        assert got == want
 
 
 class _FailingMemory:
@@ -152,40 +271,47 @@ class _FailingMemory:
         return self._memory.resolve(streams)
 
 
-#: A two-phase GPU victim against a looping two-phase CPU kernel.
-RAISING_PLACEMENTS = {
-    "gpu": KernelSpec(
-        name="v",
-        phases=(
-            Phase("v0", flops=1e10, traffic_bytes=1e9),
-            Phase("v1", flops=0.0, traffic_bytes=5e8),
+#: The victim under looping ``TWO_PHASES`` on the CPU, which takes the
+#: engine's two-placement loop, and under that and a looping one-phase
+#: DLA kernel, which takes its general loop.
+TWO_PU = dict(placements={"gpu": VICTIM, "cpu": TWO_PHASES}, looping={"cpu"})
+THREE_PU = dict(
+    placements={
+        "gpu": VICTIM,
+        "cpu": TWO_PHASES,
+        "dla": KernelSpec(
+            name="d", phases=(Phase("d0", flops=2e9, traffic_bytes=3e7),)
         ),
-    ),
-    "cpu": KernelSpec(
-        name="p",
-        phases=(
-            Phase("p0", flops=0.0, traffic_bytes=5e7),
-            Phase("p1", flops=4e8, traffic_bytes=2e7),
-        ),
-    ),
-}
+    },
+    looping={"cpu", "dla"},
+)
+RAISING_CORUNS = [
+    pytest.param(TWO_PU, id="two-pu"),
+    pytest.param(THREE_PU, id="three-pu"),
+]
 
 
-@pytest.mark.parametrize("budget", [0, 1, 2, 3])
-def test_counts_survive_a_raising_corun(budget):
+@pytest.mark.parametrize(
+    "corun, budget",
+    [pytest.param(TWO_PU, budget, id=str(budget)) for budget in range(4)]
+    + [
+        pytest.param(THREE_PU, budget, id=f"three-pu-{budget}")
+        for budget in range(4)
+    ],
+)
+def test_counts_survive_a_raising_corun(corun, budget):
     """A corun whose resolve raises has still added the hits and misses
     of the epochs it ran, as counting each epoch did: a solve that
     raised is not counted."""
     soc = SOCS["xavier-agx"]
-    placements = RAISING_PLACEMENTS
     full = CoRunEngine(soc)
-    full.corun(placements, looping={"cpu"})
+    full.corun(**corun)
     assert full.resolve_stats.misses > budget
     counts = []
     for engine in (CoRunEngine(soc), ReferenceCoRunEngine(soc)):
         engine.memory = _FailingMemory(engine.memory, budget)
         with pytest.raises(SimulationError, match="resolve failed"):
-            engine.corun(placements, looping={"cpu"})
+            engine.corun(**corun)
         counts.append((engine.resolve_stats.hits, engine.resolve_stats.misses))
     assert counts[0] == counts[1]
     assert counts[0][1] == budget
@@ -194,7 +320,8 @@ def test_counts_survive_a_raising_corun(budget):
         assert counts[0][0] > 0
 
 
-def test_a_raising_corun_ends_its_span():
+@pytest.mark.parametrize("corun", RAISING_CORUNS)
+def test_a_raising_corun_ends_its_span(corun):
     """A corun whose resolve raises still emits its ``corun`` span, ended
     at the time the run reached, so the tracer's depth on the SoC track
     drops back and the next corun's span is at depth 0 again."""
@@ -203,9 +330,9 @@ def test_a_raising_corun_ends_its_span():
     memory = engine.memory
     engine.memory = _FailingMemory(memory, 1)
     with pytest.raises(SimulationError, match="resolve failed"):
-        engine.corun(RAISING_PLACEMENTS, looping={"cpu"})
+        engine.corun(**corun)
     engine.memory = memory
-    engine.corun(RAISING_PLACEMENTS, looping={"cpu"})
+    engine.corun(**corun)
     spans = [s for s in tracer.buffer.spans if s.name == "corun"]
     assert [s.depth for s in spans] == [0, 0]
     failed, done = spans
@@ -213,19 +340,20 @@ def test_a_raising_corun_ends_its_span():
     assert 0.0 < failed.end < done.end
 
 
-def _traced_raising_corun(cache):
+def _traced_raising_corun(corun, cache):
     tracer = Tracer()
     engine = CoRunEngine(
         SOCS["xavier-agx"], resolve_cache=cache, tracer=tracer
     )
-    engine.corun(RAISING_PLACEMENTS, looping={"cpu"})
+    engine.corun(**corun)
     return engine, tracer.buffer
 
 
-def test_epochs_without_a_cache_are_traced_as_solves():
+@pytest.mark.parametrize("corun", RAISING_CORUNS)
+def test_epochs_without_a_cache_are_traced_as_solves(corun):
     """With the resolve cache off every epoch runs ``memory.resolve``, so
     no epoch is flagged a hit and each has its ``memsys.resolve`` span."""
-    engine, buffer = _traced_raising_corun(cache=False)
+    engine, buffer = _traced_raising_corun(corun, cache=False)
     epochs = [s for s in buffer.spans if s.name == "epoch"]
     solves = [s for s in buffer.spans if s.name == "memsys.resolve"]
     assert len(epochs) > 1
@@ -234,10 +362,11 @@ def test_epochs_without_a_cache_are_traced_as_solves():
     assert engine.resolve_stats.calls == 0
 
 
-def test_epochs_with_a_cache_trace_the_cache_test():
+@pytest.mark.parametrize("corun", RAISING_CORUNS)
+def test_epochs_with_a_cache_trace_the_cache_test(corun):
     """With the cache on, an epoch is a hit exactly when the cache served
     it, and only the misses emit a ``memsys.resolve`` span."""
-    engine, buffer = _traced_raising_corun(cache=True)
+    engine, buffer = _traced_raising_corun(corun, cache=True)
     epochs = [s for s in buffer.spans if s.name == "epoch"]
     solves = [s for s in buffer.spans if s.name == "memsys.resolve"]
     flags = [dict(s.args)["resolve_hit"] for s in epochs]
@@ -250,7 +379,8 @@ def test_epochs_with_a_cache_trace_the_cache_test():
     ]
 
 
-def test_session_counts_survive_a_raising_corun():
+@pytest.mark.parametrize("corun", RAISING_CORUNS)
+def test_session_counts_survive_a_raising_corun(corun):
     """When ``memory.resolve`` raises, the session still gets the epochs,
     phase transitions, hits and misses of the epochs that ran, equal to
     the engine's ``resolve_stats``; only a co-run that returned counts in
@@ -259,7 +389,7 @@ def test_session_counts_survive_a_raising_corun():
     engine.memory = _FailingMemory(engine.memory, 2)
     with obs_runtime.session(metrics=True) as session:
         with pytest.raises(SimulationError, match="resolve failed"):
-            engine.corun(RAISING_PLACEMENTS, looping={"cpu"})
+            engine.corun(**corun)
     counters = dict(session.metrics.snapshot().counters)
     stats = engine.resolve_stats
     assert stats.misses == 2 and stats.hits > 0

@@ -16,6 +16,10 @@ class TestPhase:
         with pytest.raises(WorkloadError):
             Phase("p", flops=1e9, traffic_bytes=0.0)
 
+    def test_nan_traffic_rejected(self):
+        with pytest.raises(WorkloadError):
+            Phase("p", flops=1e9, traffic_bytes=float("nan"))
+
     def test_negative_flops_rejected(self):
         with pytest.raises(WorkloadError):
             Phase("p", flops=-1.0, traffic_bytes=1e9)
